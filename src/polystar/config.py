@@ -95,23 +95,39 @@ class ExperimentConfig:
             raise ConfigError("delta must be positive")
         if not 0.0 < self.sim.dt_cfl < 1.0:
             raise ConfigError("sim.dt_cfl must lie in (0, 1)")
+        if self.sim.record_every < 1:
+            raise ConfigError("sim.record_every must be >= 1")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Accepted JSON values per field annotation.  Ints pass as floats and are
+# kept as given, so a valid config hashes as before; bools are no numbers.
+_TYPE_CHECKS = {
+    "float": _is_number,
+    "float | None": lambda v: v is None or _is_number(v),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+    "tuple": lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+}
 
 
 def _build_section(cls, data: dict, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be an object")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(data) - allowed
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(types)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    coerced = dict(data)
-    for f in fields(cls):
-        if f.name in coerced and isinstance(coerced[f.name], list):
-            coerced[f.name] = tuple(coerced[f.name])
-    try:
-        return cls(**coerced)
-    except TypeError as exc:
-        raise ConfigError(f"bad {where}: {exc}") from exc
+    coerced = {}
+    for name, value in data.items():
+        if not _TYPE_CHECKS[types[name]](value):
+            raise ConfigError(f"{where}.{name} has the wrong type: {value!r}")
+        coerced[name] = tuple(value) if isinstance(value, list) else value
+    return cls(**coerced)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -125,6 +141,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
+    if not isinstance(data.get("output_dir", "out"), str):
+        raise ConfigError("output_dir must be a string")
     cfg = ExperimentConfig(
         polytrope=_build_section(PolytropeSection, data.get("polytrope", {}), "polytrope"),
         mesh=_build_section(MeshSection, data.get("mesh", {}), "mesh"),

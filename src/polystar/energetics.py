@@ -8,9 +8,10 @@ Norm conventions on a profile grid (gt = (1+alpha)/alpha):
                                                interior nodes)
 
 With a = alpha these are the X / Y norms entering the growing-mode
-normalization (1+mu0)|phi0|_X^2 + |phi0|_Y^2 = 1; the Y quadrature uses
-exactly the pencil's flux coefficients, so the discrete energies and the
-eigenproblem share one geometry.
+normalization (1+mu0)|phi0|_X^2 + |phi0|_Y^2 = 1.  Both read the
+profile's Discretization, whose flux coefficients and mass weights also
+make up the pencil, so the discrete energies and the eigenproblem share
+one geometry.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ from .errors import (
 from .evolution import (
     PerturbationState,
     SimConfig,
-    _scheme,
     accel_time_derivative,
     cell_jacobian_minus_one,
     smallness_monitor,
 )
-from .polytrope import LaneEmdenProfile
+from .polytrope import LaneEmdenProfile, trapezoid_weights
 
 _JMAX = 2
 
@@ -43,25 +43,25 @@ _JMAX = 2
 def weighted_norm_X(f: np.ndarray, profile: LaneEmdenProfile, a: float) -> float:
     """|f|_X(a); for negative exponents the degenerate endpoint node is
     excluded (truncated quadrature at the last resolved node)."""
-    sch = _scheme(profile)
+    disc = profile.discretization
     f = np.asarray(f, dtype=float)
     if a >= 0:
-        weight = sch.w**a * sch.r**4 * sch.quad_w
+        weight = disc.w**a * disc.r**4 * disc.quad_w
     else:
-        weight = np.zeros_like(sch.w)
-        pos = sch.w > 0
-        weight[pos] = sch.w[pos] ** a * sch.r[pos] ** 4 * sch.quad_w[pos]
+        weight = np.zeros_like(disc.w)
+        pos = disc.w > 0
+        weight[pos] = disc.w[pos] ** a * disc.r[pos] ** 4 * disc.quad_w[pos]
     return float(np.sqrt(np.sum(weight * f * f)))
 
 
 def weighted_norm_Y(f: np.ndarray, profile: LaneEmdenProfile, a: float) -> float:
     """|f|_Y(a) over the flux cells between interior nodes."""
-    sch = _scheme(profile)
+    disc = profile.discretization
     f = np.asarray(f, dtype=float)
-    N = sch.N
-    df = (f[2:N] - f[1 : N - 1]) / sch.h[1 : N - 1]
-    gcell = sch.w_half[1 : N - 1] ** (a + 1.0) * sch.rm[1 : N - 1] ** 4
-    return float(np.sqrt(sch.gt * np.sum(gcell * df * df * sch.h[1 : N - 1])))
+    N = disc.N
+    df = (f[2:N] - f[1 : N - 1]) / disc.h[1 : N - 1]
+    gcell = disc.w_half[1 : N - 1] ** (a + 1.0) * disc.rm[1 : N - 1] ** 4
+    return float(np.sqrt(disc.gt * np.sum(gcell * df * df * disc.h[1 : N - 1])))
 
 
 def zero_norm(
@@ -88,14 +88,6 @@ def _derivative_chain(values: np.ndarray, points: np.ndarray, k: int):
     return v, p
 
 
-def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
-    w = np.empty_like(points)
-    w[0] = (points[1] - points[0]) / 2.0
-    w[-1] = (points[-1] - points[-2]) / 2.0
-    w[1:-1] = (points[2:] - points[:-2]) / 2.0
-    return w
-
-
 def _staggered_X(
     f: np.ndarray, profile: LaneEmdenProfile, k: int, exponent: float
 ) -> float:
@@ -105,7 +97,7 @@ def _staggered_X(
     v, p = _derivative_chain(f, profile.grid, k)
     wv, _ = profile.enthalpy(np.clip(p, 0.0, profile.R))
     wv = np.clip(wv, 0.0, None)
-    return float(np.sum(wv**exponent * p**4 * _trapezoid_weights(p) * v * v))
+    return float(np.sum(wv**exponent * p**4 * trapezoid_weights(p) * v * v))
 
 
 @dataclass(frozen=True)
@@ -193,12 +185,6 @@ def instant_energy(
     )
 
 
-def _conservative_field_derivative(g: np.ndarray, profile: LaneEmdenProfile):
-    """(r^3 g)_r / r^2 at half nodes in the conservative form 3 d(r^3 g)/d(r^3)."""
-    sch = _scheme(profile)
-    return 3.0 * np.diff(sch.r3 * g) / sch.d3
-
-
 def nonlinear_energy(
     state: PerturbationState, profile: LaneEmdenProfile, imax: int = 1
 ) -> list:
@@ -214,10 +200,10 @@ def nonlinear_energy(
     """
     if imax > _JMAX:
         raise UnsupportedOrder(f"imax={imax} above implemented ceiling {_JMAX}")
-    sch = _scheme(profile)
-    a = sch.alpha
+    disc = profile.discretization
+    a = disc.alpha
     z, zt = state.zeta, state.zeta_t
-    jm1 = cell_jacobian_minus_one(z, sch)
+    jm1 = cell_jacobian_minus_one(z, disc)
     jfac = np.exp(-(1.0 + 2.0 * a) / a * np.log1p(jm1))
 
     fields = _time_ladder(state, profile, min(imax, _JMAX))
@@ -235,9 +221,9 @@ def nonlinear_energy(
 
     out = []
     for dt_phi, phi_i in levels[:imax]:
-        t1 = float(np.sum(sch.xweight * dt_phi * dt_phi / (1.0 + z) ** 4))
-        dc = _conservative_field_derivative(phi_i, profile)
-        t2 = float(sch.gt * np.sum(sch.w_half_1a * jfac * dc * dc * sch.d3 / 3.0))
+        t1 = float(np.sum(disc.xweight * dt_phi * dt_phi / (1.0 + z) ** 4))
+        dc = disc.conservative_derivative(phi_i)
+        t2 = float(disc.gt * np.sum(disc.w_half_1a * jfac * dc * dc * disc.d3 / 3.0))
         out.append(t1 + t2)
     return out
 
@@ -265,16 +251,16 @@ class EnergyGapReport:
 def energy_gap_report(
     state: PerturbationState, profile: LaneEmdenProfile
 ) -> EnergyGapReport:
-    sch = _scheme(profile)
+    disc = profile.discretization
     rep = instant_energy(state, profile, jmax=1)
     frak1 = rep.frakE[0]
     E1 = rep.Ej[0]
     zt = state.zeta_t
-    dc = _conservative_field_derivative(zt, profile)
-    yhat2 = float(sch.gt * np.sum(sch.w_half_1a * dc * dc * sch.d3 / 3.0))
+    dc = disc.conservative_derivative(zt)
+    yhat2 = float(disc.gt * np.sum(disc.w_half_1a * dc * dc * disc.d3 / 3.0))
     y2 = weighted_norm_Y(zt, profile, profile.alpha) ** 2
     cross = yhat2 - y2
-    cross_ibp = float(3.0 * sch.gt * np.sum(sch.xweight * sch.phi * zt * zt))
+    cross_ibp = float(3.0 * disc.gt * np.sum(disc.xweight * disc.phi * zt * zt))
     denom = rep.E0 + E1
     return EnergyGapReport(
         frak1=frak1,

@@ -30,14 +30,12 @@ the finite free-boundary acceleration.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import StatePastVacuumCollapse
-from .polytrope import LaneEmdenProfile
-from .spectral import OperatorPencil, assemble_pencil
+from .polytrope import Discretization, LaneEmdenProfile
 
 _EPS_FLOOR = 1e-14  # used only inside the dt formula
 
@@ -118,102 +116,41 @@ class PerturbationState:
         return (1.0 + self.zeta) ** 2 * self.zeta_t
 
 
-class _Scheme:
-    """Precomputed grid quantities shared by all operators on a profile."""
-
-    def __init__(self, profile: LaneEmdenProfile):
-        self._profile_ref = weakref.ref(profile)
-        alpha = profile.alpha
-        self.alpha = alpha
-        self.gt = (1.0 + alpha) / alpha
-        r = profile.grid
-        self.r = r
-        self.N = r.size - 1
-        self.h = np.diff(r)
-        self.rm = 0.5 * (r[:-1] + r[1:])
-        wm, _ = profile.enthalpy(self.rm)
-        self.w_half = np.clip(wm, 0.0, None)
-        self.w_half_1a = self.w_half ** (1.0 + alpha)
-        self.r3 = r**3
-        self.d3 = np.diff(self.r3)
-        self.dr_interior = 0.5 * (r[2:] - r[:-2])
-        self.inv_wr = 1.0 / (profile.w[1 : self.N] ** alpha * r[1 : self.N])
-        self.phi = profile.phi
-        w = np.clip(profile.w, 0.0, None)
-        self.w = w
-        quad_w = np.empty(self.N + 1)
-        quad_w[0] = self.h[0] / 2.0
-        quad_w[-1] = self.h[-1] / 2.0
-        quad_w[1 : self.N] = self.dr_interior
-        self.quad_w = quad_w
-        self.xweight = w**alpha * r**4 * quad_w
-        self.dloc = np.empty(self.N + 1)
-        self.dloc[0] = self.h[0]
-        self.dloc[-1] = self.h[-1]
-        self.dloc[1 : self.N] = np.minimum(self.h[:-1], self.h[1:])
-        self._pencil: OperatorPencil | None = None
-
-    @property
-    def pencil(self) -> OperatorPencil:
-        if self._pencil is None:
-            self._pencil = assemble_pencil(self._profile_ref())
-        return self._pencil
-
-
-_SCHEMES: "weakref.WeakKeyDictionary[LaneEmdenProfile, _Scheme]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _scheme(profile: LaneEmdenProfile) -> _Scheme:
-    sch = _SCHEMES.get(profile)
-    if sch is None:
-        sch = _Scheme(profile)
-        _SCHEMES[profile] = sch
-    return sch
-
-
-def _extrapolate_origin(values: np.ndarray, r: np.ndarray) -> float:
-    """Even extension: quadratic in r^2 through the first two interior nodes."""
-    return values[1] + (values[2] - values[1]) * (
-        (0.0 - r[1] ** 2) / (r[2] ** 2 - r[1] ** 2)
-    )
-
-
-def cell_jacobian_minus_one(zeta: np.ndarray, sch: _Scheme) -> np.ndarray:
+def cell_jacobian_minus_one(zeta: np.ndarray, disc: Discretization) -> np.ndarray:
     """Conservative J - 1 at half nodes, exact for constant zeta."""
     u = zeta + zeta * zeta + zeta**3 / 3.0
-    return 3.0 * np.diff(sch.r3 * u) / sch.d3
+    return disc.conservative_derivative(u)
 
 
 def nonlinear_accel(state: PerturbationState, profile: LaneEmdenProfile) -> np.ndarray:
     """zeta_tt on the full grid for the exact-Jacobian equation."""
-    sch = _scheme(profile)
+    disc = profile.discretization
     z = state.zeta
     if np.any(1.0 + z <= 0.0):
         raise StatePastVacuumCollapse("1 + zeta <= 0: flow map interpenetrates")
-    jm1 = cell_jacobian_minus_one(z, sch)
+    jm1 = cell_jacobian_minus_one(z, disc)
     if np.any(jm1 <= -1.0):
         raise StatePastVacuumCollapse("J <= 0: orientation lost")
-    N = sch.N
+    N = disc.N
     # pressure flux w^(1+alpha) (J^(-gt) - 1), cancellation-free
-    flux = sch.w_half_1a * np.expm1(-sch.gt * np.log1p(jm1))
+    flux = disc.w_half_1a * np.expm1(-disc.gt * np.log1p(jm1))
     a = np.empty_like(z)
     zi = z[1:N]
     a[1:N] = -((1.0 + zi) ** 2) * (
-        (flux[1:] - flux[:-1]) / sch.dr_interior * sch.inv_wr
-        + np.expm1(-4.0 * np.log1p(zi)) * sch.phi[1:N]
+        (flux[1:] - flux[:-1]) / disc.dr_interior * disc.inv_wr
+        + np.expm1(-4.0 * np.log1p(zi)) * disc.phi[1:N]
     )
-    a[0] = _extrapolate_origin(a, sch.r)
-    # free boundary: finite limit of the momentum equation at r = R
-    zr_N = (z[N] - z[N - 1]) / sch.h[-1]
-    JN = (1.0 + z[N]) ** 2 * (1.0 + z[N] + zr_N * sch.r[N])
+    disc.extrapolate_endpoints(a)
+    # free boundary: the finite limit of the momentum equation at r = R
+    # replaces the extrapolated a[N]
+    zr_N = (z[N] - z[N - 1]) / disc.h[-1]
+    JN = (1.0 + z[N]) ** 2 * (1.0 + z[N] + zr_N * disc.r[N])
     if JN <= 0.0:
         raise StatePastVacuumCollapse("boundary Jacobian J(R) <= 0")
     a[N] = (
         (1.0 + z[N]) ** 2
-        * sch.phi[N]
-        * (JN ** (-sch.gt) - (1.0 + z[N]) ** (-4))
+        * disc.phi[N]
+        * (JN ** (-disc.gt) - (1.0 + z[N]) ** (-4))
     )
     return a
 
@@ -228,28 +165,25 @@ def accel_time_derivative(
     dA differences the flux derivative dF = -gt w^(1+alpha) J^(-gt-1) dJ,
     dJ = 3 [r^3 varphi]' / [r^3]', and dB = -4 (1+zeta)^(-5) zeta_t Phi.
     """
-    sch = _scheme(profile)
+    disc = profile.discretization
     z, zt = state.zeta, state.zeta_t
-    N = sch.N
+    N = disc.N
     ztt = nonlinear_accel(state, profile)
-    jm1 = cell_jacobian_minus_one(z, sch)
+    jm1 = cell_jacobian_minus_one(z, disc)
     phi_v = (1.0 + z) ** 2 * zt
-    dJ = 3.0 * np.diff(sch.r3 * phi_v) / sch.d3
+    dJ = disc.conservative_derivative(phi_v)
     dflux = (
-        -sch.gt
-        * sch.w_half_1a
-        * np.exp(-(sch.gt + 1.0) * np.log1p(jm1))
+        -disc.gt
+        * disc.w_half_1a
+        * np.exp(-(disc.gt + 1.0) * np.log1p(jm1))
         * dJ
     )
     zttt = np.empty_like(z)
     zi, zti = z[1:N], zt[1:N]
-    dA = (dflux[1:] - dflux[:-1]) / sch.dr_interior * sch.inv_wr
-    dB = -4.0 * (1.0 + zi) ** (-5) * zti * sch.phi[1:N]
+    dA = (dflux[1:] - dflux[:-1]) / disc.dr_interior * disc.inv_wr
+    dB = -4.0 * (1.0 + zi) ** (-5) * zti * disc.phi[1:N]
     zttt[1:N] = 2.0 * zti * ztt[1:N] / (1.0 + zi) - (1.0 + zi) ** 2 * (dA + dB)
-    zttt[0] = _extrapolate_origin(zttt, sch.r)
-    zttt[N] = zttt[N - 1] + (zttt[N - 1] - zttt[N - 2]) / (
-        sch.r[N - 1] - sch.r[N - 2]
-    ) * (sch.r[N] - sch.r[N - 1])
+    disc.extrapolate_endpoints(zttt)
     return ztt, zttt
 
 
@@ -257,30 +191,26 @@ def linear_accel(state: PerturbationState, profile: LaneEmdenProfile) -> np.ndar
     """zeta_tt = L zeta / (w^alpha r^4) with the identical discrete L as
     the spectral pencil, so the discrete growing mode is exactly its
     eigenvector.  Endpoint values by the same extrapolations."""
-    sch = _scheme(profile)
-    pencil = sch.pencil
-    N = sch.N
+    disc = profile.discretization
+    N = disc.N
     a = np.empty_like(state.zeta)
-    a[1:N] = -pencil.apply_stiffness(state.zeta[1:N]) / pencil.mass_weights
-    a[0] = _extrapolate_origin(a, sch.r)
-    a[N] = a[N - 1] + (a[N - 1] - a[N - 2]) / (sch.r[N - 1] - sch.r[N - 2]) * (
-        sch.r[N] - sch.r[N - 1]
-    )
+    a[1:N] = -disc.apply_stiffness(state.zeta[1:N]) / disc.mass
+    disc.extrapolate_endpoints(a)
     return a
 
 
 def cfl_dt(state: PerturbationState, profile: LaneEmdenProfile, config: SimConfig) -> float:
     """dt from the local signal speed sqrt(gt w J^(-(1+alpha)/alpha) / xi^2)."""
-    sch = _scheme(profile)
+    disc = profile.discretization
     J = np.clip(state.jacobian(profile, config.amplitude_floor), 1e-12, None)
     c2 = (
-        sch.gt
-        * sch.w
-        * J ** (-(1.0 + sch.alpha) / sch.alpha)
+        disc.gt
+        * disc.w
+        * J ** (-(1.0 + disc.alpha) / disc.alpha)
         / (1.0 + state.zeta) ** 2
         + _EPS_FLOOR
     )
-    return config.dt_cfl * float(np.min(sch.dloc / np.sqrt(c2)))
+    return config.dt_cfl * float(np.min(disc.dloc / np.sqrt(c2)))
 
 
 def step(
@@ -354,15 +284,15 @@ def conserved_energy(state: PerturbationState, profile: LaneEmdenProfile) -> flo
     itself third order in the amplitude: the mode is the zero-energy
     direction.
     """
-    sch = _scheme(profile)
+    disc = profile.discretization
     z, zt = state.zeta, state.zeta_t
-    jm1 = cell_jacobian_minus_one(z, sch)
-    kinetic = 0.5 * float(np.sum(sch.xweight * zt * zt))
+    jm1 = cell_jacobian_minus_one(z, disc)
+    kinetic = 0.5 * float(np.sum(disc.xweight * zt * zt))
     internal = float(
-        np.sum(sch.w_half_1a * _pressure_energy_density(jm1, sch.alpha) * sch.d3 / 3.0)
+        np.sum(disc.w_half_1a * _pressure_energy_density(jm1, disc.alpha) * disc.d3 / 3.0)
     )
     potential = float(
-        np.sum(sch.xweight * sch.phi * _gravity_energy_density(z))
+        np.sum(disc.xweight * disc.phi * _gravity_energy_density(z))
     )
     return kinetic + internal + potential
 
@@ -389,7 +319,7 @@ def smallness_monitor(
         sup_wtt = 0.0
     else:
         ztt = nonlinear_accel(state, profile)
-        sup_wtt = float(np.abs(np.sqrt(_scheme(profile).w) * ztt).max())
+        sup_wtt = float(np.abs(np.sqrt(profile.discretization.w) * ztt).max())
     sups = (sup_z, sup_zr, sup_zt, sup_wtt)
     return SmallnessReport(*sups, exceeded=any(s > config.theta1 for s in sups))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -121,16 +121,7 @@ def evolve_run(
     )
     if dt is None:
         dt = evolution.cfl_dt(initial, profile, sim_cfg)
-    sim_cfg = evolution.SimConfig(
-        dt_cfl=sim.dt_cfl,
-        t_end=sim_cfg.t_end,
-        record_every=sim.record_every,
-        theta1=sim.theta1,
-        amplitude_floor=sim.amplitude_floor,
-        linear=linear,
-        dt=dt,
-        snapshot_every=sim.snapshot_every,
-    )
+    sim_cfg = replace(sim_cfg, dt=dt)
 
     rec = RunRecord(
         config_hash=config_hash(cfg),
@@ -319,9 +310,7 @@ def check(cfg: ExperimentConfig) -> dict:
     n_nodes = max(cfg.mesh.n_nodes, 64)
     refinement_ok = cfg.mesh.n_nodes >= 256
 
-    from dataclasses import replace as dc_replace
-
-    work_cfg = dc_replace(cfg, mesh=dc_replace(cfg.mesh, n_nodes=n_nodes))
+    work_cfg = replace(cfg, mesh=replace(cfg.mesh, n_nodes=n_nodes))
     profile = build_profile(work_cfg)
 
     res = polytrope.substitution_residual(profile)
@@ -333,9 +322,7 @@ def check(cfg: ExperimentConfig) -> dict:
     except Exception as exc:
         add("profile_invariants", "fail", note=str(exc))
 
-    import dataclasses as _dc
-
-    corrupted = _dc.replace(profile, w_r=-profile.w_r)
+    corrupted = replace(profile, w_r=-profile.w_r)
     try:
         polytrope.validate_profile(corrupted)
         add("fault_injection_nonmonotone", "fail", note="corrupted profile accepted")
@@ -361,7 +348,7 @@ def check(cfg: ExperimentConfig) -> dict:
 
     if refinement_ok:
         fine = build_profile(
-            dc_replace(work_cfg, mesh=dc_replace(work_cfg.mesh, n_nodes=2 * n_nodes))
+            replace(work_cfg, mesh=replace(work_cfg.mesh, n_nodes=2 * n_nodes))
         )
         dR = abs(fine.R - profile.R)
         add("radius_convergence", "pass" if dR <= 1e-10 * profile.R else "fail", dR)
@@ -390,8 +377,7 @@ def check(cfg: ExperimentConfig) -> dict:
     eq = evolution.equilibrium_state(profile)
     sim_cfg = evolution.SimConfig(dt_cfl=cfg.sim.dt_cfl, theta1=cfg.sim.theta1)
     state = eq
-    dt = evolution.cfl_dt(eq, profile, sim_cfg)
-    sim_fixed = evolution.SimConfig(dt_cfl=cfg.sim.dt_cfl, theta1=cfg.sim.theta1, dt=dt)
+    sim_fixed = replace(sim_cfg, dt=evolution.cfl_dt(eq, profile, sim_cfg))
     for _ in range(200):
         state = evolution.step(state, profile, sim_fixed)
     still = float(np.abs(state.zeta).max() + np.abs(state.zeta_t).max())
@@ -482,9 +468,7 @@ def _generic_drift(profile, cfg: ExperimentConfig, rng) -> float:
     state = evolution.PerturbationState(t=0.0, zeta=z0, zeta_t=zt0)
     sim_cfg = evolution.SimConfig(dt_cfl=cfg.sim.dt_cfl, theta1=cfg.sim.theta1)
     dt = evolution.cfl_dt(state, profile, sim_cfg)
-    sim_fixed = evolution.SimConfig(
-        dt_cfl=cfg.sim.dt_cfl, theta1=cfg.sim.theta1, dt=dt
-    )
+    sim_fixed = replace(sim_cfg, dt=dt)
     H0 = evolution.conserved_energy(state, profile)
     drift = 0.0
     nsteps = int(round(3.0 / dt))

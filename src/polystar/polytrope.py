@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -90,19 +91,15 @@ def origin_series(config: PolytropeConfig, order: int) -> np.ndarray:
         raise UnsupportedOrder(f"series order {order} not in [0, {_MAX_SERIES_ORDER}]")
     alpha, c = config.alpha, config.c_frak
     a = [1.0, 0.0]
+    b = [1.0]
     for k in range(_MAX_SERIES_ORDER - 1):
-        # b_k of w^alpha via the power recurrence (a_0 = 1)
-        b_k = 1.0 if k == 0 else 0.0
         if k > 0:
-            b = [1.0]
-            for m in range(1, k + 1):
-                s = 0.0
-                for j in range(1, m + 1):
-                    aj = a[j] if j < len(a) else 0.0
-                    s += ((alpha + 1.0) * j / m - 1.0) * aj * b[m - j]
-                b.append(s / 1.0)
-            b_k = b[k]
-        a.append(-c * b_k / ((k + 2.0) * (k + 3.0)))
+            # b_k of w^alpha via the power recurrence (a_0 = 1)
+            s = 0.0
+            for j in range(1, k + 1):
+                s += ((alpha + 1.0) * j / k - 1.0) * a[j] * b[k - j]
+            b.append(s)
+        a.append(-c * b[k] / ((k + 2.0) * (k + 3.0)))
     return np.asarray(a[: order + 1])
 
 
@@ -170,6 +167,107 @@ class LaneEmdenProfile:
         out[at0] = -self.c_frak / 3.0
         rr = r[~at0]
         out[~at0] = -2.0 * wr[~at0] / rr - self.c_frak * np.clip(w[~at0], 0.0, None) ** self.alpha
+        return out
+
+    @cached_property
+    def discretization(self) -> Discretization:
+        """The grid quantities shared by every operator on this profile,
+        built on first use; dataclasses.replace starts a fresh one."""
+        return Discretization.from_profile(self)
+
+
+def trapezoid_weights(points: np.ndarray) -> np.ndarray:
+    """Trapezoid-rule weights on increasing nodes."""
+    w = np.empty_like(points)
+    w[0] = (points[1] - points[0]) / 2.0
+    w[-1] = (points[-1] - points[-2]) / 2.0
+    w[1:-1] = (points[2:] - points[:-2]) / 2.0
+    return w
+
+
+@dataclass(frozen=True, eq=False)
+class Discretization:
+    """Everything the discrete operators need that depends on the profile
+    alone: one geometry for the weighted norms X and Y, the energies, the
+    spectral pencil, and the linear and nonlinear accelerations.
+
+    Node arrays run over j = 0..N, half-node arrays over the N cells
+    [r_j, r_{j+1}], and interior arrays over j = 1..N-1.
+    """
+
+    alpha: float
+    gt: float                     # (1 + alpha) / alpha
+    N: int
+    r: np.ndarray                 # nodes
+    h: np.ndarray                 # cell widths
+    rm: np.ndarray                # half-node radii
+    w: np.ndarray                 # nodal w, clipped at zero
+    w_half: np.ndarray            # half-node w, clipped at zero
+    w_half_1a: np.ndarray         # w_half^(1+alpha)
+    phi: np.ndarray               # nodal potential coefficient
+    r3: np.ndarray                # r^3
+    d3: np.ndarray                # [r^3] across each cell
+    quad_w: np.ndarray            # nodal trapezoid weights
+    dr_interior: np.ndarray       # interior trapezoid weights
+    xweight: np.ndarray           # w^alpha r^4 quad_w: the X-norm weights
+    inv_wr: np.ndarray            # interior 1 / (w^alpha r)
+    dloc: np.ndarray              # nodal CFL lengths
+    mass: np.ndarray              # interior w^alpha r^4 dr: the pencil's mass
+    stiffness_diag: np.ndarray    # pencil diagonal, interior
+    stiffness_off: np.ndarray     # minus the flux gt (w^(1+alpha) r^4)_{j+1/2} / h_j
+    origin_coef: float            # even extrapolation factor, see extrapolate_endpoints
+
+    @classmethod
+    def from_profile(cls, profile: LaneEmdenProfile) -> Discretization:
+        alpha = profile.alpha
+        gt = (1.0 + alpha) / alpha
+        r = profile.grid
+        N = r.size - 1
+        h = np.diff(r)
+        rm = 0.5 * (r[:-1] + r[1:])
+        w_half = np.clip(profile.enthalpy(rm)[0], 0.0, None)
+        w_half_1a = w_half ** (1.0 + alpha)
+        r3 = r**3
+        w = np.clip(profile.w, 0.0, None)
+        quad_w = trapezoid_weights(r)
+        xweight = w**alpha * r**4 * quad_w
+        mass = xweight[1:N]
+        dloc = np.empty(N + 1)
+        dloc[0] = h[0]
+        dloc[-1] = h[-1]
+        dloc[1:N] = np.minimum(h[:-1], h[1:])
+        # flux-form stiffness: interior cells j = 1 .. N-2 couple interior
+        # neighbours; the degenerate outer fluxes are omitted
+        flux = gt * (w_half_1a * rm**4)[1 : N - 1] / h[1 : N - 1]
+        diag = np.zeros(N - 1)
+        diag[:-1] += flux
+        diag[1:] += flux
+        diag -= (4.0 - 3.0 * gt) * profile.phi[1:N] * mass
+        return cls(
+            alpha=alpha, gt=gt, N=N, r=r, h=h, rm=rm, w=w,
+            w_half=w_half, w_half_1a=w_half_1a, phi=profile.phi,
+            r3=r3, d3=np.diff(r3), quad_w=quad_w, dr_interior=quad_w[1:N],
+            xweight=xweight, inv_wr=1.0 / (profile.w[1:N] ** alpha * r[1:N]),
+            dloc=dloc, mass=mass, stiffness_diag=diag, stiffness_off=-flux,
+            origin_coef=(0.0 - r[1] ** 2) / (r[2] ** 2 - r[1] ** 2),
+        )
+
+    def extrapolate_endpoints(self, values: np.ndarray) -> None:
+        """Set the endpoint values of a nodal array from its interior, in
+        place: even (quadratic in r^2) through the first two interior nodes
+        at the origin, linear through the last two at the vacuum radius."""
+        values[0] = values[1] + (values[2] - values[1]) * self.origin_coef
+        values[-1] = values[-2] + (values[-2] - values[-3]) / self.h[-2] * self.h[-1]
+
+    def conservative_derivative(self, g: np.ndarray) -> np.ndarray:
+        """(r^3 g)_r / r^2 at the half nodes as 3 [r^3 g] / [r^3]."""
+        return 3.0 * np.diff(self.r3 * g) / self.d3
+
+    def apply_stiffness(self, phi: np.ndarray) -> np.ndarray:
+        """S phi on the interior nodes; S represents -L."""
+        out = self.stiffness_diag * phi
+        out[:-1] += self.stiffness_off * phi[1:]
+        out[1:] += self.stiffness_off * phi[:-1]
         return out
 
 

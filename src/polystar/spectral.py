@@ -43,7 +43,6 @@ class OperatorPencil:
     stiffness_diag: np.ndarray
     stiffness_off: np.ndarray
     mass_weights: np.ndarray      # w^alpha r^4 dr, positive
-    quadrature_weights: np.ndarray
     gamma_tilde: float
     profile: LaneEmdenProfile = field(repr=False)
 
@@ -52,10 +51,7 @@ class OperatorPencil:
         return self.grid.size
 
     def apply_stiffness(self, phi: np.ndarray) -> np.ndarray:
-        out = self.stiffness_diag * phi
-        out[:-1] += self.stiffness_off * phi[1:]
-        out[1:] += self.stiffness_off * phi[:-1]
-        return out
+        return self.profile.discretization.apply_stiffness(phi)
 
     def bilinear(self, u: np.ndarray, v: np.ndarray) -> float:
         """u^T S v through a manifestly symmetric expression: swapping
@@ -90,47 +86,17 @@ class GrowingMode:
     gap: float
 
 
-def half_node_coefficients(profile: LaneEmdenProfile):
-    """Flux coefficients (w^(1+alpha) r^4) evaluated at cell midpoints."""
-    r = profile.grid
-    rm = 0.5 * (r[:-1] + r[1:])
-    wm, _ = profile.enthalpy(rm)
-    return rm, np.clip(wm, 0.0, None) ** (1.0 + profile.alpha) * rm**4
-
-
 def assemble_pencil(profile: LaneEmdenProfile) -> OperatorPencil:
-    """Flux-form assembly; symmetric by construction, never symmetrized."""
-    alpha = profile.alpha
-    gt = (1.0 + alpha) / alpha
-    r = profile.grid
-    N = r.size - 1
-    h = np.diff(r)
-    _, g = half_node_coefficients(profile)
-
-    ri = r[1:N]
-    wi = profile.w[1:N]
-    dr = 0.5 * (r[2:] - r[:-2])
-    mass = wi**alpha * ri**4 * dr
-
-    # interior cells j = 1 .. N-2 couple interior neighbours
-    flux = gt * g[1 : N - 1] / h[1 : N - 1]
-    diag = np.zeros(N - 1)
-    diag[:-1] += flux
-    diag[1:] += flux
-    diag -= (4.0 - 3.0 * gt) * profile.phi[1:N] * mass
-
-    quad_w = np.empty(N + 1)
-    quad_w[0] = h[0] / 2.0
-    quad_w[-1] = h[-1] / 2.0
-    quad_w[1:N] = dr
-
+    """Flux-form assembly; symmetric by construction, never symmetrized.
+    The arrays are the profile's discretization, shared with the norms
+    and the dynamics."""
+    disc = profile.discretization
     return OperatorPencil(
-        grid=ri,
-        stiffness_diag=diag,
-        stiffness_off=-flux,
-        mass_weights=mass,
-        quadrature_weights=quad_w,
-        gamma_tilde=gt,
+        grid=disc.r[1 : disc.N],
+        stiffness_diag=disc.stiffness_diag,
+        stiffness_off=disc.stiffness_off,
+        mass_weights=disc.mass,
+        gamma_tilde=disc.gt,
         profile=profile,
     )
 
@@ -151,22 +117,6 @@ def rayleigh_quotient(pencil: OperatorPencil, phi: np.ndarray) -> float:
     return num / den
 
 
-def extend_to_full_grid(profile: LaneEmdenProfile, interior: np.ndarray) -> np.ndarray:
-    """Endpoint values by extrapolation: even (quadratic in r^2) at the
-    origin, linear at the vacuum radius.  Reporting convenience only;
-    both endpoints carry zero weight in every norm."""
-    r = profile.grid
-    full = np.empty(r.size)
-    full[1:-1] = interior
-    full[0] = interior[0] + (interior[1] - interior[0]) * (
-        (0.0 - r[1] ** 2) / (r[2] ** 2 - r[1] ** 2)
-    )
-    full[-1] = interior[-1] + (interior[-1] - interior[-2]) / (r[-2] - r[-3]) * (
-        r[-1] - r[-2]
-    )
-    return full
-
-
 def largest_eigenpair(pencil: OperatorPencil, eig_tol: float = 1e-8) -> GrowingMode:
     """Largest eigenvalue of (-S) phi = mu M phi and its eigenvector.
 
@@ -180,6 +130,9 @@ def largest_eigenpair(pencil: OperatorPencil, eig_tol: float = 1e-8) -> GrowingM
     d = -pencil.stiffness_diag * scale * scale
     e = -pencil.stiffness_off * scale[:-1] * scale[1:]
     n = d.size
+    # Two calls, not one with select_range=(n - 2, n - 1): the single call
+    # returns mu0 and phi0 that differ in the last bits, for every gamma
+    # (1.25-2) and N (128-2048) probed, which would move every output.
     try:
         top_vals = eigh_tridiagonal(
             d, e, select="i", select_range=(n - 2, n - 1), eigvals_only=True
@@ -191,8 +144,13 @@ def largest_eigenpair(pencil: OperatorPencil, eig_tol: float = 1e-8) -> GrowingM
     gap = float(top_vals[1] - top_vals[0])
 
     profile = pencil.profile
+    disc = profile.discretization
     interior = vecs[:, 0] * scale
-    phi0 = extend_to_full_grid(profile, interior)
+    # endpoint values are a reporting convenience: both carry zero weight
+    # in every norm
+    phi0 = np.empty(disc.N + 1)
+    phi0[1:-1] = interior
+    disc.extrapolate_endpoints(phi0)
     if phi0[0] < 0:
         phi0 = -phi0
         interior = -interior
@@ -204,9 +162,9 @@ def largest_eigenpair(pencil: OperatorPencil, eig_tol: float = 1e-8) -> GrowingM
     interior = interior * s
 
     resid_rows = -pencil.apply_stiffness(interior) - mu0 * pencil.mass_weights * interior
-    residual = float(np.abs(resid_rows / pencil.quadrature_weights[1:-1]).max())
+    residual = float(np.abs(resid_rows / disc.dr_interior).max())
     res_scale = float(
-        (pencil.mass_weights / pencil.quadrature_weights[1:-1]).max()
+        (pencil.mass_weights / disc.dr_interior).max()
         * np.abs(interior).max()
         * (1.0 + abs(mu0))
     )

@@ -36,6 +36,18 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"unknown_section": {}})
 
 
+# wrongly typed or out-of-range values that validation used to let through
+BAD_TYPED_CONFIGS = [
+    {"mesh": {"n_nodes": "1024"}},
+    {"mesh": {"n_nodes": 1024.5}},
+    {"experiment": {"deltas": 1e-3}},
+    {"sim": {"record_every": 0}},
+    {"polytrope": {"gamma": "1.3"}},
+    {"sim": {"t_end": True}},
+    {"output_dir": 5},
+]
+
+
 def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         config_from_dict({"polytrope": {"gamma": 1.1}})
@@ -47,6 +59,9 @@ def test_config_rejects_bad_values():
         config_from_dict({"experiment": {"kind": "explode"}})
     with pytest.raises(ConfigError):
         config_from_dict({"schema_version": 99})
+    for bad in BAD_TYPED_CONFIGS:
+        with pytest.raises(ConfigError):
+            config_from_dict(bad)
 
 
 def test_rate_unavailable_on_stable_side():
@@ -203,6 +218,10 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     bad.write_text("{\"mesh\": {\"n_nodes\": 4}}")
     code, _ = _run_cli(["profile", "--config", str(bad)], tmp_path, monkeypatch)
     assert code == 2
+    for cfg in BAD_TYPED_CONFIGS:
+        bad.write_text(json.dumps(cfg))
+        code, _ = _run_cli(["evolve", "--config", str(bad)], tmp_path, monkeypatch)
+        assert code == 2, cfg
 
     code, _ = _run_cli(
         ["instability", "--nodes", "256", "--gamma", "1.4"], tmp_path, monkeypatch
