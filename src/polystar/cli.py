@@ -51,9 +51,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
             cfg, experiment=dataclasses.replace(cfg.experiment, seed=args.seed)
         )
     out_dir = args.out or os.environ.get("POLYSTAR_OUT") or cfg.output_dir
-    cfg = dataclasses.replace(cfg, output_dir=out_dir)
-    cfg.validate()
-    return cfg
+    return dataclasses.replace(cfg, output_dir=out_dir)
 
 
 def main(argv=None) -> int:

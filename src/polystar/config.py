@@ -1,6 +1,9 @@
 """Experiment configuration: one JSON document, strictly validated.
 
-Unknown keys are rejected everywhere; reproducibility beats convenience.
+The polytrope and sim sections are the solver's own PolytropeConfig and
+SimConfig; every section checks its values when it is built, so an
+invalid configuration cannot exist.  Unknown keys are rejected
+everywhere; reproducibility beats convenience.
 The canonical serialization (sorted keys, no whitespace) is hashed and
 embedded in every output file.
 """
@@ -11,21 +14,19 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
 
+from .energetics import MAX_ENERGY_ORDER
 from .errors import ConfigError
+from .evolution import SimConfig
+from .polytrope import PolytropeConfig, check_gamma
 
 SCHEMA_VERSION = 1
 
 _KINDS = ("profile", "mode", "evolve", "instability", "sweep", "check")
 
-
-@dataclass(frozen=True)
-class PolytropeSection:
-    gamma: float = 1.3
-    K: float | None = None
-    ode_rel_tol: float = 1e-12
-    ode_abs_tol: float = 1e-14
-    series_radius: float | None = None
-    r_max: float = 500.0
+# SimConfig fields that belong to one run, not to the document: the
+# paired linear partner and the frozen step are set by the orchestration.
+# No other section has fields of these names.
+RUN_ONLY_SIM_FIELDS = ("linear", "dt")
 
 
 @dataclass(frozen=True)
@@ -33,21 +34,20 @@ class MeshSection:
     n_nodes: int = 1024
     grading: float = 0.1
 
+    def __post_init__(self):
+        if self.n_nodes < 32:
+            raise ConfigError("mesh.n_nodes must be >= 32")
+        if not 0.0 < self.grading <= 1.0:
+            raise ConfigError("mesh.grading must lie in (0, 1]")
+
 
 @dataclass(frozen=True)
 class EigSection:
     eig_tol: float = 1e-8
 
-
-@dataclass(frozen=True)
-class SimSection:
-    dt_cfl: float = 0.4
-    t_end: float = 200.0
-    scheme: str = "rk4"
-    record_every: int = 1
-    theta1: float = 0.1
-    amplitude_floor: float = 1e-4
-    snapshot_every: int = 16
+    def __post_init__(self):
+        if not self.eig_tol > 0:
+            raise ConfigError("eig.eig_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -61,42 +61,35 @@ class ExperimentSection:
     delta: float = 1e-4
     pair_linear: bool = True
 
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ConfigError(f"experiment.kind must be one of {_KINDS}")
+        if any(d <= 0 for d in self.deltas):
+            raise ConfigError("deltas must be strictly positive")
+        if list(self.deltas) != sorted(self.deltas, reverse=True):
+            raise ConfigError("deltas must be sorted descending")
+        for g in self.gammas:
+            check_gamma(g, "experiment.gammas")
+        if self.theta0 <= 0:
+            raise ConfigError("theta0 must be positive")
+        if self.delta <= 0:
+            raise ConfigError("delta must be positive")
+        if not 0 <= self.jmax <= MAX_ENERGY_ORDER:
+            raise ConfigError(f"experiment.jmax must lie in [0, {MAX_ENERGY_ORDER}]")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    polytrope: PolytropeSection = field(default_factory=PolytropeSection)
+    polytrope: PolytropeConfig = field(default_factory=PolytropeConfig)
     mesh: MeshSection = field(default_factory=MeshSection)
     eig: EigSection = field(default_factory=EigSection)
-    sim: SimSection = field(default_factory=SimSection)
+    sim: SimConfig = field(default_factory=SimConfig)
     experiment: ExperimentSection = field(default_factory=ExperimentSection)
     output_dir: str = "out"
 
-    def validate(self) -> None:
-        p, e = self.polytrope, self.experiment
-        if not 1.2 < p.gamma <= 2.0:
-            raise ConfigError(f"gamma={p.gamma} outside (6/5, 2]")
-        if self.mesh.n_nodes < 32:
-            raise ConfigError("mesh.n_nodes must be >= 32")
-        if not 0.0 < self.mesh.grading <= 1.0:
-            raise ConfigError("mesh.grading must lie in (0, 1]")
-        if self.eig.eig_tol <= 0:
-            raise ConfigError("eig.eig_tol must be positive")
-        if e.kind not in _KINDS:
-            raise ConfigError(f"experiment.kind must be one of {_KINDS}")
-        if any(d <= 0 for d in e.deltas):
-            raise ConfigError("deltas must be strictly positive")
-        if list(e.deltas) != sorted(e.deltas, reverse=True):
-            raise ConfigError("deltas must be sorted descending")
-        if any(not 1.2 < g <= 2.0 for g in e.gammas):
-            raise ConfigError("gammas must lie within (6/5, 2]")
-        if e.theta0 <= 0:
-            raise ConfigError("theta0 must be positive")
-        if e.delta <= 0:
-            raise ConfigError("delta must be positive")
-        if not 0.0 < self.sim.dt_cfl < 1.0:
-            raise ConfigError("sim.dt_cfl must lie in (0, 1)")
-        if self.sim.record_every < 1:
-            raise ConfigError("sim.record_every must be >= 1")
+    def __post_init__(self):
+        if not isinstance(self.output_dir, str):
+            raise ConfigError("output_dir must be a string")
 
 
 def _is_number(value) -> bool:
@@ -118,7 +111,7 @@ _TYPE_CHECKS = {
 def _build_section(cls, data: dict, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be an object")
-    types = {f.name: f.type for f in fields(cls)}
+    types = {f.name: f.type for f in fields(cls) if f.name not in RUN_ONLY_SIM_FIELDS}
     unknown = set(data) - set(types)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -141,18 +134,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    if not isinstance(data.get("output_dir", "out"), str):
-        raise ConfigError("output_dir must be a string")
-    cfg = ExperimentConfig(
-        polytrope=_build_section(PolytropeSection, data.get("polytrope", {}), "polytrope"),
+    return ExperimentConfig(
+        polytrope=_build_section(PolytropeConfig, data.get("polytrope", {}), "polytrope"),
         mesh=_build_section(MeshSection, data.get("mesh", {}), "mesh"),
         eig=_build_section(EigSection, data.get("eig", {}), "eig"),
-        sim=_build_section(SimSection, data.get("sim", {}), "sim"),
+        sim=_build_section(SimConfig, data.get("sim", {}), "sim"),
         experiment=_build_section(ExperimentSection, data.get("experiment", {}), "experiment"),
         output_dir=data.get("output_dir", "out"),
     )
-    cfg.validate()
-    return cfg
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -166,6 +155,8 @@ def load_config(path: str) -> ExperimentConfig:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     out = asdict(cfg)
+    for name in RUN_ONLY_SIM_FIELDS:
+        del out["sim"][name]
     out["schema_version"] = SCHEMA_VERSION
     return out
 

@@ -37,7 +37,7 @@ from .evolution import (
 )
 from .polytrope import LaneEmdenProfile, trapezoid_weights
 
-_JMAX = 2
+MAX_ENERGY_ORDER = 2
 
 
 def weighted_norm_X(f: np.ndarray, profile: LaneEmdenProfile, a: float) -> float:
@@ -138,8 +138,8 @@ def instant_energy(
     Higher temporal orders would need either deeper analytic chain rules
     or stored trajectories; they are outside the implemented ceiling.
     """
-    if jmax > _JMAX:
-        raise UnsupportedOrder(f"jmax={jmax} above implemented ceiling {_JMAX}")
+    if jmax > MAX_ENERGY_ORDER:
+        raise UnsupportedOrder(f"jmax={jmax} above implemented ceiling {MAX_ENERGY_ORDER}")
     a = profile.alpha
     gt = (1.0 + a) / a
     fields = _time_ladder(state, profile, jmax)
@@ -166,7 +166,7 @@ def instant_energy(
             row.append(xpart + ypart)
         Ejk.append(row)
 
-    frakE = nonlinear_energy(state, profile, min(jmax, _JMAX)) if jmax >= 1 else []
+    frakE = nonlinear_energy(state, profile, min(jmax, MAX_ENERGY_ORDER)) if jmax >= 1 else []
 
     theta = smallness_monitor(state, profile, SimConfig())
     return EnergyReport(
@@ -198,15 +198,15 @@ def nonlinear_energy(
     The 1/r^2 factor is absorbed by the conservative derivative, which is
     regular at the origin by parity.
     """
-    if imax > _JMAX:
-        raise UnsupportedOrder(f"imax={imax} above implemented ceiling {_JMAX}")
+    if imax > MAX_ENERGY_ORDER:
+        raise UnsupportedOrder(f"imax={imax} above implemented ceiling {MAX_ENERGY_ORDER}")
     disc = profile.discretization
     a = disc.alpha
     z, zt = state.zeta, state.zeta_t
     jm1 = cell_jacobian_minus_one(z, disc)
     jfac = np.exp(-(1.0 + 2.0 * a) / a * np.log1p(jm1))
 
-    fields = _time_ladder(state, profile, min(imax, _JMAX))
+    fields = _time_ladder(state, profile, min(imax, MAX_ENERGY_ORDER))
     ztt = fields[2] if imax >= 1 else None
     zttt = fields[3] if imax >= 2 else None
 

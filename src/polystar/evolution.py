@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import StatePastVacuumCollapse
+from .errors import ConfigError, StatePastVacuumCollapse
 from .polytrope import Discretization, LaneEmdenProfile
 
 _EPS_FLOOR = 1e-14  # used only inside the dt formula
@@ -47,26 +47,32 @@ class SimConfig:
     amplitude_floor is the threshold below which the nodal Jacobian is
     evaluated through its expanded polynomial to avoid cancellation in
     diagnostics; the acceleration path is cancellation-free by
-    construction and does not branch.
+    construction and does not branch.  linear and dt belong to one run
+    (the paired linear partner, the frozen step) and are set by the
+    caller, never by the configuration document.
     """
 
     dt_cfl: float = 0.4
-    t_end: float = 50.0
+    t_end: float = 200.0
     scheme: str = "rk4"
     record_every: int = 1
     theta1: float = 0.1
     amplitude_floor: float = 1e-4
     linear: bool = False
     dt: float | None = None
-    snapshot_every: int = 0
+    snapshot_every: int = 16
 
     def __post_init__(self):
         if not 0.0 < self.dt_cfl < 1.0:
-            raise ValueError("dt_cfl must lie in (0, 1)")
-        if self.theta1 <= 0.0:
-            raise ValueError("theta1 must be positive")
+            raise ConfigError("sim.dt_cfl must lie in (0, 1)")
+        if not self.theta1 > 0.0:
+            raise ConfigError("sim.theta1 must be positive")
         if self.scheme != "rk4":
-            raise ValueError(f"unsupported scheme {self.scheme!r}")
+            raise ConfigError(f"sim.scheme {self.scheme!r} unsupported (only 'rk4')")
+        if self.record_every < 1:
+            raise ConfigError("sim.record_every must be >= 1")
+        if self.snapshot_every < 0:
+            raise ConfigError("sim.snapshot_every must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)

@@ -75,15 +75,7 @@ SERIES_HEADER = [
 
 
 def build_profile(cfg: ExperimentConfig, gamma: float | None = None):
-    p = cfg.polytrope
-    pc = polytrope.PolytropeConfig(
-        gamma=gamma if gamma is not None else p.gamma,
-        K=p.K,
-        ode_rel_tol=p.ode_rel_tol,
-        ode_abs_tol=p.ode_abs_tol,
-        series_radius=p.series_radius,
-        r_max=p.r_max,
-    )
+    pc = cfg.polytrope if gamma is None else replace(cfg.polytrope, gamma=gamma)
     return polytrope.solve_lane_emden(pc, n_nodes=cfg.mesh.n_nodes, grading=cfg.mesh.grading)
 
 
@@ -109,19 +101,10 @@ def evolve_run(
     smallness monitor trips theta1 (smallness_exceeded), on collapse, or
     at t_end (completed).
     """
-    sim = cfg.sim
-    sim_cfg = evolution.SimConfig(
-        dt_cfl=sim.dt_cfl,
-        t_end=t_end if t_end is not None else sim.t_end,
-        record_every=sim.record_every,
-        theta1=sim.theta1,
-        amplitude_floor=sim.amplitude_floor,
-        linear=linear,
-        snapshot_every=sim.snapshot_every,
-    )
     if dt is None:
-        dt = evolution.cfl_dt(initial, profile, sim_cfg)
-    sim_cfg = replace(sim_cfg, dt=dt)
+        dt = evolution.cfl_dt(initial, profile, cfg.sim)
+    t_end = cfg.sim.t_end if t_end is None else t_end
+    sim_cfg = replace(cfg.sim, linear=linear, dt=dt, t_end=t_end)
 
     rec = RunRecord(
         config_hash=config_hash(cfg),
@@ -184,7 +167,7 @@ def run_instability_experiment(cfg: ExperimentConfig, delta: float | None = None
     exp = cfg.experiment
     delta = exp.delta if delta is None else delta
     theta0 = exp.theta0
-    if not 1.2 < cfg.polytrope.gamma < 4.0 / 3.0:
+    if cfg.polytrope.gamma >= 4.0 / 3.0:
         raise RateUnavailable(
             f"gamma={cfg.polytrope.gamma} outside the unstable range (6/5, 4/3)"
         )
@@ -375,9 +358,8 @@ def check(cfg: ExperimentConfig) -> dict:
     )
 
     eq = evolution.equilibrium_state(profile)
-    sim_cfg = evolution.SimConfig(dt_cfl=cfg.sim.dt_cfl, theta1=cfg.sim.theta1)
     state = eq
-    sim_fixed = replace(sim_cfg, dt=evolution.cfl_dt(eq, profile, sim_cfg))
+    sim_fixed = replace(cfg.sim, dt=evolution.cfl_dt(eq, profile, cfg.sim))
     for _ in range(200):
         state = evolution.step(state, profile, sim_fixed)
     still = float(np.abs(state.zeta).max() + np.abs(state.zeta_t).max())
@@ -466,9 +448,8 @@ def _generic_drift(profile, cfg: ExperimentConfig, rng) -> float:
     z0 = 1e-3 * np.polynomial.chebyshev.chebval(x, rng.standard_normal(5) * decay)
     zt0 = 1e-3 * np.polynomial.chebyshev.chebval(x, rng.standard_normal(5) * decay)
     state = evolution.PerturbationState(t=0.0, zeta=z0, zeta_t=zt0)
-    sim_cfg = evolution.SimConfig(dt_cfl=cfg.sim.dt_cfl, theta1=cfg.sim.theta1)
-    dt = evolution.cfl_dt(state, profile, sim_cfg)
-    sim_fixed = replace(sim_cfg, dt=dt)
+    dt = evolution.cfl_dt(state, profile, cfg.sim)
+    sim_fixed = replace(cfg.sim, dt=dt)
     H0 = evolution.conserved_energy(state, profile)
     drift = 0.0
     nsteps = int(round(3.0 / dt))

@@ -30,6 +30,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from .errors import (
+    ConfigError,
     InsufficientResolution,
     NonMonotone,
     NoVacuumRadius,
@@ -40,15 +41,22 @@ from .errors import (
 _MAX_SERIES_ORDER = 8
 
 
+def check_gamma(gamma: float, where: str = "gamma") -> None:
+    """The compact-support branch: 6/5 < gamma <= 2."""
+    if not 1.2 < gamma <= 2.0:
+        raise ConfigError(f"{where}={gamma} outside the compact-support range (6/5, 2]")
+
+
 @dataclass(frozen=True)
 class PolytropeConfig:
     """Physical and solver parameters for one equilibrium solve.
 
-    K defaults to (4*pi/(1+alpha))^(1/alpha) so that the Lane-Emden
-    coefficient c equals one exactly.
+    K = None selects (4*pi/(1+alpha))^(1/alpha), the entropy constant at
+    which the Lane-Emden coefficient c equals one exactly; the field
+    itself stays None so the configuration serializes as given.
     """
 
-    gamma: float
+    gamma: float = 1.3
     K: float | None = None
     ode_rel_tol: float = 1e-12
     ode_abs_tol: float = 1e-14
@@ -56,24 +64,23 @@ class PolytropeConfig:
     r_max: float = 500.0
 
     def __post_init__(self):
-        if not 1.2 < self.gamma <= 2.0:
-            raise ValueError(
-                f"gamma={self.gamma} outside the compact-support range (6/5, 2]"
-            )
-        if self.K is None:
-            object.__setattr__(
-                self, "K", (4.0 * math.pi / (1.0 + self.alpha)) ** (1.0 / self.alpha)
-            )
-        if self.K <= 0:
-            raise ValueError("entropy constant K must be positive")
+        check_gamma(self.gamma)
+        if self.K is not None and not self.K > 0:
+            raise ConfigError("entropy constant K must be positive")
 
     @property
     def alpha(self) -> float:
         return 1.0 / (self.gamma - 1.0)
 
     @property
+    def entropy_constant(self) -> float:
+        if self.K is None:
+            return (4.0 * math.pi / (1.0 + self.alpha)) ** (1.0 / self.alpha)
+        return self.K
+
+    @property
     def c_frak(self) -> float:
-        return 4.0 * math.pi / ((1.0 + self.alpha) * self.K**self.alpha)
+        return 4.0 * math.pi / ((1.0 + self.alpha) * self.entropy_constant**self.alpha)
 
 
 def origin_series(config: PolytropeConfig, order: int) -> np.ndarray:
@@ -368,7 +375,7 @@ def solve_lane_emden(
     return LaneEmdenProfile(
         gamma=config.gamma,
         alpha=alpha,
-        K=config.K,
+        K=config.entropy_constant,
         c_frak=c,
         R=R,
         grid=grid,

@@ -22,7 +22,6 @@ def make_config(n_nodes=1024, gamma=1.3, **exp_kwargs) -> ExperimentConfig:
         cfg = dataclasses.replace(
             cfg, experiment=dataclasses.replace(ExperimentSection(), **exp_kwargs)
         )
-    cfg.validate()
     return cfg
 
 

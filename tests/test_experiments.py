@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polystar as ps
 from polystar.cli import main as cli_main
@@ -23,10 +25,34 @@ from conftest import make_config
 
 def test_config_defaults_roundtrip():
     cfg = ExperimentConfig()
-    cfg.validate()
     again = config_from_dict(config_to_dict(cfg))
     assert canonical_json(again) == canonical_json(cfg)
     assert config_hash(again) == config_hash(cfg)
+
+
+def test_config_identity_pinned():
+    # every output file embeds this hash; it must not move with refactors
+    cfg = ExperimentConfig()
+    assert config_hash(cfg) == "91f00aeada01974a"
+    doc = json.loads(canonical_json(cfg))
+    assert sorted(doc["sim"]) == [
+        "amplitude_floor",
+        "dt_cfl",
+        "record_every",
+        "scheme",
+        "snapshot_every",
+        "t_end",
+        "theta1",
+    ]
+    assert sorted(doc["polytrope"]) == [
+        "K",
+        "gamma",
+        "ode_abs_tol",
+        "ode_rel_tol",
+        "r_max",
+        "series_radius",
+    ]
+    assert doc["polytrope"]["K"] is None
 
 
 def test_config_rejects_unknown_keys():
@@ -45,6 +71,14 @@ BAD_TYPED_CONFIGS = [
     {"polytrope": {"gamma": "1.3"}},
     {"sim": {"t_end": True}},
     {"output_dir": 5},
+    {"sim": {"scheme": "euler"}},
+    {"sim": {"theta1": -1}},
+    {"polytrope": {"K": -1.0}},
+    {"sim": {"snapshot_every": -1}},
+    {"experiment": {"jmax": 7}},
+    # per-run fields are set by the orchestration, never by the document
+    {"sim": {"dt": 0.1}},
+    {"sim": {"linear": True}},
 ]
 
 
@@ -62,6 +96,69 @@ def test_config_rejects_bad_values():
     for bad in BAD_TYPED_CONFIGS:
         with pytest.raises(ConfigError):
             config_from_dict(bad)
+
+
+_SECTION_FIELDS = {
+    name: sorted(json.loads(canonical_json(ExperimentConfig()))[name])
+    for name in ("polytrope", "mesh", "eig", "sim", "experiment")
+}
+# junk next to plausible values, so that some documents are accepted
+_PLAUSIBLE = st.one_of(
+    st.floats(1e-3, 0.9),
+    st.floats(1.21, 2.0),
+    st.integers(0, 4096),
+    st.sampled_from(["rk4", "check", "sweep", "out"]),
+    st.lists(st.floats(1.21, 2.0), max_size=3),
+)
+_VALUE = st.one_of(
+    _PLAUSIBLE,
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.floats(), st.text(max_size=2)), max_size=3),
+)
+
+
+def _mostly(usual, junk):
+    """usual three times in four, junk otherwise."""
+    return st.sampled_from([usual, usual, usual, junk]).flatmap(lambda strategy: strategy)
+
+
+def _with_junk_keys(known: dict, junk_keys):
+    """Optional known keys plus, now and then, one junk key."""
+    junk = st.dictionaries(junk_keys, _VALUE, min_size=1, max_size=1)
+    return st.tuples(
+        st.fixed_dictionaries({}, optional=known), _mostly(st.just({}), junk)
+    ).map(lambda parts: {**parts[1], **parts[0]})
+
+
+def _section(names):
+    junk_keys = st.one_of(st.sampled_from(["linear", "dt"]), st.text(max_size=4))
+    values = _mostly(_PLAUSIBLE, _VALUE)
+    return _mostly(_with_junk_keys(dict.fromkeys(names, values), junk_keys), _VALUE)
+
+
+_DOCUMENT = _with_junk_keys(
+    {
+        **{name: _section(names) for name, names in _SECTION_FIELDS.items()},
+        "output_dir": _mostly(st.text(max_size=4), _VALUE),
+        "schema_version": _mostly(st.just(1), _VALUE),
+    },
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCUMENT)
+def test_config_from_any_json_is_valid_or_config_error(doc):
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError:
+        return
+    again = config_from_dict(config_to_dict(cfg))
+    assert config_hash(again) == config_hash(cfg)
 
 
 def test_rate_unavailable_on_stable_side():
