@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .energetics import MAX_ENERGY_ORDER
@@ -27,6 +28,19 @@ _KINDS = ("profile", "mode", "evolve", "instability", "sweep", "check")
 # paired linear partner and the frozen step are set by the orchestration.
 # No other section has fields of these names.
 RUN_ONLY_SIM_FIELDS = ("linear", "dt")
+
+
+def _is_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    # ints are exact (and may be too large for isfinite)
+    return isinstance(value, int) or math.isfinite(value)
+
+
+def _positive(value) -> bool:
+    """A finite number above zero; checked again on build because the CLI
+    overrides do not pass the JSON type checks."""
+    return _is_number(value) and value > 0
 
 
 @dataclass(frozen=True)
@@ -64,16 +78,16 @@ class ExperimentSection:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"experiment.kind must be one of {_KINDS}")
-        if any(d <= 0 for d in self.deltas):
-            raise ConfigError("deltas must be strictly positive")
+        if not all(_positive(d) for d in self.deltas):
+            raise ConfigError("deltas must be finite and strictly positive")
         if list(self.deltas) != sorted(self.deltas, reverse=True):
             raise ConfigError("deltas must be sorted descending")
         for g in self.gammas:
             check_gamma(g, "experiment.gammas")
-        if self.theta0 <= 0:
-            raise ConfigError("theta0 must be positive")
-        if self.delta <= 0:
-            raise ConfigError("delta must be positive")
+        if not _positive(self.theta0):
+            raise ConfigError("theta0 must be finite and positive")
+        if not _positive(self.delta):
+            raise ConfigError("delta must be finite and positive")
         if not 0 <= self.jmax <= MAX_ENERGY_ORDER:
             raise ConfigError(f"experiment.jmax must lie in [0, {MAX_ENERGY_ORDER}]")
 
@@ -92,12 +106,9 @@ class ExperimentConfig:
             raise ConfigError("output_dir must be a string")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 # Accepted JSON values per field annotation.  Ints pass as floats and are
-# kept as given, so a valid config hashes as before; bools are no numbers.
+# kept as given, so a valid config hashes as before; bools are no numbers,
+# and neither are the NaN and Infinity literals json.load accepts.
 _TYPE_CHECKS = {
     "float": _is_number,
     "float | None": lambda v: v is None or _is_number(v),

@@ -42,10 +42,13 @@ MAX_ENERGY_ORDER = 2
 
 def weighted_norm_X(f: np.ndarray, profile: LaneEmdenProfile, a: float) -> float:
     """|f|_X(a); for negative exponents the degenerate endpoint node is
-    excluded (truncated quadrature at the last resolved node)."""
+    excluded (truncated quadrature at the last resolved node).  At
+    a = alpha the weights are the Discretization's xweight."""
     disc = profile.discretization
     f = np.asarray(f, dtype=float)
-    if a >= 0:
+    if a == disc.alpha:
+        weight = disc.xweight
+    elif a >= 0:
         weight = disc.w**a * disc.r**4 * disc.quad_w
     else:
         weight = np.zeros_like(disc.w)
@@ -55,12 +58,16 @@ def weighted_norm_X(f: np.ndarray, profile: LaneEmdenProfile, a: float) -> float
 
 
 def weighted_norm_Y(f: np.ndarray, profile: LaneEmdenProfile, a: float) -> float:
-    """|f|_Y(a) over the flux cells between interior nodes."""
+    """|f|_Y(a) over the flux cells between interior nodes.  At a = alpha
+    the cell weights are the Discretization's yweight."""
     disc = profile.discretization
     f = np.asarray(f, dtype=float)
     N = disc.N
     df = (f[2:N] - f[1 : N - 1]) / disc.h[1 : N - 1]
-    gcell = disc.w_half[1 : N - 1] ** (a + 1.0) * disc.rm[1 : N - 1] ** 4
+    if a == disc.alpha:
+        gcell = disc.yweight
+    else:
+        gcell = disc.w_half[1 : N - 1] ** (a + 1.0) * disc.rm[1 : N - 1] ** 4
     return float(np.sqrt(disc.gt * np.sum(gcell * df * df * disc.h[1 : N - 1])))
 
 

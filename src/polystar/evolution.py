@@ -30,7 +30,7 @@ the finite free-boundary acceleration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,13 +128,21 @@ def cell_jacobian_minus_one(zeta: np.ndarray, disc: Discretization) -> np.ndarra
     return disc.conservative_derivative(u)
 
 
-def nonlinear_accel(state: PerturbationState, profile: LaneEmdenProfile) -> np.ndarray:
-    """zeta_tt on the full grid for the exact-Jacobian equation."""
+def nonlinear_accel(
+    state: PerturbationState,
+    profile: LaneEmdenProfile,
+    jm1: np.ndarray | None = None,
+) -> np.ndarray:
+    """zeta_tt on the full grid for the exact-Jacobian equation.
+
+    jm1, when given, is cell_jacobian_minus_one(state.zeta, ...), shared
+    with a conserved_energy call on the same state."""
     disc = profile.discretization
     z = state.zeta
     if np.any(1.0 + z <= 0.0):
         raise StatePastVacuumCollapse("1 + zeta <= 0: flow map interpenetrates")
-    jm1 = cell_jacobian_minus_one(z, disc)
+    if jm1 is None:
+        jm1 = cell_jacobian_minus_one(z, disc)
     if np.any(jm1 <= -1.0):
         raise StatePastVacuumCollapse("J <= 0: orientation lost")
     N = disc.N
@@ -220,24 +228,31 @@ def cfl_dt(state: PerturbationState, profile: LaneEmdenProfile, config: SimConfi
 
 
 def step(
-    state: PerturbationState, profile: LaneEmdenProfile, config: SimConfig
+    state: PerturbationState,
+    profile: LaneEmdenProfile,
+    config: SimConfig,
+    k1: np.ndarray | None = None,
 ) -> PerturbationState:
-    """One classical RK4 step of the first-order system (zeta, zeta_t)."""
+    """One classical RK4 step of the first-order system (zeta, zeta_t).
+
+    k1, when given, is the acceleration of state under config's operator,
+    already computed by the caller (a recorded sample's monitor)."""
     accel = linear_accel if config.linear else nonlinear_accel
     dt = config.dt if config.dt is not None else cfl_dt(state, profile, config)
-    z, zt = state.zeta, state.zeta_t
+    t, z, zt = state.t, state.zeta, state.zeta_t
 
-    k1v = accel(state, profile)
+    # accelerations read zeta alone, so the stage states keep t and zeta_t
+    k1v = accel(state, profile) if k1 is None else k1
     k1z = zt
     k2z = zt + 0.5 * dt * k1v
-    k2v = accel(replace(state, zeta=z + 0.5 * dt * k1z), profile)
+    k2v = accel(PerturbationState(t, z + 0.5 * dt * k1z, zt), profile)
     k3z = zt + 0.5 * dt * k2v
-    k3v = accel(replace(state, zeta=z + 0.5 * dt * k2z), profile)
+    k3v = accel(PerturbationState(t, z + 0.5 * dt * k2z, zt), profile)
     k4z = zt + dt * k3v
-    k4v = accel(replace(state, zeta=z + dt * k3z), profile)
+    k4v = accel(PerturbationState(t, z + dt * k3z, zt), profile)
 
     return PerturbationState(
-        t=state.t + dt,
+        t=t + dt,
         zeta=z + dt / 6.0 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
         zeta_t=zt + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
     )
@@ -250,11 +265,21 @@ def _pressure_energy_density(x: np.ndarray, alpha: float) -> np.ndarray:
     binomial series (error < 1e-9 relative at the cutoff) is used.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
     small = np.abs(x) < 1e-2
-    xs = x[small]
+    if small.all():
+        # the usual case in a run below theta0: no masking
+        return _pressure_energy_series(x, alpha)
+    out = np.empty_like(x)
+    out[small] = _pressure_energy_series(x[small], alpha)
+    xl = x[~small]
+    out[~small] = alpha * np.expm1(-np.log1p(xl) / alpha) + xl
+    return out
+
+
+def _pressure_energy_series(xs: np.ndarray, alpha: float) -> np.ndarray:
+    """The binomial series of _pressure_energy_density to fourth order."""
     ia = 1.0 / alpha
-    out[small] = (
+    return (
         (1.0 + ia)
         * xs
         * xs
@@ -266,9 +291,6 @@ def _pressure_energy_density(x: np.ndarray, alpha: float) -> np.ndarray:
             - (ia + 2.0) * (ia + 3.0) * (ia + 4.0) * xs**3 / 60.0
         )
     )
-    xl = x[~small]
-    out[~small] = alpha * np.expm1(-np.log1p(xl) / alpha) + xl
-    return out
 
 
 def _gravity_energy_density(z: np.ndarray) -> np.ndarray:
@@ -277,7 +299,11 @@ def _gravity_energy_density(z: np.ndarray) -> np.ndarray:
     return -z * z * (2.0 + (4.0 / 3.0) * z + z * z / 3.0) / (1.0 + z)
 
 
-def conserved_energy(state: PerturbationState, profile: LaneEmdenProfile) -> float:
+def conserved_energy(
+    state: PerturbationState,
+    profile: LaneEmdenProfile,
+    jm1: np.ndarray | None = None,
+) -> float:
     """Discrete invariant of the semi-discrete system:
 
         H = 1/2 int w^alpha r^4 zeta_t^2
@@ -288,11 +314,12 @@ def conserved_energy(state: PerturbationState, profile: LaneEmdenProfile) -> flo
     makes dH/dt vanish identically along semi-discrete solutions (up to
     the sub-machine boundary flux).  For growing-mode initial data H is
     itself third order in the amplitude: the mode is the zero-energy
-    direction.
+    direction.  jm1, when given, is cell_jacobian_minus_one(state.zeta, ...).
     """
     disc = profile.discretization
     z, zt = state.zeta, state.zeta_t
-    jm1 = cell_jacobian_minus_one(z, disc)
+    if jm1 is None:
+        jm1 = cell_jacobian_minus_one(z, disc)
     kinetic = 0.5 * float(np.sum(disc.xweight * zt * zt))
     internal = float(
         np.sum(disc.w_half_1a * _pressure_energy_density(jm1, disc.alpha) * disc.d3 / 3.0)
@@ -313,19 +340,24 @@ class SmallnessReport:
 
 
 def smallness_monitor(
-    state: PerturbationState, profile: LaneEmdenProfile, config: SimConfig
+    state: PerturbationState,
+    profile: LaneEmdenProfile,
+    config: SimConfig,
+    zeta_tt: np.ndarray | None = None,
 ) -> SmallnessReport:
     """Sup-norm bundle controlling the weighted-energy estimates:
-    |zeta|, |zeta_r|, |zeta_t| and |w^(1/2) zeta_tt| (via the
-    acceleration), with the exceeded flag against theta1."""
+    |zeta|, |zeta_r|, |zeta_t| and |w^(1/2) zeta_tt| (via the nonlinear
+    acceleration, or zeta_tt when the caller has it), with the exceeded
+    flag against theta1."""
     sup_z = float(np.abs(state.zeta).max())
     sup_zr = float(np.abs(state.zeta_r(profile)).max())
     sup_zt = float(np.abs(state.zeta_t).max())
     if sup_z == 0.0 and sup_zt == 0.0:
         sup_wtt = 0.0
     else:
-        ztt = nonlinear_accel(state, profile)
-        sup_wtt = float(np.abs(np.sqrt(profile.discretization.w) * ztt).max())
+        if zeta_tt is None:
+            zeta_tt = nonlinear_accel(state, profile)
+        sup_wtt = float(np.abs(profile.discretization.sqrt_w * zeta_tt).max())
     sups = (sup_z, sup_zr, sup_zt, sup_wtt)
     return SmallnessReport(*sups, exceeded=any(s > config.theta1 for s in sups))
 

@@ -97,9 +97,14 @@ def evolve_run(
 ) -> RunRecord:
     """March the state with RK4 at a frozen dt, recording the series.
 
-    Stops when sqrt(E0) reaches stop_amplitude (status escaped), when the
-    smallness monitor trips theta1 (smallness_exceeded), on collapse, or
-    at t_end (completed).
+    Stops when a recorded E0 or H is not finite (status nonfinite), when
+    sqrt(E0) reaches stop_amplitude (escaped), when the smallness monitor
+    trips theta1 (smallness_exceeded), on collapse (collapsed), after
+    max_steps steps short of t_end (max_steps), or at t_end (completed).
+
+    Each recorded sample computes J - 1 and the nonlinear acceleration
+    once: both serve the monitor and H, and in a nonlinear run the
+    acceleration is also the next step's k1.
     """
     if dt is None:
         dt = evolution.cfl_dt(initial, profile, cfg.sim)
@@ -116,13 +121,18 @@ def evolve_run(
         profile=profile,
     )
     R = profile.R
+    disc = profile.discretization
 
     def record(state, force_snapshot=False):
+        """Append one sample; returns (e0, h, monitor, zeta_tt)."""
+        jm1 = evolution.cell_jacobian_minus_one(state.zeta, disc)
+        ztt = evolution.nonlinear_accel(state, profile, jm1=jm1)
         e0 = energetics.zero_norm(state.zeta, state.zeta_t, profile) ** 2
-        mon = evolution.smallness_monitor(state, profile, sim_cfg)
+        mon = evolution.smallness_monitor(state, profile, sim_cfg, zeta_tt=ztt)
+        h = evolution.conserved_energy(state, profile, jm1=jm1)
         rec.times.append(state.t)
         rec.E0.append(e0)
-        rec.H.append(evolution.conserved_energy(state, profile))
+        rec.H.append(h)
         rec.sup_zeta.append(mon.sup_zeta)
         rec.sup_zeta_r.append(mon.sup_zeta_r)
         rec.boundary_radius.append((1.0 + state.zeta[-1]) * R)
@@ -133,25 +143,33 @@ def evolve_run(
         ):
             rec.snapshot_times.append(state.t)
             rec.snapshots.append((state.zeta.copy(), state.zeta_t.copy()))
-        return e0, mon
+        return e0, h, mon, ztt
 
     state = initial
-    record(state, force_snapshot=True)
+    e0, h, _, k1 = record(state, force_snapshot=True)
+    if not (math.isfinite(e0) and math.isfinite(h)):
+        rec.status = "nonfinite"
+        return rec
     steps = 0
     try:
         while steps < max_steps and state.t < sim_cfg.t_end - 1e-12:
-            state = evolution.step(state, profile, sim_cfg)
+            # the last sample's acceleration is a nonlinear step's k1
+            state = evolution.step(state, profile, sim_cfg, k1=None if linear else k1)
+            k1 = None
             steps += 1
             if steps % sim_cfg.record_every:
                 continue
-            e0, mon = record(state)
+            e0, h, mon, k1 = record(state)
+            if not (math.isfinite(e0) and math.isfinite(h)):
+                rec.status = "nonfinite"
+                return rec
             if mon.exceeded:
                 rec.status = "smallness_exceeded"
                 return rec
             if stop_amplitude is not None and math.sqrt(e0) >= stop_amplitude:
                 rec.status = "escaped"
                 return rec
-        rec.status = "completed"
+        rec.status = "max_steps" if state.t < sim_cfg.t_end - 1e-12 else "completed"
     except StatePastVacuumCollapse:
         rec.status = "collapsed"
     return rec
@@ -514,7 +532,8 @@ def emit_run(record: RunRecord, cfg: ExperimentConfig, out_dir: str, tag: str = 
         write_csv(
             os.path.join(out_dir, f"{prefix}snapshot_{i:05d}.csv"),
             ["r", "zeta", "zeta_t"],
-            zip(record.profile.grid, z, zt),
+            # Python floats format faster than numpy scalars, to the same text
+            zip(record.profile.grid.tolist(), z.tolist(), zt.tolist()),
         )
     write_json(
         os.path.join(out_dir, f"{prefix}run.json"),

@@ -35,8 +35,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 def write_csv(path: str, header: list, rows) -> None:
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(x) for x in row))
+    lines.extend(",".join(map(fmt, row)) for row in rows)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

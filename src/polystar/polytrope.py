@@ -209,6 +209,7 @@ class Discretization:
     h: np.ndarray                 # cell widths
     rm: np.ndarray                # half-node radii
     w: np.ndarray                 # nodal w, clipped at zero
+    sqrt_w: np.ndarray            # sqrt(w): the smallness monitor's weight
     w_half: np.ndarray            # half-node w, clipped at zero
     w_half_1a: np.ndarray         # w_half^(1+alpha)
     phi: np.ndarray               # nodal potential coefficient
@@ -217,6 +218,7 @@ class Discretization:
     quad_w: np.ndarray            # nodal trapezoid weights
     dr_interior: np.ndarray       # interior trapezoid weights
     xweight: np.ndarray           # w^alpha r^4 quad_w: the X-norm weights
+    yweight: np.ndarray           # (w_half^(1+alpha) rm^4)[1:N-1]: the Y-norm cell weights
     inv_wr: np.ndarray            # interior 1 / (w^alpha r)
     dloc: np.ndarray              # nodal CFL lengths
     mass: np.ndarray              # interior w^alpha r^4 dr: the pencil's mass
@@ -238,6 +240,7 @@ class Discretization:
         w = np.clip(profile.w, 0.0, None)
         quad_w = trapezoid_weights(r)
         xweight = w**alpha * r**4 * quad_w
+        yweight = w_half_1a[1 : N - 1] * rm[1 : N - 1] ** 4
         mass = xweight[1:N]
         dloc = np.empty(N + 1)
         dloc[0] = h[0]
@@ -245,16 +248,16 @@ class Discretization:
         dloc[1:N] = np.minimum(h[:-1], h[1:])
         # flux-form stiffness: interior cells j = 1 .. N-2 couple interior
         # neighbours; the degenerate outer fluxes are omitted
-        flux = gt * (w_half_1a * rm**4)[1 : N - 1] / h[1 : N - 1]
+        flux = gt * yweight / h[1 : N - 1]
         diag = np.zeros(N - 1)
         diag[:-1] += flux
         diag[1:] += flux
         diag -= (4.0 - 3.0 * gt) * profile.phi[1:N] * mass
         return cls(
-            alpha=alpha, gt=gt, N=N, r=r, h=h, rm=rm, w=w,
+            alpha=alpha, gt=gt, N=N, r=r, h=h, rm=rm, w=w, sqrt_w=np.sqrt(w),
             w_half=w_half, w_half_1a=w_half_1a, phi=profile.phi,
             r3=r3, d3=np.diff(r3), quad_w=quad_w, dr_interior=quad_w[1:N],
-            xweight=xweight, inv_wr=1.0 / (profile.w[1:N] ** alpha * r[1:N]),
+            xweight=xweight, yweight=yweight, inv_wr=1.0 / (profile.w[1:N] ** alpha * r[1:N]),
             dloc=dloc, mass=mass, stiffness_diag=diag, stiffness_off=-flux,
             origin_coef=(0.0 - r[1] ** 2) / (r[2] ** 2 - r[1] ** 2),
         )

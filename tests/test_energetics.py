@@ -92,6 +92,22 @@ def test_norms_and_pencil_share_one_geometry(gamma):
     assert x2 == pytest.approx(np.sum(mass * fi**2), rel=1e-13)
 
 
+@pytest.mark.parametrize("gamma", [1.25, 4.0 / 3.0, 2.0])
+def test_norms_at_alpha_match_the_pow_formula(gamma):
+    # at a = alpha the norms read the Discretization's cached weights; the
+    # bits must equal the weights built by pow on every call
+    p = ps.solve_lane_emden(ps.PolytropeConfig(gamma=gamma), 256)
+    disc, a, N = p.discretization, p.alpha, p.n_nodes - 1
+    f = np.random.default_rng(11).standard_normal(p.n_nodes)
+    xw = disc.w**a * disc.r**4 * disc.quad_w
+    assert ps.weighted_norm_X(f, p, a) == float(np.sqrt(np.sum(xw * f * f)))
+    df = (f[2:N] - f[1 : N - 1]) / disc.h[1 : N - 1]
+    gcell = disc.w_half[1 : N - 1] ** (a + 1.0) * disc.rm[1 : N - 1] ** 4
+    y2 = disc.gt * np.sum(gcell * df * df * disc.h[1 : N - 1])
+    assert ps.weighted_norm_Y(f, p, a) == float(np.sqrt(y2))
+    assert np.array_equal(disc.sqrt_w, np.sqrt(disc.w))
+
+
 def test_zero_norm_matches_E0(profile13, mode13):
     _, mode = mode13
     st = ps.mode_initial_state(mode, 1e-3)

@@ -8,6 +8,7 @@ import pytest
 
 import polystar as ps
 from polystar.errors import StatePastVacuumCollapse
+from polystar.evolution import _pressure_energy_density
 
 from conftest import smooth_trials
 
@@ -238,6 +239,34 @@ def test_smallness_monitor(profile13, mode13):
     )
     rep = ps.smallness_monitor(loud, profile13, ps.SimConfig(theta1=theta1))
     assert rep.exceeded
+
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_step_with_given_k1_is_bitwise_step(profile13, mode13, linear):
+    _, mode = mode13
+    st = ps.mode_initial_state(mode, 1e-3)
+    sim = ps.SimConfig(dt=ps.cfl_dt(st, profile13, ps.SimConfig()), linear=linear)
+    accel = ps.linear_accel if linear else ps.nonlinear_accel
+    for _ in range(3):
+        fused = ps.step(st, profile13, sim, k1=accel(st, profile13))
+        plain = ps.step(st, profile13, sim)
+        assert fused.t == plain.t
+        assert np.array_equal(fused.zeta, plain.zeta)
+        assert np.array_equal(fused.zeta_t, plain.zeta_t)
+        st = plain
+
+
+def test_pressure_energy_density_paths_agree():
+    # entries below the series cutoff get the same bits whether the whole
+    # array is small (unmasked shortcut) or not (masked evaluation)
+    alpha = 1.0 / 0.3
+    x = np.linspace(-0.05, 0.05, 101)
+    mixed = _pressure_energy_density(x, alpha)
+    small = np.abs(x) < 1e-2
+    assert 0 < small.sum() < x.size
+    assert np.array_equal(mixed[small], _pressure_energy_density(x[small], alpha))
+    xl = x[~small]
+    assert np.array_equal(mixed[~small], alpha * np.expm1(-np.log1p(xl) / alpha) + xl)
 
 
 def test_cfl_halving_keeps_growth_rate(profile13_512, mode13_512):

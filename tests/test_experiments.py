@@ -76,6 +76,12 @@ BAD_TYPED_CONFIGS = [
     {"polytrope": {"K": -1.0}},
     {"sim": {"snapshot_every": -1}},
     {"experiment": {"jmax": 7}},
+    # the NaN and Infinity literals json.load accepts
+    {"sim": {"t_end": float("nan")}, "mesh": {"n_nodes": 64}},
+    {"experiment": {"theta0": float("inf")}},
+    {"experiment": {"delta": float("nan")}},
+    {"experiment": {"deltas": [float("inf"), 1e-3]}},
+    {"sim": {"t_end": float("-inf")}},
     # per-run fields are set by the orchestration, never by the document
     {"sim": {"dt": 0.1}},
     {"sim": {"linear": True}},
@@ -248,6 +254,70 @@ def test_run_status_collapsed():
     assert rec.status == "collapsed"
 
 
+def test_run_status_max_steps():
+    cfg = make_config(n_nodes=128, kind="evolve")
+    profile = ps.build_profile(cfg)
+    _, mode = ps.build_mode(profile, cfg.eig.eig_tol)
+    rec = ps.evolve_run(
+        profile, ps.mode_initial_state(mode, 1e-3), cfg, mu0=mode.mu0, t_end=10.0, max_steps=5
+    )
+    assert rec.status == "max_steps"
+    assert len(rec.times) == 6 and rec.times[-1] < 10.0
+
+
+def test_run_status_nonfinite():
+    cfg = make_config(n_nodes=128, kind="evolve")
+    profile = ps.build_profile(cfg)
+    _, mode = ps.build_mode(profile, cfg.eig.eig_tol)
+    initial = ps.mode_initial_state(mode, 1e-3)
+    initial.zeta[profile.n_nodes // 2] = np.nan
+    rec = ps.evolve_run(profile, initial, cfg, mu0=mode.mu0, t_end=1.0, dt=0.01)
+    assert rec.status == "nonfinite"
+    assert len(rec.times) == 1 and not np.isfinite(rec.E0[0])
+
+
+@pytest.mark.parametrize(
+    "linear,record_every", [(False, 1), (True, 1), (False, 3)], ids=["nonlinear", "linear", "every3"]
+)
+def test_evolve_run_matches_unfused_recomputation(linear, record_every):
+    # the run shares one J - 1 and one acceleration per sample and reuses
+    # that acceleration as a nonlinear step's k1; stepping and recording
+    # with the public functions one by one must give the same bits
+    cfg = make_config(n_nodes=128, kind="evolve")
+    cfg = dataclasses.replace(
+        cfg, sim=dataclasses.replace(cfg.sim, snapshot_every=4, record_every=record_every)
+    )
+    profile = ps.build_profile(cfg)
+    _, mode = ps.build_mode(profile, cfg.eig.eig_tol)
+    initial = ps.mode_initial_state(mode, 1e-3)
+    rec = ps.evolve_run(profile, initial, cfg, mu0=mode.mu0, linear=linear, t_end=2.0)
+    assert rec.status == "completed"
+
+    sim = dataclasses.replace(cfg.sim, linear=linear, dt=rec.dt, t_end=2.0)
+    series = {k: [] for k in ("times", "E0", "H", "sup_zeta", "sup_zeta_r", "exceeded")}
+    states = []
+    state = initial
+    for i in range(len(rec.times)):
+        for _ in range(record_every if i else 0):
+            state = ps.step(state, profile, sim)
+        mon = ps.smallness_monitor(state, profile, sim)
+        series["times"].append(state.t)
+        series["E0"].append(ps.zero_norm(state.zeta, state.zeta_t, profile) ** 2)
+        series["H"].append(ps.conserved_energy(state, profile))
+        series["sup_zeta"].append(mon.sup_zeta)
+        series["sup_zeta_r"].append(mon.sup_zeta_r)
+        series["exceeded"].append(mon.exceeded)
+        states.append(state)
+    assert len(rec.times) > 10
+    for name, values in series.items():
+        assert getattr(rec, name) == values, name
+    assert len(rec.snapshots) > 1
+    for k, (z, zt) in enumerate(rec.snapshots):
+        assert rec.snapshot_times[k] == states[4 * k].t
+        assert np.array_equal(z, states[4 * k].zeta)
+        assert np.array_equal(zt, states[4 * k].zeta_t)
+
+
 def test_check_battery_passes():
     cfg = make_config(n_nodes=512, kind="check")
     report = ps.check(cfg)
@@ -319,6 +389,10 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
         bad.write_text(json.dumps(cfg))
         code, _ = _run_cli(["evolve", "--config", str(bad)], tmp_path, monkeypatch)
         assert code == 2, cfg
+
+    # the flag overrides skip the JSON type checks but not the range checks
+    code, _ = _run_cli(["evolve", "--nodes", "64", "--delta", "nan"], tmp_path, monkeypatch)
+    assert code == 2
 
     code, _ = _run_cli(
         ["instability", "--nodes", "256", "--gamma", "1.4"], tmp_path, monkeypatch
