@@ -182,8 +182,8 @@ def accel_time_derivative(
     disc = profile.discretization
     z, zt = state.zeta, state.zeta_t
     N = disc.N
-    ztt = nonlinear_accel(state, profile)
     jm1 = cell_jacobian_minus_one(z, disc)
+    ztt = nonlinear_accel(state, profile, jm1=jm1)
     phi_v = (1.0 + z) ** 2 * zt
     dJ = disc.conservative_derivative(phi_v)
     dflux = (
@@ -265,21 +265,11 @@ def _pressure_energy_density(x: np.ndarray, alpha: float) -> np.ndarray:
     binomial series (error < 1e-9 relative at the cutoff) is used.
     """
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-2
-    if small.all():
-        # the usual case in a run below theta0: no masking
-        return _pressure_energy_series(x, alpha)
     out = np.empty_like(x)
-    out[small] = _pressure_energy_series(x[small], alpha)
-    xl = x[~small]
-    out[~small] = alpha * np.expm1(-np.log1p(xl) / alpha) + xl
-    return out
-
-
-def _pressure_energy_series(xs: np.ndarray, alpha: float) -> np.ndarray:
-    """The binomial series of _pressure_energy_density to fourth order."""
+    small = np.abs(x) < 1e-2
+    xs = x[small]
     ia = 1.0 / alpha
-    return (
+    out[small] = (
         (1.0 + ia)
         * xs
         * xs
@@ -291,6 +281,9 @@ def _pressure_energy_series(xs: np.ndarray, alpha: float) -> np.ndarray:
             - (ia + 2.0) * (ia + 3.0) * (ia + 4.0) * xs**3 / 60.0
         )
     )
+    xl = x[~small]
+    out[~small] = alpha * np.expm1(-np.log1p(xl) / alpha) + xl
+    return out
 
 
 def _gravity_energy_density(z: np.ndarray) -> np.ndarray:
@@ -357,7 +350,7 @@ def smallness_monitor(
     else:
         if zeta_tt is None:
             zeta_tt = nonlinear_accel(state, profile)
-        sup_wtt = float(np.abs(profile.discretization.sqrt_w * zeta_tt).max())
+        sup_wtt = float(np.abs(np.sqrt(profile.discretization.w) * zeta_tt).max())
     sups = (sup_z, sup_zr, sup_zt, sup_wtt)
     return SmallnessReport(*sups, exceeded=any(s > config.theta1 for s in sups))
 

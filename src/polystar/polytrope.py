@@ -209,7 +209,6 @@ class Discretization:
     h: np.ndarray                 # cell widths
     rm: np.ndarray                # half-node radii
     w: np.ndarray                 # nodal w, clipped at zero
-    sqrt_w: np.ndarray            # sqrt(w): the smallness monitor's weight
     w_half: np.ndarray            # half-node w, clipped at zero
     w_half_1a: np.ndarray         # w_half^(1+alpha)
     phi: np.ndarray               # nodal potential coefficient
@@ -254,7 +253,7 @@ class Discretization:
         diag[1:] += flux
         diag -= (4.0 - 3.0 * gt) * profile.phi[1:N] * mass
         return cls(
-            alpha=alpha, gt=gt, N=N, r=r, h=h, rm=rm, w=w, sqrt_w=np.sqrt(w),
+            alpha=alpha, gt=gt, N=N, r=r, h=h, rm=rm, w=w,
             w_half=w_half, w_half_1a=w_half_1a, phi=profile.phi,
             r3=r3, d3=np.diff(r3), quad_w=quad_w, dr_interior=quad_w[1:N],
             xweight=xweight, yweight=yweight, inv_wr=1.0 / (profile.w[1:N] ** alpha * r[1:N]),

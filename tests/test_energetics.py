@@ -105,7 +105,6 @@ def test_norms_at_alpha_match_the_pow_formula(gamma):
     gcell = disc.w_half[1 : N - 1] ** (a + 1.0) * disc.rm[1 : N - 1] ** 4
     y2 = disc.gt * np.sum(gcell * df * df * disc.h[1 : N - 1])
     assert ps.weighted_norm_Y(f, p, a) == float(np.sqrt(y2))
-    assert np.array_equal(disc.sqrt_w, np.sqrt(disc.w))
 
 
 def test_zero_norm_matches_E0(profile13, mode13):

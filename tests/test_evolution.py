@@ -8,7 +8,6 @@ import pytest
 
 import polystar as ps
 from polystar.errors import StatePastVacuumCollapse
-from polystar.evolution import _pressure_energy_density
 
 from conftest import smooth_trials
 
@@ -254,19 +253,6 @@ def test_step_with_given_k1_is_bitwise_step(profile13, mode13, linear):
         assert np.array_equal(fused.zeta, plain.zeta)
         assert np.array_equal(fused.zeta_t, plain.zeta_t)
         st = plain
-
-
-def test_pressure_energy_density_paths_agree():
-    # entries below the series cutoff get the same bits whether the whole
-    # array is small (unmasked shortcut) or not (masked evaluation)
-    alpha = 1.0 / 0.3
-    x = np.linspace(-0.05, 0.05, 101)
-    mixed = _pressure_energy_density(x, alpha)
-    small = np.abs(x) < 1e-2
-    assert 0 < small.sum() < x.size
-    assert np.array_equal(mixed[small], _pressure_energy_density(x[small], alpha))
-    xl = x[~small]
-    assert np.array_equal(mixed[~small], alpha * np.expm1(-np.log1p(xl) / alpha) + xl)
 
 
 def test_cfl_halving_keeps_growth_rate(profile13_512, mode13_512):
