@@ -35,7 +35,7 @@ from .evolution import (
     cell_jacobian_minus_one,
     smallness_monitor,
 )
-from .polytrope import LaneEmdenProfile, trapezoid_weights
+from .polytrope import Discretization, LaneEmdenProfile, trapezoid_weights
 
 MAX_ENERGY_ORDER = 2
 
@@ -54,7 +54,7 @@ def weighted_norm_X(f: np.ndarray, profile: LaneEmdenProfile, a: float) -> float
         weight = np.zeros_like(disc.w)
         pos = disc.w > 0
         weight[pos] = disc.w[pos] ** a * disc.r[pos] ** 4 * disc.quad_w[pos]
-    return float(np.sqrt(np.sum(weight * f * f)))
+    return float(_norm_X_rows(f, weight))
 
 
 def weighted_norm_Y(f: np.ndarray, profile: LaneEmdenProfile, a: float) -> float:
@@ -63,12 +63,24 @@ def weighted_norm_Y(f: np.ndarray, profile: LaneEmdenProfile, a: float) -> float
     disc = profile.discretization
     f = np.asarray(f, dtype=float)
     N = disc.N
-    df = (f[2:N] - f[1 : N - 1]) / disc.h[1 : N - 1]
     if a == disc.alpha:
         gcell = disc.yweight
     else:
         gcell = disc.w_half[1 : N - 1] ** (a + 1.0) * disc.rm[1 : N - 1] ** 4
-    return float(np.sqrt(disc.gt * np.sum(gcell * df * df * disc.h[1 : N - 1])))
+    return float(_norm_Y_rows(f, disc, gcell))
+
+
+def _norm_X_rows(f: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """|f|_X with the given nodal weights, over the trailing axis."""
+    return np.sqrt(np.sum(weight * f * f, axis=-1))
+
+
+def _norm_Y_rows(f: np.ndarray, disc: Discretization, gcell: np.ndarray) -> np.ndarray:
+    """|f|_Y with the given cell weights, over the trailing axis."""
+    N = disc.N
+    h = disc.h[1 : N - 1]
+    df = (f[..., 2:N] - f[..., 1 : N - 1]) / h
+    return np.sqrt(disc.gt * np.sum(gcell * df * df * h, axis=-1))
 
 
 def zero_norm(
@@ -76,14 +88,21 @@ def zero_norm(
 ) -> float:
     """|(zeta, zeta_t)|_0: the square root of the zeroth-order energy,
     |zeta|_X^2 + |zeta_t|_X^2 + |zeta|_Y^2."""
-    a = profile.alpha
-    return float(
-        math.sqrt(
-            weighted_norm_X(zeta, profile, a) ** 2
-            + weighted_norm_X(zeta_t, profile, a) ** 2
-            + weighted_norm_Y(zeta, profile, a) ** 2
-        )
-    )
+    (norm,) = zero_norm_rows(zeta, zeta_t, profile.discretization)
+    return norm
+
+
+def zero_norm_rows(zeta: np.ndarray, zeta_t: np.ndarray, disc: Discretization) -> list:
+    """zero_norm over the trailing axis, as a list of Python floats (one
+    for a 1-D state).  The norms are squared as Python floats, whose pow
+    can differ from numpy's x * x in the last bit."""
+    x = _norm_X_rows(zeta, disc.xweight)
+    xt = _norm_X_rows(zeta_t, disc.xweight)
+    y = _norm_Y_rows(zeta, disc, disc.yweight)
+    return [
+        math.sqrt(a**2 + b**2 + c**2)
+        for a, b, c in zip(*(np.atleast_1d(v).tolist() for v in (x, xt, y)))
+    ]
 
 
 def _derivative_chain(values: np.ndarray, points: np.ndarray, k: int):
@@ -173,9 +192,10 @@ def instant_energy(
             row.append(xpart + ypart)
         Ejk.append(row)
 
-    frakE = nonlinear_energy(state, profile, min(jmax, MAX_ENERGY_ORDER)) if jmax >= 1 else []
+    frakE = _nonlinear_energy(state, profile, fields, jmax) if jmax >= 1 else []
 
-    theta = smallness_monitor(state, profile, SimConfig())
+    ztt = fields[2] if jmax >= 1 else None
+    theta = smallness_monitor(state, profile, SimConfig(), zeta_tt=ztt)
     return EnergyReport(
         E0=float(E0),
         Ej=[float(e) for e in Ej],
@@ -207,13 +227,20 @@ def nonlinear_energy(
     """
     if imax > MAX_ENERGY_ORDER:
         raise UnsupportedOrder(f"imax={imax} above implemented ceiling {MAX_ENERGY_ORDER}")
+    return _nonlinear_energy(state, profile, _time_ladder(state, profile, imax), imax)
+
+
+def _nonlinear_energy(
+    state: PerturbationState, profile: LaneEmdenProfile, fields: list, imax: int
+) -> list:
+    """nonlinear_energy from the time ladder fields of state (at least
+    imax + 2 of them)."""
     disc = profile.discretization
     a = disc.alpha
     z, zt = state.zeta, state.zeta_t
     jm1 = cell_jacobian_minus_one(z, disc)
     jfac = np.exp(-(1.0 + 2.0 * a) / a * np.log1p(jm1))
 
-    fields = _time_ladder(state, profile, min(imax, MAX_ENERGY_ORDER))
     ztt = fields[2] if imax >= 1 else None
     zttt = fields[3] if imax >= 2 else None
 

@@ -65,6 +65,8 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.dt_cfl < 1.0:
             raise ConfigError("sim.dt_cfl must lie in (0, 1)")
+        if not self.t_end > 0.0:
+            raise ConfigError("sim.t_end must be positive")
         if not self.theta1 > 0.0:
             raise ConfigError("sim.theta1 must be positive")
         if self.scheme != "rk4":
@@ -90,13 +92,7 @@ class PerturbationState:
     def zeta_r(self, profile: LaneEmdenProfile) -> np.ndarray:
         """Radial derivative: central in the interior, even at the
         origin, one-sided at the vacuum radius."""
-        r = profile.grid
-        z = self.zeta
-        out = np.empty_like(z)
-        out[0] = 0.0
-        out[1:-1] = (z[2:] - z[:-2]) / (r[2:] - r[:-2])
-        out[-1] = (z[-1] - z[-2]) / (r[-1] - r[-2])
-        return out
+        return _radial_derivative(self.zeta, profile.grid)
 
     def jacobian(
         self, profile: LaneEmdenProfile, amplitude_floor: float = 1e-4
@@ -122,8 +118,18 @@ class PerturbationState:
         return (1.0 + self.zeta) ** 2 * self.zeta_t
 
 
+def _radial_derivative(z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """PerturbationState.zeta_r over the trailing axis of z."""
+    out = np.empty_like(z)
+    out[..., 0] = 0.0
+    out[..., 1:-1] = (z[..., 2:] - z[..., :-2]) / (r[2:] - r[:-2])
+    out[..., -1] = (z[..., -1] - z[..., -2]) / (r[-1] - r[-2])
+    return out
+
+
 def cell_jacobian_minus_one(zeta: np.ndarray, disc: Discretization) -> np.ndarray:
-    """Conservative J - 1 at half nodes, exact for constant zeta."""
+    """Conservative J - 1 at half nodes, exact for constant zeta; over the
+    trailing axis, so a (K, N+1) block gives K rows."""
     u = zeta + zeta * zeta + zeta**3 / 3.0
     return disc.conservative_derivative(u)
 
@@ -136,7 +142,7 @@ def nonlinear_accel(
     """zeta_tt on the full grid for the exact-Jacobian equation.
 
     jm1, when given, is cell_jacobian_minus_one(state.zeta, ...), shared
-    with a conserved_energy call on the same state."""
+    with the caller (accel_time_derivative)."""
     disc = profile.discretization
     z = state.zeta
     if np.any(1.0 + z <= 0.0):
@@ -292,11 +298,7 @@ def _gravity_energy_density(z: np.ndarray) -> np.ndarray:
     return -z * z * (2.0 + (4.0 / 3.0) * z + z * z / 3.0) / (1.0 + z)
 
 
-def conserved_energy(
-    state: PerturbationState,
-    profile: LaneEmdenProfile,
-    jm1: np.ndarray | None = None,
-) -> float:
+def conserved_energy(state: PerturbationState, profile: LaneEmdenProfile) -> float:
     """Discrete invariant of the semi-discrete system:
 
         H = 1/2 int w^alpha r^4 zeta_t^2
@@ -307,19 +309,20 @@ def conserved_energy(
     makes dH/dt vanish identically along semi-discrete solutions (up to
     the sub-machine boundary flux).  For growing-mode initial data H is
     itself third order in the amplitude: the mode is the zero-energy
-    direction.  jm1, when given, is cell_jacobian_minus_one(state.zeta, ...).
+    direction.
     """
-    disc = profile.discretization
-    z, zt = state.zeta, state.zeta_t
-    if jm1 is None:
-        jm1 = cell_jacobian_minus_one(z, disc)
-    kinetic = 0.5 * float(np.sum(disc.xweight * zt * zt))
-    internal = float(
-        np.sum(disc.w_half_1a * _pressure_energy_density(jm1, disc.alpha) * disc.d3 / 3.0)
+    return float(energy_rows(state.zeta, state.zeta_t, profile.discretization))
+
+
+def energy_rows(zeta: np.ndarray, zeta_t: np.ndarray, disc: Discretization) -> np.ndarray:
+    """conserved_energy over the trailing axis: one H per row of a
+    (K, N+1) block, each equal to the 1-D value bit for bit."""
+    jm1 = cell_jacobian_minus_one(zeta, disc)
+    kinetic = 0.5 * np.sum(disc.xweight * zeta_t * zeta_t, axis=-1)
+    internal = np.sum(
+        disc.w_half_1a * _pressure_energy_density(jm1, disc.alpha) * disc.d3 / 3.0, axis=-1
     )
-    potential = float(
-        np.sum(disc.xweight * disc.phi * _gravity_energy_density(z))
-    )
+    potential = np.sum(disc.xweight * disc.phi * _gravity_energy_density(zeta), axis=-1)
     return kinetic + internal + potential
 
 
@@ -342,17 +345,31 @@ def smallness_monitor(
     |zeta|, |zeta_r|, |zeta_t| and |w^(1/2) zeta_tt| (via the nonlinear
     acceleration, or zeta_tt when the caller has it), with the exceeded
     flag against theta1."""
-    sup_z = float(np.abs(state.zeta).max())
-    sup_zr = float(np.abs(state.zeta_r(profile)).max())
-    sup_zt = float(np.abs(state.zeta_t).max())
-    if sup_z == 0.0 and sup_zt == 0.0:
-        sup_wtt = 0.0
-    else:
-        if zeta_tt is None:
-            zeta_tt = nonlinear_accel(state, profile)
-        sup_wtt = float(np.abs(np.sqrt(profile.discretization.w) * zeta_tt).max())
-    sups = (sup_z, sup_zr, sup_zt, sup_wtt)
-    return SmallnessReport(*sups, exceeded=any(s > config.theta1 for s in sups))
+    if zeta_tt is None:
+        zeta_tt = nonlinear_accel(state, profile)
+    *sups, exceeded = smallness_rows(
+        state.zeta, state.zeta_t, zeta_tt, profile.discretization, config.theta1
+    )
+    return SmallnessReport(*map(float, sups), exceeded=bool(exceeded))
+
+
+def smallness_rows(
+    zeta: np.ndarray,
+    zeta_t: np.ndarray,
+    zeta_tt: np.ndarray,
+    disc: Discretization,
+    theta1: float,
+) -> tuple:
+    """smallness_monitor over the trailing axis: (sup_zeta, sup_zeta_r,
+    sup_zeta_t, sup_w12_zeta_tt, exceeded), one entry per row."""
+    sups = (
+        np.abs(zeta).max(axis=-1),
+        np.abs(_radial_derivative(zeta, disc.r)).max(axis=-1),
+        np.abs(zeta_t).max(axis=-1),
+        np.abs(np.sqrt(disc.w) * zeta_tt).max(axis=-1),
+    )
+    exceeded = (sups[0] > theta1) | (sups[1] > theta1) | (sups[2] > theta1) | (sups[3] > theta1)
+    return (*sups, exceeded)
 
 
 def mode_initial_state(mode, delta: float) -> PerturbationState:

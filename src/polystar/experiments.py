@@ -84,6 +84,10 @@ def build_mode(profile, eig_tol: float):
     return pencil, spectral.largest_eigenpair(pencil, eig_tol=eig_tol)
 
 
+# Recorded samples evaluated per vectorized pass of evolve_run.
+RECORD_CHUNK = 32
+
+
 def evolve_run(
     profile,
     initial: evolution.PerturbationState,
@@ -98,13 +102,19 @@ def evolve_run(
     """March the state with RK4 at a frozen dt, recording the series.
 
     Stops when a recorded E0 or H is not finite (status nonfinite), when
-    sqrt(E0) reaches stop_amplitude (escaped), when the smallness monitor
-    trips theta1 (smallness_exceeded), on collapse (collapsed), after
-    max_steps steps short of t_end (max_steps), or at t_end (completed).
+    the smallness monitor trips theta1 (smallness_exceeded), when
+    sqrt(E0) reaches stop_amplitude (escaped), on collapse (collapsed),
+    after max_steps steps short of t_end (max_steps), or at t_end
+    (completed).  A sample that meets several stops reports the first in
+    this order, and the first sample stops only when it is not finite.
 
-    Each recorded sample computes J - 1 and the nonlinear acceleration
-    once: both serve the monitor and H, and in a nonlinear run the
-    acceleration is also the next step's k1.
+    Each recorded sample computes its nonlinear acceleration when it is
+    taken: that is where a collapse is raised, and in a nonlinear run it
+    is the next step's k1.  The sample's zeta, zeta_t and acceleration go
+    into (RECORD_CHUNK, N+1) buffers, whose E0, H and sup-norms are
+    evaluated in one pass over the rows when the buffers are full, when
+    the loop ends and on a collapse.  The record ends at the first row
+    that meets a stop; the steps taken after it are discarded.
     """
     if dt is None:
         dt = evolution.cfl_dt(initial, profile, cfg.sim)
@@ -120,58 +130,76 @@ def evolve_run(
         linear=linear,
         profile=profile,
     )
-    R = profile.R
     disc = profile.discretization
+    buffers = np.empty((3, RECORD_CHUNK, profile.n_nodes))
+    times = []  # of the buffered samples
 
-    def record(state, force_snapshot=False):
-        """Append one sample; returns (e0, h, monitor, zeta_tt)."""
-        jm1 = evolution.cell_jacobian_minus_one(state.zeta, disc)
-        ztt = evolution.nonlinear_accel(state, profile, jm1=jm1)
-        e0 = energetics.zero_norm(state.zeta, state.zeta_t, profile) ** 2
-        mon = evolution.smallness_monitor(state, profile, sim_cfg, zeta_tt=ztt)
-        h = evolution.conserved_energy(state, profile, jm1=jm1)
-        rec.times.append(state.t)
-        rec.E0.append(e0)
-        rec.H.append(h)
-        rec.sup_zeta.append(mon.sup_zeta)
-        rec.sup_zeta_r.append(mon.sup_zeta_r)
-        rec.boundary_radius.append((1.0 + state.zeta[-1]) * R)
-        rec.exceeded.append(mon.exceeded)
-        if force_snapshot or (
-            sim_cfg.snapshot_every
-            and (len(rec.times) - 1) % sim_cfg.snapshot_every == 0
-        ):
-            rec.snapshot_times.append(state.t)
-            rec.snapshots.append((state.zeta.copy(), state.zeta_t.copy()))
-        return e0, h, mon, ztt
+    def take(state):
+        """Buffer one sample and return its nonlinear acceleration."""
+        ztt = evolution.nonlinear_accel(state, profile)
+        row = buffers[:, len(times)]
+        row[0] = state.zeta
+        row[1] = state.zeta_t
+        row[2] = ztt
+        times.append(state.t)
+        return ztt
+
+    def flush():
+        """Record the buffered samples up to the first that meets a stop,
+        and return that stop's status (None if no row meets one)."""
+        if not times:
+            return None
+        z, zt, ztt = buffers[:, : len(times)]
+        E0 = [n**2 for n in energetics.zero_norm_rows(z, zt, disc)]
+        H = evolution.energy_rows(z, zt, disc).tolist()
+        sups = evolution.smallness_rows(z, zt, ztt, disc, sim_cfg.theta1)
+        sup_zeta, sup_zeta_r, _, _, exceeded = (v.tolist() for v in sups)
+        radius = ((1.0 + z[:, -1]) * profile.R).tolist()
+        status = None
+        for k, t in enumerate(times):
+            i = len(rec.times)
+            rec.times.append(t)
+            rec.E0.append(E0[k])
+            rec.H.append(H[k])
+            rec.sup_zeta.append(sup_zeta[k])
+            rec.sup_zeta_r.append(sup_zeta_r[k])
+            rec.boundary_radius.append(radius[k])
+            rec.exceeded.append(exceeded[k])
+            if i == 0 or (sim_cfg.snapshot_every and i % sim_cfg.snapshot_every == 0):
+                rec.snapshot_times.append(t)
+                rec.snapshots.append((z[k].copy(), zt[k].copy()))
+            if not (math.isfinite(E0[k]) and math.isfinite(H[k])):
+                status = "nonfinite"
+            elif i and exceeded[k]:
+                status = "smallness_exceeded"
+            elif i and stop_amplitude is not None and math.sqrt(E0[k]) >= stop_amplitude:
+                status = "escaped"
+            if status:
+                break
+        times.clear()
+        return status
 
     state = initial
-    e0, h, _, k1 = record(state, force_snapshot=True)
-    if not (math.isfinite(e0) and math.isfinite(h)):
-        rec.status = "nonfinite"
-        return rec
+    k1 = take(state)
+    status = flush()
     steps = 0
     try:
-        while steps < max_steps and state.t < sim_cfg.t_end - 1e-12:
+        while not status and steps < max_steps and state.t < sim_cfg.t_end - 1e-12:
             # the last sample's acceleration is a nonlinear step's k1
             state = evolution.step(state, profile, sim_cfg, k1=None if linear else k1)
             k1 = None
             steps += 1
             if steps % sim_cfg.record_every:
                 continue
-            e0, h, mon, k1 = record(state)
-            if not (math.isfinite(e0) and math.isfinite(h)):
-                rec.status = "nonfinite"
-                return rec
-            if mon.exceeded:
-                rec.status = "smallness_exceeded"
-                return rec
-            if stop_amplitude is not None and math.sqrt(e0) >= stop_amplitude:
-                rec.status = "escaped"
-                return rec
-        rec.status = "max_steps" if state.t < sim_cfg.t_end - 1e-12 else "completed"
+            k1 = take(state)
+            if len(times) == RECORD_CHUNK:
+                status = flush()
+        status = status or flush()
     except StatePastVacuumCollapse:
-        rec.status = "collapsed"
+        status = flush() or "collapsed"
+    if not status:
+        status = "max_steps" if state.t < sim_cfg.t_end - 1e-12 else "completed"
+    rec.status = status
     return rec
 
 

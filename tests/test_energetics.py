@@ -1,5 +1,6 @@
 """Norms, energies, growth fits, and Hardy checks."""
 
+import collections
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import polystar as ps
+from polystar import energetics, evolution
 from polystar.energetics import (
     EnergyGapReport,
     energy_gap_report,
@@ -20,6 +22,8 @@ from polystar.errors import (
     UnsupportedOrder,
     WindowTooSmall,
 )
+
+from conftest import smooth_trials
 
 
 def test_norm_zero_function(profile13):
@@ -114,6 +118,72 @@ def test_zero_norm_matches_E0(profile13, mode13):
     assert ps.zero_norm(st.zeta, st.zeta_t, profile13) ** 2 == pytest.approx(
         rep.E0, rel=1e-14
     )
+
+
+def test_row_kernels_match_the_1d_functions(profile13, rng):
+    # the trailing-axis kernels behind the chunked recording give each row
+    # of a (K, N+1) block the bits of the 1-D public functions
+    disc = profile13.discretization
+    r = profile13.grid
+    amplitudes = [1e-4, 1e-3, 5e-3, 2e-2, 5e-2]
+    z = np.concatenate(
+        [
+            smooth_trials(rng, r, len(amplitudes)) * np.array(amplitudes)[:, None],
+            -np.abs(smooth_trials(rng, r, 1, amplitude=1e-3)),
+        ]
+    )
+    zt = smooth_trials(rng, r, len(z), amplitude=1e-3)
+    ztt = np.array(
+        [ps.nonlinear_accel(ps.PerturbationState(0.0, zi, zti), profile13) for zi, zti in zip(z, zt)]
+    )
+    # rows of mixed sign, and one negative throughout
+    assert ((z > 0).any(axis=1) & (z < 0).any(axis=1)).any()
+    assert (z < 0).all(axis=1).any()
+    jm1 = np.abs(evolution.cell_jacobian_minus_one(z, disc))
+    # whole rows inside the series branch, and rows with entries past it
+    assert (jm1 < 1e-2).all(axis=1).any() and (jm1 >= 1e-2).any(axis=1).any()
+
+    a = profile13.alpha
+    sim = ps.SimConfig(theta1=2e-2)
+    H = evolution.energy_rows(z, zt, disc)
+    norms = energetics.zero_norm_rows(z, zt, disc)
+    x_rows = energetics._norm_X_rows(z, disc.xweight)
+    y_rows = energetics._norm_Y_rows(z, disc, disc.yweight)
+    *sups, exceeded = evolution.smallness_rows(z, zt, ztt, disc, sim.theta1)
+    assert exceeded.any() and not exceeded.all()
+    for k in range(len(z)):
+        state = ps.PerturbationState(0.0, z[k], zt[k])
+        assert H[k] == ps.conserved_energy(state, profile13)
+        assert norms[k] == ps.zero_norm(z[k], zt[k], profile13)
+        assert x_rows[k] == ps.weighted_norm_X(z[k], profile13, a)
+        assert y_rows[k] == ps.weighted_norm_Y(z[k], profile13, a)
+        mon = ps.smallness_monitor(state, profile13, sim, zeta_tt=ztt[k])
+        assert [s[k] for s in sups] == [
+            mon.sup_zeta, mon.sup_zeta_r, mon.sup_zeta_t, mon.sup_w12_zeta_tt
+        ]
+        assert exceeded[k] == mon.exceeded
+
+
+def test_instant_energy_evaluates_the_time_ladder_once(profile13, mode13, monkeypatch):
+    _, mode = mode13
+    st = ps.mode_initial_state(mode, 1e-3)
+    calls = collections.Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    atd = counted(evolution.accel_time_derivative)
+    monkeypatch.setattr(evolution, "accel_time_derivative", atd)
+    monkeypatch.setattr(energetics, "accel_time_derivative", atd)
+    monkeypatch.setattr(evolution, "nonlinear_accel", counted(evolution.nonlinear_accel))
+    rep = ps.instant_energy(st, profile13, jmax=2)
+    assert calls == {"accel_time_derivative": 1, "nonlinear_accel": 1}
+    monkeypatch.undo()
+    assert rep.frakE == ps.nonlinear_energy(st, profile13, imax=2)
 
 
 def test_mode_data_E0_is_delta_squared(profile13, mode13):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polystar as ps
+from polystar import evolution
 from polystar.cli import main as cli_main
 from polystar.config import (
     ExperimentConfig,
@@ -18,7 +20,8 @@ from polystar.config import (
     config_hash,
     config_to_dict,
 )
-from polystar.errors import ConfigError, RateUnavailable
+from polystar.errors import ConfigError, RateUnavailable, StatePastVacuumCollapse
+from polystar.experiments import RECORD_CHUNK
 
 from conftest import make_config
 
@@ -82,6 +85,8 @@ BAD_TYPED_CONFIGS = [
     {"experiment": {"delta": float("nan")}},
     {"experiment": {"deltas": [float("inf"), 1e-3]}},
     {"sim": {"t_end": float("-inf")}},
+    {"sim": {"t_end": -1}},
+    {"sim": {"t_end": 0}},
     # per-run fields are set by the orchestration, never by the document
     {"sim": {"dt": 0.1}},
     {"sim": {"linear": True}},
@@ -276,46 +281,151 @@ def test_run_status_nonfinite():
     assert len(rec.times) == 1 and not np.isfinite(rec.E0[0])
 
 
+SERIES_FIELDS = ("times", "E0", "H", "sup_zeta", "sup_zeta_r", "boundary_radius", "exceeded")
+
+
+def _reference_run(profile, initial, sim, stop_amplitude=None, max_steps=5_000_000):
+    """Step and record one sample at a time with the public functions,
+    stopping as evolve_run documents; returns (series, snapshots, status)."""
+    series = {name: [] for name in SERIES_FIELDS}
+    snapshots = []
+
+    def record(state):
+        # the monitor computes the nonlinear acceleration, which may collapse
+        mon = ps.smallness_monitor(state, profile, sim)
+        e0 = ps.zero_norm(state.zeta, state.zeta_t, profile) ** 2
+        h = ps.conserved_energy(state, profile)
+        i = len(series["times"])
+        values = (
+            state.t, e0, h, mon.sup_zeta, mon.sup_zeta_r,
+            (1.0 + state.zeta[-1]) * profile.R, mon.exceeded,
+        )
+        for name, value in zip(SERIES_FIELDS, values):
+            series[name].append(value)
+        if i == 0 or (sim.snapshot_every and i % sim.snapshot_every == 0):
+            snapshots.append((state.t, state.zeta.copy(), state.zeta_t.copy()))
+        if not (math.isfinite(e0) and math.isfinite(h)):
+            return "nonfinite"
+        if i and mon.exceeded:
+            return "smallness_exceeded"
+        if i and stop_amplitude is not None and math.sqrt(e0) >= stop_amplitude:
+            return "escaped"
+        return None
+
+    state = initial
+    status = record(state)
+    steps = 0
+    try:
+        while not status and steps < max_steps and state.t < sim.t_end - 1e-12:
+            state = ps.step(state, profile, sim)
+            steps += 1
+            if steps % sim.record_every == 0:
+                status = record(state)
+    except StatePastVacuumCollapse:
+        status = "collapsed"
+    if not status:
+        status = "max_steps" if state.t < sim.t_end - 1e-12 else "completed"
+    return series, snapshots, status
+
+
+def _assert_matches_reference(rec, reference):
+    series, snapshots, status = reference
+    assert rec.status == status
+    for name, values in series.items():
+        assert getattr(rec, name) == values, name
+    assert rec.snapshot_times == [t for t, _, _ in snapshots]
+    assert len(rec.snapshots) == len(snapshots)
+    for (z, zt), (_, ref_z, ref_zt) in zip(rec.snapshots, snapshots):
+        assert np.array_equal(z, ref_z)
+        assert np.array_equal(zt, ref_zt)
+
+
+@pytest.fixture(scope="module")
+def run128():
+    """(cfg, profile, growing mode) at N = 128."""
+    cfg = make_config(n_nodes=128, kind="evolve")
+    cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, snapshot_every=4))
+    profile = ps.build_profile(cfg)
+    _, mode = ps.build_mode(profile, cfg.eig.eig_tol)
+    return cfg, profile, mode
+
+
+def _run_both(run128, linear=False, record_every=1, t_end=6.0, **stops):
+    """evolve_run and the one-sample-at-a-time reference on one setup."""
+    cfg, profile, mode = run128
+    cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, record_every=record_every))
+    initial = ps.mode_initial_state(mode, 1e-3)
+    rec = ps.evolve_run(
+        profile, initial, cfg, mu0=mode.mu0, linear=linear, t_end=t_end, **stops
+    )
+    sim = dataclasses.replace(cfg.sim, linear=linear, dt=rec.dt, t_end=t_end)
+    return rec, _reference_run(profile, initial, sim, **stops)
+
+
 @pytest.mark.parametrize(
     "linear,record_every", [(False, 1), (True, 1), (False, 3)], ids=["nonlinear", "linear", "every3"]
 )
-def test_evolve_run_matches_unfused_recomputation(linear, record_every):
-    # the run shares one J - 1 and one acceleration per sample and reuses
-    # that acceleration as a nonlinear step's k1; stepping and recording
+def test_evolve_run_matches_unfused_recomputation(run128, linear, record_every):
+    # the run takes one acceleration per sample, reuses it as a nonlinear
+    # step's k1 and evaluates the samples in chunks; stepping and recording
     # with the public functions one by one must give the same bits
-    cfg = make_config(n_nodes=128, kind="evolve")
-    cfg = dataclasses.replace(
-        cfg, sim=dataclasses.replace(cfg.sim, snapshot_every=4, record_every=record_every)
-    )
-    profile = ps.build_profile(cfg)
-    _, mode = ps.build_mode(profile, cfg.eig.eig_tol)
-    initial = ps.mode_initial_state(mode, 1e-3)
-    rec = ps.evolve_run(profile, initial, cfg, mu0=mode.mu0, linear=linear, t_end=2.0)
+    rec, reference = _run_both(run128, linear=linear, record_every=record_every)
     assert rec.status == "completed"
-
-    sim = dataclasses.replace(cfg.sim, linear=linear, dt=rec.dt, t_end=2.0)
-    series = {k: [] for k in ("times", "E0", "H", "sup_zeta", "sup_zeta_r", "exceeded")}
-    states = []
-    state = initial
-    for i in range(len(rec.times)):
-        for _ in range(record_every if i else 0):
-            state = ps.step(state, profile, sim)
-        mon = ps.smallness_monitor(state, profile, sim)
-        series["times"].append(state.t)
-        series["E0"].append(ps.zero_norm(state.zeta, state.zeta_t, profile) ** 2)
-        series["H"].append(ps.conserved_energy(state, profile))
-        series["sup_zeta"].append(mon.sup_zeta)
-        series["sup_zeta_r"].append(mon.sup_zeta_r)
-        series["exceeded"].append(mon.exceeded)
-        states.append(state)
-    assert len(rec.times) > 10
-    for name, values in series.items():
-        assert getattr(rec, name) == values, name
+    # every case spans more than one chunk
+    assert len(rec.times) > RECORD_CHUNK + 1
     assert len(rec.snapshots) > 1
-    for k, (z, zt) in enumerate(rec.snapshots):
-        assert rec.snapshot_times[k] == states[4 * k].t
-        assert np.array_equal(z, states[4 * k].zeta)
-        assert np.array_equal(zt, states[4 * k].zeta_t)
+    _assert_matches_reference(rec, reference)
+
+
+@pytest.mark.parametrize(
+    "stop_index",
+    [2 * RECORD_CHUNK, 2 * RECORD_CHUNK + 1, RECORD_CHUNK + RECORD_CHUNK // 2],
+    ids=["last_row", "first_row_of_next", "mid_chunk"],
+)
+def test_evolve_run_escape_at_chunk_boundaries(run128, stop_index):
+    # sample 0 is recorded alone, so chunk c holds samples
+    # (c - 1) K + 1 .. c K; the stop must land on the same sample
+    _, (series, _, _) = _run_both(run128)
+    amp = np.sqrt(series["E0"])
+    assert amp[:stop_index].max() < amp[stop_index]
+    rec, reference = _run_both(run128, stop_amplitude=float(amp[stop_index]))
+    assert rec.status == "escaped"
+    assert len(rec.times) == stop_index + 1
+    _assert_matches_reference(rec, reference)
+
+
+def test_evolve_run_max_steps_mid_chunk(run128):
+    max_steps = RECORD_CHUNK + RECORD_CHUNK // 2 + 3
+    rec, reference = _run_both(run128, max_steps=max_steps)
+    assert rec.status == "max_steps"
+    assert len(rec.times) == max_steps + 1
+    _assert_matches_reference(rec, reference)
+
+
+@pytest.mark.parametrize("escape_first", [False, True], ids=["collapse", "earlier_escape_wins"])
+@pytest.mark.parametrize("record_every", [1, 3], ids=["every1", "every3"])
+def test_evolve_run_collapse_mid_chunk(run128, monkeypatch, escape_first, record_every):
+    # force a collapse from the first acceleration half a step before
+    # sample K + 10: at that sample with record_every 1, inside the step
+    # before it with record_every 3.  A stop met by an earlier sample of
+    # the same chunk must still be reported
+    free, (series, _, _) = _run_both(run128, record_every=record_every)
+    t_collapse = series["times"][RECORD_CHUNK + 10] - 0.5 * free.dt
+    accel = evolution.nonlinear_accel
+
+    def collapsing(state, profile, jm1=None):
+        if state.t >= t_collapse:
+            raise StatePastVacuumCollapse("forced")
+        return accel(state, profile, jm1=jm1)
+
+    monkeypatch.setattr(evolution, "nonlinear_accel", collapsing)
+    stops = {}
+    if escape_first:
+        stops["stop_amplitude"] = math.sqrt(series["E0"][RECORD_CHUNK + 5])
+    rec, reference = _run_both(run128, record_every=record_every, **stops)
+    assert rec.status == ("escaped" if escape_first else "collapsed")
+    assert len(rec.times) == RECORD_CHUNK + (6 if escape_first else 10)
+    _assert_matches_reference(rec, reference)
 
 
 def test_check_battery_passes():
