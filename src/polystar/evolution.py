@@ -130,7 +130,7 @@ def _radial_derivative(z: np.ndarray, r: np.ndarray) -> np.ndarray:
 def cell_jacobian_minus_one(zeta: np.ndarray, disc: Discretization) -> np.ndarray:
     """Conservative J - 1 at half nodes, exact for constant zeta; over the
     trailing axis, so a (K, N+1) block gives K rows."""
-    u = zeta + zeta * zeta + zeta**3 / 3.0
+    u = zeta + zeta * zeta + zeta * zeta * zeta / 3.0
     return disc.conservative_derivative(u)
 
 
