@@ -443,11 +443,17 @@ def equilibrium_energy(profile: LaneEmdenProfile) -> EquilibriumEnergy:
 
     direct: internal energy integral minus the full-space field energy
     (1/8 pi) * integral |grad Phi_grav|^2, with |grad Phi_grav| = m(r)/r^2
-    and the exterior tail M^2/(2R) added in closed form.
+    and the exterior tail M^2/(2R) added in closed form.  The enclosed
+    mass m and the field integral of m^2/r^2 are integrated together in
+    one cumulative pass from 1e-9 R to R, started from the central mass
+    4 pi a^3 / (3 K^alpha) of a ball of radius a (w(0) = 1).
 
     pressure_formula: ((4-3 gamma)/(gamma-1)) * integral p dx, the
     virial reduction valid for equilibria.  Positive below gamma = 4/3,
     negative above.
+
+    The routes share only the pressure integral; nothing in the direct
+    route uses the virial identity.
     """
     alpha, R = profile.alpha, profile.R
     Ka = profile.K**alpha
@@ -459,17 +465,20 @@ def equilibrium_energy(profile: LaneEmdenProfile) -> EquilibriumEnergy:
 
     p_int, _ = quad(lambda s: 4.0 * math.pi * s * s * pressure(s), 0.0, R, limit=200)
 
-    def mass_inside(rv):
-        val, _ = quad(
-            lambda s: max(profile.enthalpy(s)[0][0], 0.0) ** alpha * s * s,
-            0.0,
-            rv,
-            limit=200,
-        )
-        return 4.0 * math.pi * val / Ka
+    def mass_and_field(rv, y):
+        rho = max(profile.enthalpy(rv)[0][0], 0.0) ** alpha / Ka
+        return [4.0 * math.pi * rho * rv * rv, y[0] * y[0] / (rv * rv)]
 
-    M = mass_inside(R)
-    field_int, _ = quad(lambda rv: mass_inside(rv) ** 2 / rv**2, 1e-9 * R, R, limit=200)
+    a = 1e-9 * R
+    sol = solve_ivp(
+        mass_and_field,
+        (a, R),
+        [4.0 * math.pi * a**3 / (3.0 * Ka), 0.0],
+        method="DOP853",
+        rtol=1e-13,
+        atol=1e-15,
+    )
+    M, field_int = sol.y[:, -1]
     grav = -0.5 * field_int - 0.5 * M**2 / R
 
     direct = p_int / (gamma - 1.0) + grav
