@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 from .energetics import MAX_ENERGY_ORDER
 from .errors import ConfigError
 from .evolution import SimConfig
-from .polytrope import PolytropeConfig, check_gamma
+from .polytrope import MIN_NODES, PolytropeConfig, check_gamma
 
 SCHEMA_VERSION = 1
 
@@ -49,8 +49,8 @@ class MeshSection:
     grading: float = 0.1
 
     def __post_init__(self):
-        if self.n_nodes < 32:
-            raise ConfigError("mesh.n_nodes must be >= 32")
+        if self.n_nodes < MIN_NODES:
+            raise ConfigError(f"mesh.n_nodes must be >= {MIN_NODES}")
         if not 0.0 < self.grading <= 1.0:
             raise ConfigError("mesh.grading must lie in (0, 1]")
 
@@ -159,7 +159,7 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return config_from_dict(data)
 

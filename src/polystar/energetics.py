@@ -227,6 +227,8 @@ def nonlinear_energy(
     """
     if imax > MAX_ENERGY_ORDER:
         raise UnsupportedOrder(f"imax={imax} above implemented ceiling {MAX_ENERGY_ORDER}")
+    if imax < 1:
+        return []
     return _nonlinear_energy(state, profile, _time_ladder(state, profile, imax), imax)
 
 
@@ -234,14 +236,14 @@ def _nonlinear_energy(
     state: PerturbationState, profile: LaneEmdenProfile, fields: list, imax: int
 ) -> list:
     """nonlinear_energy from the time ladder fields of state (at least
-    imax + 2 of them)."""
+    imax + 2 of them), for 1 <= imax."""
     disc = profile.discretization
     a = disc.alpha
     z, zt = state.zeta, state.zeta_t
     jm1 = cell_jacobian_minus_one(z, disc)
     jfac = np.exp(-(1.0 + 2.0 * a) / a * np.log1p(jm1))
 
-    ztt = fields[2] if imax >= 1 else None
+    ztt = fields[2]
     zttt = fields[3] if imax >= 2 else None
 
     varphi = (1.0 + z) ** 2 * zt

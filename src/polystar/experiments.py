@@ -336,11 +336,10 @@ def check(cfg: ExperimentConfig) -> dict:
             }
         )
 
-    n_nodes = max(cfg.mesh.n_nodes, 64)
-    refinement_ok = cfg.mesh.n_nodes >= 256
+    n_nodes = cfg.mesh.n_nodes
+    refinement_ok = n_nodes >= 256
 
-    work_cfg = replace(cfg, mesh=replace(cfg.mesh, n_nodes=n_nodes))
-    profile = build_profile(work_cfg)
+    profile = build_profile(cfg)
 
     res = polytrope.substitution_residual(profile)
     add("profile_residual", "pass" if res <= 1e-6 else "fail", res, 1e-6)
@@ -377,14 +376,14 @@ def check(cfg: ExperimentConfig) -> dict:
 
     if refinement_ok:
         fine = build_profile(
-            replace(work_cfg, mesh=replace(work_cfg.mesh, n_nodes=2 * n_nodes))
+            replace(cfg, mesh=replace(cfg.mesh, n_nodes=2 * n_nodes))
         )
         dR = abs(fine.R - profile.R)
         add("radius_convergence", "pass" if dR <= 1e-10 * profile.R else "fail", dR)
     else:
         add("radius_convergence", "skipped", note="n_nodes below refinement threshold")
 
-    pencil, mode = build_mode(profile, work_cfg.eig.eig_tol)
+    pencil, mode = build_mode(profile, cfg.eig.eig_tol)
     u = rng.standard_normal(pencil.n_interior)
     v = rng.standard_normal(pencil.n_interior)
     sym = abs(pencil.bilinear(u, v) - pencil.bilinear(v, u))
@@ -392,13 +391,13 @@ def check(cfg: ExperimentConfig) -> dict:
 
     trials = _seeded_trials(rng, pencil.grid, 100)
     worst = max(spectral.rayleigh_quotient(pencil, trial) for trial in trials)
-    dom = worst <= mode.mu0 + work_cfg.eig.eig_tol
+    dom = worst <= mode.mu0 + cfg.eig.eig_tol
     add("rayleigh_dominance", "pass" if dom else "fail", worst, mode.mu0)
 
     q1 = spectral.rayleigh_quotient(pencil, np.ones(pencil.n_interior))
     add(
         "constant_trial_lower_bound",
-        "pass" if mode.mu0 >= q1 - work_cfg.eig.eig_tol else "fail",
+        "pass" if mode.mu0 >= q1 - cfg.eig.eig_tol else "fail",
         q1,
         mode.mu0,
     )

@@ -40,6 +40,9 @@ from .errors import (
 
 _MAX_SERIES_ORDER = 8
 
+# fewest mesh nodes the composite grid and the solver accept
+MIN_NODES = 64
+
 
 def check_gamma(gamma: float, where: str = "gamma") -> None:
     """The compact-support branch: 6/5 < gamma <= 2."""
@@ -310,8 +313,8 @@ def solve_lane_emden(
     radius, then the production pass runs at the configured tolerances
     with dense output and a terminal w = 0 event.
     """
-    if n_nodes < 64:
-        raise ValueError("n_nodes must be at least 64")
+    if n_nodes < MIN_NODES:
+        raise ValueError(f"n_nodes must be at least {MIN_NODES}")
     alpha, c = config.alpha, config.c_frak
     coef = origin_series(config, _MAX_SERIES_ORDER)
     dcoef = np.polynomial.polynomial.polyder(coef)

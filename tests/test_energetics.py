@@ -220,6 +220,14 @@ def test_total_energy_term_inclusion(profile13, mode13):
     assert instant <= total
 
 
+def test_nonlinear_energy_below_first_order_is_empty(profile13, mode13):
+    # the orders run over 1 <= i <= imax, so imax < 1 names none of them
+    _, mode = mode13
+    st = ps.mode_initial_state(mode, 1e-3)
+    for imax in (0, -1):
+        assert ps.nonlinear_energy(st, profile13, imax=imax) == []
+
+
 def test_unsupported_order(profile13, mode13):
     _, mode = mode13
     st = ps.mode_initial_state(mode, 1e-3)

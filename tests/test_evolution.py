@@ -8,6 +8,7 @@ import pytest
 
 import polystar as ps
 from polystar.errors import StatePastVacuumCollapse
+from polystar.evolution import cell_jacobian_minus_one
 
 from conftest import smooth_trials
 
@@ -16,6 +17,22 @@ def test_equilibrium_acceleration_is_exactly_zero(profile13):
     eq = ps.equilibrium_state(profile13)
     assert np.all(ps.nonlinear_accel(eq, profile13) == 0.0)
     assert np.all(ps.linear_accel(eq, profile13) == 0.0)
+
+
+def test_cell_jacobian_cube_by_multiplication(profile13):
+    # zeta * zeta * zeta stands in for numpy's pow, which is slow on
+    # negative bases; on random-sign data the two forms of J - 1 differ by
+    # rounding only, bounded here by 4 ulps of max |J - 1|
+    disc = profile13.discretization
+    assert disc.N + 1 == 1025
+    zero = np.zeros(disc.N + 1)
+    assert np.all(cell_jacobian_minus_one(zero, disc) == 0.0)
+    eps = np.finfo(float).eps
+    for seed in range(4):
+        z = np.random.default_rng(seed).uniform(-0.9, 0.9, disc.N + 1)
+        u = cell_jacobian_minus_one(z, disc)
+        pow_form = disc.conservative_derivative(z + z * z + z**3 / 3.0)
+        assert np.abs(u - pow_form).max() <= 4.0 * eps * np.abs(u).max()
 
 
 def test_equilibrium_preserved_ten_thousand_steps():

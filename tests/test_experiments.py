@@ -1,9 +1,12 @@
 """Configuration, orchestration, CLI surface, and emission tests."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from polystar.config import (
 )
 from polystar.errors import ConfigError, RateUnavailable, StatePastVacuumCollapse
 from polystar.experiments import RECORD_CHUNK
+from polystar.polytrope import MIN_NODES
 
 from conftest import make_config
 
@@ -69,6 +73,9 @@ def test_config_rejects_unknown_keys():
 BAD_TYPED_CONFIGS = [
     {"mesh": {"n_nodes": "1024"}},
     {"mesh": {"n_nodes": 1024.5}},
+    # below the solver's MIN_NODES
+    {"mesh": {"n_nodes": 32}},
+    {"mesh": {"n_nodes": 63}},
     {"experiment": {"deltas": 1e-3}},
     {"sim": {"record_every": 0}},
     {"polytrope": {"gamma": "1.3"}},
@@ -437,7 +444,7 @@ def test_check_battery_passes():
 
 
 def test_check_low_resolution_skips():
-    cfg = make_config(n_nodes=32, kind="check")
+    cfg = make_config(n_nodes=64, kind="check")
     report = ps.check(cfg)
     status = {c["name"]: c["status"] for c in report["checks"]}
     assert status["radius_convergence"] == "skipped"
@@ -508,6 +515,61 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
         ["instability", "--nodes", "256", "--gamma", "1.4"], tmp_path, monkeypatch
     )
     assert code == 3
+
+
+def test_one_node_limit(tmp_path, monkeypatch):
+    # the config and the solver share MIN_NODES, so a mesh the solver
+    # cannot take fails at load for every command, check included
+    with pytest.raises(ValueError):
+        ps.solve_lane_emden(ps.PolytropeConfig(), MIN_NODES - 1)
+    for command in ("profile", "check"):
+        code, _ = _run_cli([command, "--nodes", str(MIN_NODES - 1)], tmp_path, monkeypatch)
+        assert code == 2
+
+
+# junk for the CLI: documents (JSON or not) and flags; --nodes only ever
+# takes small values, so every accepted run stays cheap
+_NODE_VALUES = st.sampled_from(["64", "65", "63", "0", "-64", "1e2", "x", ""])
+_FLAG_VALUES = st.one_of(
+    st.sampled_from(["1.3", "2", "1.21", "1.1", "nan", "-inf", "1e-3", "0", "-1", "1e400"]),
+    st.text(max_size=4),
+)
+_FLAG = st.one_of(
+    st.tuples(st.just("--nodes"), _NODE_VALUES),
+    st.tuples(st.sampled_from(["--gamma", "--delta", "--seed", "--bogus"]), _FLAG_VALUES),
+).map(list)
+_CONFIG_BYTES = st.one_of(
+    st.none(),
+    _DOCUMENT.map(lambda doc: json.dumps(doc).encode()),
+    st.binary(min_size=1, max_size=8),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["profile", "mode", "bogus"]),
+    _CONFIG_BYTES,
+    st.lists(_FLAG, max_size=3),
+    st.booleans(),
+)
+def test_cli_on_junk_exits_with_a_code(command, config_bytes, flags, missing_config):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, "--nodes", "64", "--out", os.path.join(tmp, "out")]
+        if config_bytes is not None or missing_config:
+            path = os.path.join(tmp, "config.json")
+            if config_bytes is not None:
+                with open(path, "wb") as fh:
+                    fh.write(config_bytes)
+            argv += ["--config", path]
+        argv += [part for flag in flags for part in flag]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli_main(argv)
+            except SystemExit as exc:  # argparse rejects the flags
+                code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_cli_instability_emission(tmp_path, monkeypatch):

@@ -146,6 +146,41 @@ def test_potential_out_of_domain(profile13):
         ps.potential_coefficient(profile13, 1.5 * profile13.R)
 
 
+def _nested_quad_direct_energy(profile):
+    """The direct energy route with the enclosed mass integrated again,
+    by quad, at every point of the field integral: a slow reference."""
+    alpha, R, gamma = profile.alpha, profile.R, profile.gamma
+    Ka = profile.K**alpha
+
+    def w(s):
+        return max(profile.enthalpy(s)[0][0], 0.0)
+
+    p_int, _ = quad(lambda s: 4.0 * math.pi * s * s * w(s) ** (1.0 + alpha), 0.0, R, limit=200)
+    p_int /= Ka
+
+    def mass_inside(rv):
+        val, _ = quad(lambda s: w(s) ** alpha * s * s, 0.0, rv, limit=200)
+        return 4.0 * math.pi * val / Ka
+
+    M = mass_inside(R)
+    field_int, _ = quad(lambda rv: mass_inside(rv) ** 2 / rv**2, 1e-9 * R, R, limit=200)
+    return p_int / (gamma - 1.0) - 0.5 * field_int - 0.5 * M**2 / R
+
+
+@pytest.mark.parametrize("gamma", [1.3, 5 / 3])
+def test_equilibrium_energy_matches_nested_quadrature(gamma):
+    prof = ps.solve_lane_emden(ps.PolytropeConfig(gamma=gamma), 256)
+    ref = _nested_quad_direct_energy(prof)
+    assert abs(ps.equilibrium_energy(prof).direct - ref) <= 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("gamma", [1.25, 1.3, 1.4, 5 / 3])
+def test_equilibrium_energy_identity_to_1e9(gamma):
+    # far inside criterion 13's 1e-4: both routes are resolved to ~1e-11
+    prof = ps.solve_lane_emden(ps.PolytropeConfig(gamma=gamma), 256)
+    assert ps.equilibrium_energy(prof).rel_diff <= 1e-9
+
+
 @pytest.mark.parametrize(
     "gamma,sign", [(1.25, 1), (1.3, 1), (1.4, -1), (5 / 3, -1)]
 )
