@@ -473,14 +473,9 @@ def equilibrium_energy(profile: LaneEmdenProfile) -> EquilibriumEnergy:
         return [4.0 * math.pi * rho * rv * rv, y[0] * y[0] / (rv * rv)]
 
     a = 1e-9 * R
-    sol = solve_ivp(
-        mass_and_field,
-        (a, R),
-        [4.0 * math.pi * a**3 / (3.0 * Ka), 0.0],
-        method="DOP853",
-        rtol=1e-13,
-        atol=1e-15,
-    )
+    m_a = 4.0 * math.pi * a**3 / (3.0 * Ka)
+    # at rtol 1e-12 the identity residual at gamma 1.3 grows from 3e-12 to 1e-10
+    sol = solve_ivp(mass_and_field, (a, R), [m_a, 0.0], method="DOP853", rtol=1e-13, atol=1e-15)
     M, field_int = sol.y[:, -1]
     grav = -0.5 * field_int - 0.5 * M**2 / R
 

@@ -511,20 +511,18 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     code, _ = _run_cli(["evolve", "--nodes", "64", "--delta", "nan"], tmp_path, monkeypatch)
     assert code == 2
 
-    code, _ = _run_cli(
-        ["instability", "--nodes", "256", "--gamma", "1.4"], tmp_path, monkeypatch
-    )
-    assert code == 3
-
-
-def test_one_node_limit(tmp_path, monkeypatch):
-    # the config and the solver share MIN_NODES, so a mesh the solver
-    # cannot take fails at load for every command, check included
+    # the config and the solver share MIN_NODES: a mesh the solver cannot
+    # take fails at load for every command, check included
     with pytest.raises(ValueError):
         ps.solve_lane_emden(ps.PolytropeConfig(), MIN_NODES - 1)
     for command in ("profile", "check"):
         code, _ = _run_cli([command, "--nodes", str(MIN_NODES - 1)], tmp_path, monkeypatch)
         assert code == 2
+
+    code, _ = _run_cli(
+        ["instability", "--nodes", "256", "--gamma", "1.4"], tmp_path, monkeypatch
+    )
+    assert code == 3
 
 
 # junk for the CLI: documents (JSON or not) and flags; --nodes only ever
