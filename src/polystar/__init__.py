@@ -48,11 +48,14 @@ from .evolution import (
     step,
 )
 from .experiments import (
+    Member,
     RunRecord,
     build_mode,
     build_profile,
     check,
+    evolve_batch,
     evolve_run,
+    instability_ladder,
     run_instability_experiment,
     sweep,
 )

@@ -99,8 +99,8 @@ def main(argv=None) -> int:
         elif args.command == "instability":
             deltas = (args.delta,) if args.delta is not None else cfg.experiment.deltas
             results = []
-            for delta in deltas:
-                result = experiments.run_instability_experiment(cfg, delta=delta)
+            for result in experiments.instability_ladder(cfg, deltas):
+                delta = result["delta"]
                 tag = f"delta{delta:.0e}"
                 experiments.emit_run(result["record"], cfg, out, tag=tag)
                 experiments.emit_fit(result["fit"], cfg, out, tag=tag)

@@ -35,7 +35,15 @@ class ConvergenceFailure(PolystarError):
 
 
 class StatePastVacuumCollapse(PolystarError):
-    """The flow map degenerated (1+zeta <= 0 or J <= 0); the run must stop."""
+    """The flow map degenerated (1+zeta <= 0 or J <= 0); the run must stop.
+
+    rows lists the rows of a (B, N+1) block that failed the check which
+    raised ([0] for a single state); other rows may fail a later check.
+    """
+
+    def __init__(self, message: str, rows=(0,)):
+        super().__init__(message)
+        self.rows = list(rows)
 
 
 class GridMismatch(PolystarError):

@@ -143,36 +143,76 @@ def nonlinear_accel(
 
     jm1, when given, is cell_jacobian_minus_one(state.zeta, ...), shared
     with the caller (accel_time_derivative)."""
-    disc = profile.discretization
-    z = state.zeta
-    if np.any(1.0 + z <= 0.0):
-        raise StatePastVacuumCollapse("1 + zeta <= 0: flow map interpenetrates")
+    return nonlinear_accel_rows(state.zeta, profile.discretization, jm1)
+
+
+def nonlinear_accel_rows(
+    zeta: np.ndarray, disc: Discretization, jm1: np.ndarray | None = None
+) -> np.ndarray:
+    """nonlinear_accel over the trailing axis: a (B, N+1) block gives B
+    rows, each equal to the 1-D value bit for bit.  disc is one profile's
+    discretization, shared by every row, or a Discretization.stack with
+    one member per row.
+
+    Each collapse check is one test over the whole block; when it fires,
+    StatePastVacuumCollapse.rows names the rows that failed it.  The
+    endpoint values are computed row by row from Python floats (see
+    Discretization.edge_scalars); an overflow there falls back to numpy
+    scalars, which give inf as the 1-D form always did."""
+    N = disc.N
+    z = zeta
+    if (1.0 + z <= 0.0).any():
+        raise _collapse("1 + zeta <= 0: flow map interpenetrates", 1.0 + z <= 0.0)
     if jm1 is None:
         jm1 = cell_jacobian_minus_one(z, disc)
-    if np.any(jm1 <= -1.0):
-        raise StatePastVacuumCollapse("J <= 0: orientation lost")
-    N = disc.N
+    if (jm1 <= -1.0).any():
+        raise _collapse("J <= 0: orientation lost", jm1 <= -1.0)
     # pressure flux w^(1+alpha) (J^(-gt) - 1), cancellation-free
     flux = disc.w_half_1a * np.expm1(-disc.gt * np.log1p(jm1))
     a = np.empty_like(z)
-    zi = z[1:N]
-    a[1:N] = -((1.0 + zi) ** 2) * (
-        (flux[1:] - flux[:-1]) / disc.dr_interior * disc.inv_wr
-        + np.expm1(-4.0 * np.log1p(zi)) * disc.phi[1:N]
+    zi = z[..., 1:N]
+    a[..., 1:N] = -((1.0 + zi) ** 2) * (
+        (flux[..., 1:] - flux[..., :-1]) / disc.dr_interior * disc.inv_wr
+        + np.expm1(-4.0 * np.log1p(zi)) * disc.phi[..., 1:N]
     )
-    disc.extrapolate_endpoints(a)
-    # free boundary: the finite limit of the momentum equation at r = R
-    # replaces the extrapolated a[N]
-    zr_N = (z[N] - z[N - 1]) / disc.h[-1]
-    JN = (1.0 + z[N]) ** 2 * (1.0 + z[N] + zr_N * disc.r[N])
-    if JN <= 0.0:
-        raise StatePastVacuumCollapse("boundary Jacobian J(R) <= 0")
-    a[N] = (
-        (1.0 + z[N]) ** 2
-        * disc.phi[N]
-        * (JN ** (-disc.gt) - (1.0 + z[N]) ** (-4))
-    )
+    rows = a.reshape(-1, N + 1)
+    ends = []
+    edges = z.reshape(-1, N + 1)[:, N - 1 :].tolist()
+    per_row = disc.edge_scalars
+    if len(per_row) == 1:  # one profile shared by every row
+        per_row = per_row * len(edges)
+    for inner, edge, scalars in zip(rows[:, 1:3].tolist(), edges, per_row, strict=True):
+        try:
+            ends.append(_endpoint_values(*inner, *edge, *scalars))
+        except OverflowError:
+            ends.append(_endpoint_values(*map(np.float64, (*inner, *edge, *scalars))))
+    if None in ends:
+        raise _collapse("boundary Jacobian J(R) <= 0", [[end is None] for end in ends])
+    rows[:, ::N] = ends
     return a
+
+
+def _endpoint_values(a1, a2, z_prev, z_N, origin_coef, gt, h_N, r_N, phi_N):
+    """(zeta_tt at the origin, zeta_tt at the vacuum node) of one row, or
+    None when the boundary Jacobian is not positive.
+
+    The origin value is the even extrapolation of extrapolate_endpoints.
+    At r = R the finite limit of the momentum equation replaces it:
+    zeta_tt(R) = (1+zeta)^2 Phi(R) [J^(-gt) - (1+zeta)^(-4)]."""
+    xi = 1.0 + z_N
+    JN = xi**2 * (xi + (z_N - z_prev) / h_N * r_N)
+    if JN <= 0.0:
+        return None
+    return a1 + (a2 - a1) * origin_coef, xi**2 * phi_N * (JN ** (-gt) - xi ** (-4))
+
+
+def _collapse(message: str, failed) -> StatePastVacuumCollapse:
+    """The collapse of the rows in which failed (a block of flags with the
+    rows' leading shape) holds anywhere."""
+    failed = np.asarray(failed)
+    return StatePastVacuumCollapse(
+        message, rows=np.flatnonzero(failed.reshape(-1, failed.shape[-1]).any(axis=1)).tolist()
+    )
 
 
 def accel_time_derivative(
@@ -211,10 +251,14 @@ def linear_accel(state: PerturbationState, profile: LaneEmdenProfile) -> np.ndar
     """zeta_tt = L zeta / (w^alpha r^4) with the identical discrete L as
     the spectral pencil, so the discrete growing mode is exactly its
     eigenvector.  Endpoint values by the same extrapolations."""
-    disc = profile.discretization
+    return linear_accel_rows(state.zeta, profile.discretization)
+
+
+def linear_accel_rows(zeta: np.ndarray, disc: Discretization) -> np.ndarray:
+    """linear_accel over the trailing axis, as nonlinear_accel_rows."""
     N = disc.N
-    a = np.empty_like(state.zeta)
-    a[1:N] = -disc.apply_stiffness(state.zeta[1:N]) / disc.mass
+    a = np.empty_like(zeta)
+    a[..., 1:N] = -disc.apply_stiffness(zeta[..., 1:N]) / disc.mass
     disc.extrapolate_endpoints(a)
     return a
 
@@ -245,22 +289,38 @@ def step(
     already computed by the caller (a recorded sample's monitor)."""
     accel = linear_accel if config.linear else nonlinear_accel
     dt = config.dt if config.dt is not None else cfl_dt(state, profile, config)
-    t, z, zt = state.t, state.zeta, state.zeta_t
+    t, zt = state.t, state.zeta_t
+    zeta, zeta_t = step_rows(
+        state.zeta, zt, dt, lambda z: accel(PerturbationState(t, z, zt), profile), k1
+    )
+    return PerturbationState(t=t + dt, zeta=zeta, zeta_t=zeta_t)
 
-    # accelerations read zeta alone, so the stage states keep t and zeta_t
-    k1v = accel(state, profile) if k1 is None else k1
-    k1z = zt
-    k2z = zt + 0.5 * dt * k1v
-    k2v = accel(PerturbationState(t, z + 0.5 * dt * k1z, zt), profile)
-    k3z = zt + 0.5 * dt * k2v
-    k3v = accel(PerturbationState(t, z + 0.5 * dt * k2z, zt), profile)
+
+def step_rows(
+    zeta: np.ndarray,
+    zeta_t: np.ndarray,
+    dt,
+    accel,
+    k1: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """step over the trailing axis: (zeta, zeta_t) after one RK4 step of
+    every row.  dt is a float or a (B, 1) column, one step per row; accel
+    maps a block of zeta rows to its acceleration; k1, when given, is
+    accel(zeta)."""
+    z, zt = zeta, zeta_t
+    half = 0.5 * dt
+    # accelerations read zeta alone, so the stages need no zeta_t
+    k1v = accel(z) if k1 is None else k1
+    k2z = zt + half * k1v
+    k2v = accel(z + half * zt)
+    k3z = zt + half * k2v
+    k3v = accel(z + half * k2z)
     k4z = zt + dt * k3v
-    k4v = accel(PerturbationState(t, z + dt * k3z, zt), profile)
-
-    return PerturbationState(
-        t=t + dt,
-        zeta=z + dt / 6.0 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
-        zeta_t=zt + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
+    k4v = accel(z + dt * k3z)
+    sixth = dt / 6.0
+    return (
+        z + sixth * (zt + 2.0 * k2z + 2.0 * k3z + k4z),
+        zt + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
     )
 
 

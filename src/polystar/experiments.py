@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -84,8 +85,21 @@ def build_mode(profile, eig_tol: float):
     return pencil, spectral.largest_eigenpair(pencil, eig_tol=eig_tol)
 
 
-# Recorded samples evaluated per vectorized pass of evolve_run.
+# Recorded samples evaluated per vectorized pass of evolve_batch.
 RECORD_CHUNK = 32
+
+
+@dataclass(frozen=True, eq=False)
+class Member:
+    """One run of a batch; the fields are evolve_run's arguments of the
+    same names."""
+
+    profile: polytrope.LaneEmdenProfile
+    initial: evolution.PerturbationState
+    mu0: float
+    stop_amplitude: float | None = None
+    t_end: float | None = None
+    dt: float | None = None
 
 
 def evolve_run(
@@ -99,64 +113,209 @@ def evolve_run(
     dt: float | None = None,
     max_steps: int = 5_000_000,
 ) -> RunRecord:
-    """March the state with RK4 at a frozen dt, recording the series.
+    """March the state with RK4 at a frozen dt, recording the series: the
+    one-member batch of evolve_batch, whose docstring gives the stops.  A
+    collapse of the first sample propagates."""
+    member = Member(profile, initial, mu0, stop_amplitude, t_end, dt)
+    (result,) = evolve_batch([member], cfg, linear=linear, max_steps=max_steps)
+    if isinstance(result, StatePastVacuumCollapse):
+        raise result
+    return result
 
-    Stops when a recorded E0 or H is not finite (status nonfinite), when
-    the smallness monitor trips theta1 (smallness_exceeded), when
-    sqrt(E0) reaches stop_amplitude (escaped), on collapse (collapsed),
-    after max_steps steps short of t_end (max_steps), or at t_end
-    (completed).  A sample that meets several stops reports the first in
-    this order, and the first sample stops only when it is not finite.
 
-    Each recorded sample computes its nonlinear acceleration when it is
-    taken: that is where a collapse is raised, and in a nonlinear run it
-    is the next step's k1.  The sample's zeta, zeta_t and acceleration go
-    into (RECORD_CHUNK, N+1) buffers, whose E0, H and sup-norms are
+def evolve_batch(
+    members: list, cfg: ExperimentConfig, linear: bool = False, max_steps: int = 5_000_000
+) -> list:
+    """March every member with RK4 at its own frozen dt, all as one
+    (B, N+1) block, recording each member's series.  Returns one RunRecord
+    per member, or the StatePastVacuumCollapse its first sample raised.
+    Each member's record equals the one a batch of that member alone
+    gives, bit for bit: the rows of the block never mix.
+
+    A member stops when a recorded E0 or H is not finite (status
+    nonfinite), when the smallness monitor trips theta1
+    (smallness_exceeded), when sqrt(E0) reaches its stop_amplitude
+    (escaped), on collapse (collapsed), after max_steps steps short of
+    its t_end (max_steps), or at its t_end (completed).  A sample that
+    meets several stops reports the first in this order, and the first
+    sample stops only when it is not finite.  A stopped member leaves the
+    block, so the block shrinks as the run goes on.
+
+    Members share N, cfg and linear.  Members on different profiles step
+    through a Discretization.stack; each has its dt as a row of a (B, 1)
+    column, and its own time.  A collapse in one row ends only that
+    member; the others redo the step from their pre-step rows.
+
+    Each recorded sample of a nonlinear run computes its acceleration
+    when it is taken: that is where a collapse is raised, and it is the
+    next step's k1.  The samples' zeta, zeta_t and acceleration go into
+    (RECORD_CHUNK, N+1) buffers per member, whose E0, H and sup-norms are
     evaluated in one pass over the rows when the buffers are full, when
-    the loop ends and on a collapse.  The record ends at the first row
-    that meets a stop; the steps taken after it are discarded.
+    the member stops and on a collapse.  The record ends at the first row
+    that meets a stop; the steps taken after it are discarded.  A linear
+    run's monitor needs the nonlinear acceleration too, and computes it
+    in that pass, one call per chunk: the rows from the first that
+    collapses on are dropped, and it stops the run unless an earlier row
+    meets a stop.
     """
-    if dt is None:
-        dt = evolution.cfl_dt(initial, profile, cfg.sim)
-    t_end = cfg.sim.t_end if t_end is None else t_end
-    sim_cfg = replace(cfg.sim, linear=linear, dt=dt, t_end=t_end)
-
-    rec = RunRecord(
-        config_hash=config_hash(cfg),
-        gamma=profile.gamma,
-        n_nodes=profile.n_nodes,
-        dt=dt,
-        mu0=mu0,
-        linear=linear,
-        profile=profile,
+    if not members:
+        return []
+    chash = config_hash(cfg)
+    runs = [_Run(m, cfg, linear, chash) for m in members]
+    batch = _Batch(
+        runs,
+        np.stack([m.initial.zeta for m in members]),
+        np.stack([m.initial.zeta_t for m in members]),
     )
-    disc = profile.discretization
-    buffers = np.empty((3, RECORD_CHUNK, profile.n_nodes))
-    times = []  # of the buffered samples
+    rows_accel = evolution.linear_accel_rows if linear else evolution.nonlinear_accel_rows
 
-    def take(state):
-        """Buffer one sample and return its nonlinear acceleration."""
-        ztt = evolution.nonlinear_accel(state, profile)
-        row = buffers[:, len(times)]
-        row[0] = state.zeta
-        row[1] = state.zeta_t
-        row[2] = ztt
-        times.append(state.t)
-        return ztt
-
-    def flush():
-        """Record the buffered samples up to the first that meets a stop,
-        and return that stop's status (None if no row meets one)."""
-        if not times:
+    def flush(b):
+        """Record run b's buffered samples; return its stop, if one is met."""
+        run = batch.runs[b]
+        if not batch.n:
             return None
-        z, zt, ztt = buffers[:, : len(times)]
+        z, zt, ztt = batch.buffers[:, b, : batch.n]
+        collapse = None
+        if linear:
+            ztt, collapse = _monitor(z, run.rec.profile.discretization)
+            if collapse is not None and not run.rec.times:
+                return collapse  # the first sample's: it propagates
+        status = run.record(z[: len(ztt)], zt[: len(ztt)], ztt)
+        return status or (collapse and "collapsed")
+
+    def stop(rows, status=None):
+        """Rows leave the block, recording their buffered samples first;
+        a row without a stop there gets status."""
+        for b in rows:
+            batch.runs[b].finish(flush(b) or status)
+        batch.remove(rows)
+
+    def take(first=False):
+        """Buffer the current sample of every run.  A nonlinear run
+        computes its acceleration here, the next step's k1; a run whose
+        sample collapses stops (on the first sample, with the error)."""
+        while not linear and batch.runs:
+            try:
+                batch.k1 = evolution.nonlinear_accel_rows(batch.z, batch.disc)
+                break
+            except StatePastVacuumCollapse as exc:
+                if first:
+                    for b in exc.rows:
+                        batch.runs[b].finish(exc)
+                    batch.remove(exc.rows)
+                else:
+                    stop(exc.rows, "collapsed")
+        if not batch.runs:
+            return
+        batch.buffers[0, :, batch.n] = batch.z
+        batch.buffers[1, :, batch.n] = batch.zt
+        if not linear:
+            batch.buffers[2, :, batch.n] = batch.k1
+        for run in batch.runs:
+            run.times.append(run.t)
+        batch.n += 1
+
+    def end_chunk():
+        stopped = [b for b in range(len(batch.runs)) if batch.runs[b].finish(flush(b))]
+        batch.n = 0
+        batch.remove(stopped)
+
+    take(first=True)
+    end_chunk()
+    steps = 0
+    while batch.runs:
+        ended = [
+            b
+            for b, run in enumerate(batch.runs)
+            if steps >= max_steps or not run.t < run.sim.t_end - 1e-12
+        ]
+        if ended:
+            for b in ended:
+                run = batch.runs[b]
+                short = run.t < run.sim.t_end - 1e-12
+                run.finish(flush(b) or ("max_steps" if short else "completed"))
+            batch.remove(ended)
+            continue
+        try:
+            z, zt = evolution.step_rows(
+                batch.z, batch.zt, batch.dt, lambda z: rows_accel(z, batch.disc), batch.k1
+            )
+        except StatePastVacuumCollapse as exc:
+            stop(exc.rows, "collapsed")
+            continue
+        batch.z, batch.zt, batch.k1 = z, zt, None
+        steps += 1
+        for run in batch.runs:
+            run.t += run.sim.dt
+        if steps % cfg.sim.record_every:
+            continue
+        take()
+        if batch.n == RECORD_CHUNK:
+            end_chunk()
+    return [run.result for run in runs]
+
+
+def _monitor(z: np.ndarray, disc) -> tuple:
+    """(nonlinear accelerations of the rows of z before the first that
+    collapses, that collapse or None)."""
+    n, collapse = len(z), None
+    while n:
+        try:
+            return evolution.nonlinear_accel_rows(z[:n], disc), collapse
+        except StatePastVacuumCollapse as exc:
+            n, collapse = min(exc.rows), exc
+    return z[:0], collapse
+
+
+class _Run:
+    """One member's progress in evolve_batch: its record, frozen step,
+    time, buffered sample times and result."""
+
+    def __init__(self, member: Member, cfg: ExperimentConfig, linear: bool, chash: str):
+        profile = member.profile
+        dt = member.dt
+        if dt is None:
+            dt = evolution.cfl_dt(member.initial, profile, cfg.sim)
+        t_end = cfg.sim.t_end if member.t_end is None else member.t_end
+        self.sim = replace(cfg.sim, linear=linear, dt=dt, t_end=t_end)
+        self.stop_amplitude = member.stop_amplitude
+        self.t = member.initial.t
+        self.times = []  # of the buffered samples
+        self.rec = RunRecord(
+            config_hash=chash,
+            gamma=profile.gamma,
+            n_nodes=profile.n_nodes,
+            dt=dt,
+            mu0=member.mu0,
+            linear=linear,
+            profile=profile,
+        )
+        self.result = None
+
+    def finish(self, stop) -> bool:
+        """End the run on stop (a status, or the first sample's collapse);
+        False, and nothing done, when stop is None."""
+        if stop is None:
+            return False
+        if isinstance(stop, str):
+            self.rec.status = stop
+            stop = self.rec
+        self.result = stop
+        return True
+
+    def record(self, z, zt, ztt):
+        """Record the buffered samples (rows of z, zt, ztt) up to the first
+        that meets a stop, and return that stop's status (None if no row
+        meets one)."""
+        rec, sim = self.rec, self.sim
+        disc = rec.profile.discretization
         E0 = [n**2 for n in energetics.zero_norm_rows(z, zt, disc)]
         H = evolution.energy_rows(z, zt, disc).tolist()
-        sups = evolution.smallness_rows(z, zt, ztt, disc, sim_cfg.theta1)
+        sups = evolution.smallness_rows(z, zt, ztt, disc, sim.theta1)
         sup_zeta, sup_zeta_r, _, _, exceeded = (v.tolist() for v in sups)
-        radius = ((1.0 + z[:, -1]) * profile.R).tolist()
+        radius = ((1.0 + z[:, -1]) * rec.profile.R).tolist()
         status = None
-        for k, t in enumerate(times):
+        for k, t in enumerate(self.times[: len(z)]):
             i = len(rec.times)
             rec.times.append(t)
             rec.E0.append(E0[k])
@@ -165,42 +324,56 @@ def evolve_run(
             rec.sup_zeta_r.append(sup_zeta_r[k])
             rec.boundary_radius.append(radius[k])
             rec.exceeded.append(exceeded[k])
-            if i == 0 or (sim_cfg.snapshot_every and i % sim_cfg.snapshot_every == 0):
+            if i == 0 or (sim.snapshot_every and i % sim.snapshot_every == 0):
                 rec.snapshot_times.append(t)
                 rec.snapshots.append((z[k].copy(), zt[k].copy()))
             if not (math.isfinite(E0[k]) and math.isfinite(H[k])):
                 status = "nonfinite"
             elif i and exceeded[k]:
                 status = "smallness_exceeded"
-            elif i and stop_amplitude is not None and math.sqrt(E0[k]) >= stop_amplitude:
+            elif i and self.stop_amplitude is not None and math.sqrt(E0[k]) >= self.stop_amplitude:
                 status = "escaped"
             if status:
                 break
-        times.clear()
+        self.times.clear()
         return status
 
-    state = initial
-    k1 = take(state)
-    status = flush()
-    steps = 0
-    try:
-        while not status and steps < max_steps and state.t < sim_cfg.t_end - 1e-12:
-            # the last sample's acceleration is a nonlinear step's k1
-            state = evolution.step(state, profile, sim_cfg, k1=None if linear else k1)
-            k1 = None
-            steps += 1
-            if steps % sim_cfg.record_every:
-                continue
-            k1 = take(state)
-            if len(times) == RECORD_CHUNK:
-                status = flush()
-        status = status or flush()
-    except StatePastVacuumCollapse:
-        status = flush() or "collapsed"
-    if not status:
-        status = "max_steps" if state.t < sim_cfg.t_end - 1e-12 else "completed"
-    rec.status = status
-    return rec
+
+class _Batch:
+    """The runs still marching in evolve_batch: their rows of zeta, zeta_t
+    and k1, dt, chunk buffers (row b holds run b's samples) and geometry,
+    shared or stacked.  Rows are (B, N+1) blocks with dt a (B, 1) column;
+    a lone run keeps 1-D rows and a float dt, the unbatched case of the
+    same kernels, which costs less per call."""
+
+    def __init__(self, runs: list, zeta: np.ndarray, zeta_t: np.ndarray):
+        self.runs = runs
+        self.buffers = np.empty((3, len(runs), RECORD_CHUNK, zeta.shape[1]))
+        self.n = 0  # samples buffered per run
+        self._select(list(range(len(runs))), zeta, zeta_t, None)
+
+    def remove(self, rows):
+        keep = [b for b in range(len(self.runs)) if b not in rows]
+        if len(keep) == len(self.runs):
+            return
+        self.runs = [self.runs[b] for b in keep]
+        self.buffers = self.buffers[:, keep]
+        if keep:
+            blocks = (None if a is None else np.atleast_2d(a) for a in (self.z, self.zt, self.k1))
+            self._select(keep, *blocks)
+
+    def _select(self, keep, zeta, zeta_t, k1):
+        """Keep rows keep of the (B, N+1) blocks; a lone row becomes 1-D."""
+        index = keep if len(keep) > 1 else keep[0]
+        self.z, self.zt = zeta[index], zeta_t[index]
+        self.k1 = None if k1 is None else k1[index]
+        dts = [run.sim.dt for run in self.runs]
+        self.dt = np.array(dts)[:, None] if len(dts) > 1 else dts[0]
+        profiles = [run.rec.profile for run in self.runs]
+        if all(p is profiles[0] for p in profiles):
+            self.disc = profiles[0].discretization
+        else:
+            self.disc = polytrope.Discretization.stack([p.discretization for p in profiles])
 
 
 def run_instability_experiment(cfg: ExperimentConfig, delta: float | None = None) -> dict:
@@ -210,54 +383,69 @@ def run_instability_experiment(cfg: ExperimentConfig, delta: float | None = None
     The run continues past the theta0 crossing up to 2*theta0, where the
     linear-envelope prediction ln(2 theta0/delta)/sqrt(mu0) applies.
     """
+    delta = cfg.experiment.delta if delta is None else delta
+    return next(instability_ladder(cfg, (delta,)))
+
+
+def instability_ladder(cfg: ExperimentConfig, deltas=None) -> Iterator[dict]:
+    """Yield run_instability_experiment(cfg, delta) for each delta (by
+    default cfg.experiment.deltas), in order, from one batch of the
+    nonlinear runs of every delta and one of their linear partners
+    (evolve_batch; the deltas share one profile).
+
+    The checks that do not depend on the run (gamma in the unstable range,
+    every delta below theta0, a positive mu0) raise before the first
+    result.  A delta whose run, fit or remainder fails raises when its
+    turn comes, after the earlier deltas' results were yielded.
+    """
     exp = cfg.experiment
-    delta = exp.delta if delta is None else delta
+    deltas = exp.deltas if deltas is None else deltas
     theta0 = exp.theta0
     if cfg.polytrope.gamma >= 4.0 / 3.0:
         raise RateUnavailable(
             f"gamma={cfg.polytrope.gamma} outside the unstable range (6/5, 4/3)"
         )
-    if delta >= theta0:
-        raise PolystarError(
-            f"delta={delta} must be well below theta0={theta0} (linear window empty)"
-        )
+    for delta in deltas:
+        if delta >= theta0:
+            raise PolystarError(
+                f"delta={delta} must be well below theta0={theta0} (linear window empty)"
+            )
     profile = build_profile(cfg)
     _, mode = build_mode(profile, cfg.eig.eig_tol)
     if mode.mu0 <= 0:
         raise RateUnavailable(f"largest eigenvalue {mode.mu0} is not positive")
 
-    initial = evolution.mode_initial_state(mode, delta)
-    record = evolve_run(
-        profile,
-        initial,
-        cfg,
-        mu0=mode.mu0,
-        linear=False,
-        stop_amplitude=2.0 * theta0,
-    )
-    fit = energetics.growth_fit(record, delta, theta0)
-    out = {"record": record, "fit": fit, "mode": mode, "profile": profile, "delta": delta}
+    def member(delta, dt=None):
+        initial = evolution.mode_initial_state(mode, delta)
+        return Member(profile, initial, mode.mu0, 2.0 * theta0, dt=dt)
 
+    records = evolve_batch([member(delta) for delta in deltas], cfg)
     if exp.pair_linear:
-        linear_record = evolve_run(
-            profile,
-            evolution.mode_initial_state(mode, delta),
-            cfg,
-            mu0=mode.mu0,
-            linear=True,
-            stop_amplitude=2.0 * theta0,
-            dt=record.dt,
-        )
-        out["linear_record"] = linear_record
-        out["remainder"] = energetics.duhamel_remainder(record, linear_record, delta)
-    return out
+        # a delta whose nonlinear run failed has no partner; it raises first
+        ran = [i for i, rec in enumerate(records) if isinstance(rec, RunRecord)]
+        partners = evolve_batch([member(deltas[i], records[i].dt) for i in ran], cfg, linear=True)
+        linear_records = dict(zip(ran, partners))
+    for i, (delta, record) in enumerate(zip(deltas, records)):
+        if not isinstance(record, RunRecord):
+            raise record
+        fit = energetics.growth_fit(record, delta, theta0)
+        out = {"record": record, "fit": fit, "mode": mode, "profile": profile, "delta": delta}
+        if exp.pair_linear:
+            linear_record = linear_records[i]
+            if not isinstance(linear_record, RunRecord):
+                raise linear_record
+            out["linear_record"] = linear_record
+            out["remainder"] = energetics.duhamel_remainder(record, linear_record, delta)
+        yield out
 
 
 def sweep(cfg: ExperimentConfig) -> list:
     """One row per gamma: eigenvalue, rate, and (when unstable) the
-    fitted growth rate and escape diagnostics.  Rows never abort their
-    siblings; failures land in the status column."""
+    fitted growth rate and escape diagnostics.  The runs of the unstable
+    gammas march as one evolve_batch on their stacked grids.  Rows never
+    abort their siblings; failures land in the status column."""
     rows = []
+    unstable = []  # (row, member)
     for gamma in sorted(cfg.experiment.gammas):
         row = {
             "gamma": gamma,
@@ -276,22 +464,9 @@ def sweep(cfg: ExperimentConfig) -> list:
             marginal = abs(mode.mu0) <= 10.0 * profile.n_nodes ** -2.0
             if mode.mu0 > 0 and not marginal:
                 row["sqrt_mu0"] = mode.rate
-                delta = cfg.experiment.delta
-                initial = evolution.mode_initial_state(mode, delta)
-                rec = evolve_run(
-                    profile,
-                    initial,
-                    cfg,
-                    mu0=mode.mu0,
-                    stop_amplitude=2.0 * cfg.experiment.theta0,
-                )
-                fit = energetics.growth_fit(rec, delta, cfg.experiment.theta0)
-                row["fitted_rate"] = fit.rate
-                if fit.escape_time_double is not None:
-                    row["escape_time"] = fit.escape_time_double
-                    row["predicted_escape"] = fit.predicted_escape
-                    row["escape_ratio"] = fit.escape_time_double / fit.predicted_escape
-                row["status"] = rec.status
+                initial = evolution.mode_initial_state(mode, cfg.experiment.delta)
+                stop = 2.0 * cfg.experiment.theta0
+                unstable.append((row, Member(profile, initial, mode.mu0, stop)))
             elif marginal:
                 row["status"] = "marginal"
             else:
@@ -299,6 +474,20 @@ def sweep(cfg: ExperimentConfig) -> list:
         except PolystarError as exc:
             row["status"] = f"error:{type(exc).__name__}"
         rows.append(row)
+    records = evolve_batch([member for _, member in unstable], cfg)
+    for (row, _), rec in zip(unstable, records):
+        try:
+            if not isinstance(rec, RunRecord):
+                raise rec
+            fit = energetics.growth_fit(rec, cfg.experiment.delta, cfg.experiment.theta0)
+            row["fitted_rate"] = fit.rate
+            if fit.escape_time_double is not None:
+                row["escape_time"] = fit.escape_time_double
+                row["predicted_escape"] = fit.predicted_escape
+                row["escape_ratio"] = fit.escape_time_double / fit.predicted_escape
+            row["status"] = rec.status
+        except PolystarError as exc:
+            row["status"] = f"error:{type(exc).__name__}"
     return rows
 
 

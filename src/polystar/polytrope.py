@@ -23,7 +23,7 @@ c = 1, which makes the equation the textbook dimensionless form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -202,7 +202,10 @@ class Discretization:
     spectral pencil, and the linear and nonlinear accelerations.
 
     Node arrays run over j = 0..N, half-node arrays over the N cells
-    [r_j, r_{j+1}], and interior arrays over j = 1..N-1.
+    [r_j, r_{j+1}], and interior arrays over j = 1..N-1.  A stack of B
+    discretizations with one N (Discretization.stack) has every array
+    shaped (B, ...), alpha and gt as (B, 1) columns and origin_coef as a
+    (B,) vector, so that each broadcasts against (B, N+1) rows of states.
     """
 
     alpha: float
@@ -264,22 +267,55 @@ class Discretization:
             origin_coef=(0.0 - r[1] ** 2) / (r[2] ** 2 - r[1] ** 2),
         )
 
+    @classmethod
+    def stack(cls, discs: list) -> Discretization:
+        """One discretization whose row b is discs[b]: rows of states on
+        different profiles with the same N march as one block."""
+        if len({d.N for d in discs}) != 1:
+            raise ValueError("stacked discretizations must share N")
+        parts = {}
+        for f in fields(cls):
+            values = [getattr(d, f.name) for d in discs]
+            if f.name == "N":
+                parts[f.name] = values[0]
+            elif f.name == "origin_coef":
+                parts[f.name] = np.array(values)
+            elif f.name in ("alpha", "gt"):
+                parts[f.name] = np.array(values)[:, None]
+            else:
+                parts[f.name] = np.stack(values)
+        return cls(**parts)
+
+    @cached_property
+    def edge_scalars(self) -> list:
+        """[origin_coef, gt, h_N, r_N, phi_N] of each row as Python floats.
+        The nonlinear acceleration computes its endpoint values row by row
+        in scalars: an array pow and a scalar pow can differ in the last
+        bit, and scalar arithmetic on floats costs less than on arrays."""
+        columns = (self.origin_coef, self.gt, self.h[..., -1], self.r[..., -1], self.phi[..., -1])
+        return np.column_stack([np.ravel(c) for c in columns]).tolist()
+
     def extrapolate_endpoints(self, values: np.ndarray) -> None:
         """Set the endpoint values of a nodal array from its interior, in
-        place: even (quadratic in r^2) through the first two interior nodes
-        at the origin, linear through the last two at the vacuum radius."""
-        values[0] = values[1] + (values[2] - values[1]) * self.origin_coef
-        values[-1] = values[-2] + (values[-2] - values[-3]) / self.h[-2] * self.h[-1]
+        place and over the trailing axis: even (quadratic in r^2) through
+        the first two interior nodes at the origin, linear through the last
+        two at the vacuum radius."""
+        # .T puts the nodes first: v[j] is a scalar of a 1-D array, and of
+        # a (B, N+1) block the (B,) column j
+        v, h = values.T, self.h.T
+        v[0] = v[1] + (v[2] - v[1]) * self.origin_coef
+        v[-1] = v[-2] + (v[-2] - v[-3]) / h[-2] * h[-1]
 
     def conservative_derivative(self, g: np.ndarray) -> np.ndarray:
-        """(r^3 g)_r / r^2 at the half nodes as 3 [r^3 g] / [r^3]."""
+        """(r^3 g)_r / r^2 at the half nodes as 3 [r^3 g] / [r^3], over the
+        trailing axis."""
         return 3.0 * np.diff(self.r3 * g) / self.d3
 
     def apply_stiffness(self, phi: np.ndarray) -> np.ndarray:
-        """S phi on the interior nodes; S represents -L."""
+        """S phi on the interior nodes, over the trailing axis; S represents -L."""
         out = self.stiffness_diag * phi
-        out[:-1] += self.stiffness_off * phi[1:]
-        out[1:] += self.stiffness_off * phi[:-1]
+        out[..., :-1] += self.stiffness_off * phi[..., 1:]
+        out[..., 1:] += self.stiffness_off * phi[..., :-1]
         return out
 
 

@@ -65,26 +65,24 @@ def profile2():
 
 @pytest.fixture(scope="session")
 def insta13():
-    """Nonlinear growing-mode runs at the default mesh for the delta ladder."""
+    """Nonlinear growing-mode runs at the default mesh for the delta ladder,
+    marched as one batch (each equals its solo run: see
+    test_instability_ladder_equals_solo_runs)."""
     import time
 
-    out = {}
     t0 = time.perf_counter()
-    for delta in (1e-3, 1e-4, 1e-5):
-        cfg = make_config(kind="instability", delta=delta, pair_linear=False)
-        out[delta] = ps.run_instability_experiment(cfg, delta=delta)
+    cfg = make_config(kind="instability", deltas=(1e-3, 1e-4, 1e-5), pair_linear=False)
+    out = {res["delta"]: res for res in ps.instability_ladder(cfg)}
     out["elapsed"] = time.perf_counter() - t0
     return out
 
 
 @pytest.fixture(scope="session")
 def duhamel_pairs():
-    """Paired nonlinear/linear runs on the doubled mesh for the remainder study."""
-    out = {}
-    for delta in (1e-3, 1e-4):
-        cfg = make_config(n_nodes=2048, kind="instability", delta=delta, pair_linear=True)
-        out[delta] = ps.run_instability_experiment(cfg, delta=delta)
-    return out
+    """Paired nonlinear/linear runs on the doubled mesh for the remainder
+    study, marched as two batches."""
+    cfg = make_config(n_nodes=2048, kind="instability", deltas=(1e-3, 1e-4), pair_linear=True)
+    return {res["delta"]: res for res in ps.instability_ladder(cfg)}
 
 
 @pytest.fixture()

@@ -8,7 +8,8 @@ import pytest
 
 import polystar as ps
 from polystar.errors import StatePastVacuumCollapse
-from polystar.evolution import cell_jacobian_minus_one
+from polystar.evolution import cell_jacobian_minus_one, nonlinear_accel_rows
+from polystar.polytrope import Discretization
 
 from conftest import smooth_trials
 
@@ -305,3 +306,75 @@ def test_boundary_radius_diagnostic(profile13_512, mode13_512):
     assert np.all(np.isfinite(radii))
     # continuous in t: per-step change bounded by |zeta_t(R)| dt scale
     assert np.abs(np.diff(radii)).max() <= 1e-3 * prof.R
+
+
+def _scalar_endpoint_accel(z, disc):
+    """The 1-D nonlinear acceleration as written before the row kernel:
+    numpy-scalar arithmetic at the endpoints."""
+    N = disc.N
+    flux = disc.w_half_1a * np.expm1(-disc.gt * np.log1p(cell_jacobian_minus_one(z, disc)))
+    a = np.empty_like(z)
+    zi = z[1:N]
+    a[1:N] = -((1.0 + zi) ** 2) * (
+        (flux[1:] - flux[:-1]) / disc.dr_interior * disc.inv_wr
+        + np.expm1(-4.0 * np.log1p(zi)) * disc.phi[1:N]
+    )
+    a[0] = a[1] + (a[2] - a[1]) * disc.origin_coef
+    zr_N = (z[N] - z[N - 1]) / disc.h[-1]
+    JN = (1.0 + z[N]) ** 2 * (1.0 + z[N] + zr_N * disc.r[N])
+    a[N] = (1.0 + z[N]) ** 2 * disc.phi[N] * (JN ** (-disc.gt) - (1.0 + z[N]) ** (-4))
+    return a
+
+
+@pytest.fixture(scope="module")
+def profiles_256():
+    return [ps.solve_lane_emden(ps.PolytropeConfig(gamma=g), 256) for g in (1.25, 1.3, 2.0)]
+
+
+def test_nonlinear_accel_rows_match_1d_at_every_node(profiles_256, rng):
+    # stacked grids (gamma 1.25, 1.3, 2) and one shared grid, random-sign
+    # rows and growing-mode-sized rows; node N is where an array pow and a
+    # scalar pow can differ
+    n = profiles_256[0].n_nodes
+    stacked = Discretization.stack([p.discretization for p in profiles_256])
+    # smooth rows, and noise small enough that the cells near R keep J > 0
+    x = profiles_256[1].grid
+    for z in (smooth_trials(rng, x, 3, amplitude=1e-2), 1e-7 * rng.standard_normal((3, n))):
+        assert (z > 0).any() and (z < 0).any()
+        block = nonlinear_accel_rows(z, stacked)
+        for b, prof in enumerate(profiles_256):
+            single = ps.nonlinear_accel(ps.PerturbationState(0.0, z[b], z[b]), prof)
+            assert np.array_equal(block[b], single)
+            assert np.array_equal(single, _scalar_endpoint_accel(z[b], prof.discretization))
+        shared = profiles_256[1]
+        block = nonlinear_accel_rows(z, shared.discretization)
+        for b in range(3):
+            assert np.array_equal(block[b], _scalar_endpoint_accel(z[b], shared.discretization))
+
+
+def test_nonlinear_accel_rows_collapse_names_its_rows(profiles_256):
+    prof = profiles_256[1]
+    n = prof.n_nodes
+    z = np.zeros((4, n))
+    z[1, n // 2] = -1.5  # 1 + zeta <= 0
+    z[3, -1] = -0.5  # only the boundary Jacobian J(R) <= 0
+    z[3, -2] = 0.9
+    with pytest.raises(StatePastVacuumCollapse) as first:
+        nonlinear_accel_rows(z, prof.discretization)
+    assert first.value.rows == [1]
+    with pytest.raises(StatePastVacuumCollapse) as second:
+        nonlinear_accel_rows(z[[0, 2, 3]], prof.discretization)
+    assert second.value.rows == [2]
+    assert np.array_equal(nonlinear_accel_rows(z[[0, 2]], prof.discretization), np.zeros((2, n)))
+
+
+def test_nonlinear_accel_rows_endpoint_overflow_as_numpy(profiles_256):
+    # a float pow that overflows raises in Python; the row falls back to
+    # numpy scalars, which give inf as the 1-D form did
+    prof = profiles_256[1]
+    z = np.zeros(prof.n_nodes)
+    z[-1] = 1e200
+    with np.errstate(all="ignore"):
+        got = ps.nonlinear_accel(ps.PerturbationState(0.0, z, z), prof)
+        want = _scalar_endpoint_accel(z, prof.discretization)
+    assert np.array_equal(got, want, equal_nan=True)

@@ -409,30 +409,192 @@ def test_evolve_run_max_steps_mid_chunk(run128):
     _assert_matches_reference(rec, reference)
 
 
+def _collapsing_rows(hit, accel=evolution.nonlinear_accel_rows):
+    """nonlinear_accel_rows, raising a collapse of every row for which
+    hit(row) holds."""
+
+    def collapsing(zeta, disc, jm1=None):
+        rows = [b for b, row in enumerate(zeta.reshape(-1, zeta.shape[-1])) if hit(row)]
+        if rows:
+            raise StatePastVacuumCollapse("forced", rows=rows)
+        return accel(zeta, disc, jm1=jm1)
+
+    return collapsing
+
+
 @pytest.mark.parametrize("escape_first", [False, True], ids=["collapse", "earlier_escape_wins"])
 @pytest.mark.parametrize("record_every", [1, 3], ids=["every1", "every3"])
-def test_evolve_run_collapse_mid_chunk(run128, monkeypatch, escape_first, record_every):
-    # force a collapse from the first acceleration half a step before
-    # sample K + 10: at that sample with record_every 1, inside the step
-    # before it with record_every 3.  A stop met by an earlier sample of
-    # the same chunk must still be reported
-    free, (series, _, _) = _run_both(run128, record_every=record_every)
-    t_collapse = series["times"][RECORD_CHUNK + 10] - 0.5 * free.dt
-    accel = evolution.nonlinear_accel
-
-    def collapsing(state, profile, jm1=None):
-        if state.t >= t_collapse:
-            raise StatePastVacuumCollapse("forced")
-        return accel(state, profile, jm1=jm1)
-
-    monkeypatch.setattr(evolution, "nonlinear_accel", collapsing)
+@pytest.mark.parametrize("linear", [False, True], ids=["nonlinear", "linear"])
+def test_evolve_run_collapse_mid_chunk(run128, monkeypatch, escape_first, record_every, linear):
+    # force a collapse from the first nonlinear acceleration of a state
+    # past the mean amplitude of samples K + 9 and K + 10: inside the last
+    # step to sample K + 10 or at it with record_every 1, in an unrecorded
+    # step with record_every 3, and at sample K + 10 in a linear run's
+    # monitor.  The kernels see no time, so the forcing reads the growing
+    # amplitude.  A stop met by an earlier sample of the same chunk must
+    # still be reported
+    _, (series, _, _) = _run_both(run128, linear=linear, record_every=record_every)
+    threshold = sum(series["sup_zeta"][RECORD_CHUNK + 9 : RECORD_CHUNK + 11]) / 2.0
+    monkeypatch.setattr(
+        evolution, "nonlinear_accel_rows", _collapsing_rows(lambda row: np.abs(row).max() > threshold)
+    )
     stops = {}
     if escape_first:
         stops["stop_amplitude"] = math.sqrt(series["E0"][RECORD_CHUNK + 5])
-    rec, reference = _run_both(run128, record_every=record_every, **stops)
+    rec, reference = _run_both(run128, linear=linear, record_every=record_every, **stops)
     assert rec.status == ("escaped" if escape_first else "collapsed")
     assert len(rec.times) == RECORD_CHUNK + (6 if escape_first else 10)
     _assert_matches_reference(rec, reference)
+
+
+def _assert_same_record(rec, solo):
+    assert rec.status == solo.status
+    assert rec.dt == solo.dt
+    for name in SERIES_FIELDS + ("snapshot_times",):
+        assert getattr(rec, name) == getattr(solo, name), name
+    assert len(rec.snapshots) == len(solo.snapshots)
+    for (z, zt), (solo_z, solo_zt) in zip(rec.snapshots, solo.snapshots):
+        assert np.array_equal(z, solo_z)
+        assert np.array_equal(zt, solo_zt)
+
+
+def _check_members(members, records, cfg, linear=False, max_steps=5_000_000):
+    """Each batched record equals its member's one-member batch and the
+    one-sample-at-a-time reference, bit for bit."""
+    assert len(records) == len(members)
+    for m, rec in zip(members, records):
+        solo = ps.evolve_run(
+            m.profile, m.initial, cfg, mu0=m.mu0, linear=linear,
+            stop_amplitude=m.stop_amplitude, t_end=m.t_end, dt=m.dt, max_steps=max_steps,
+        )
+        _assert_same_record(rec, solo)
+        sim = dataclasses.replace(cfg.sim, linear=linear, dt=solo.dt, t_end=m.t_end)
+        _assert_matches_reference(
+            rec, _reference_run(m.profile, m.initial, sim, m.stop_amplitude, max_steps)
+        )
+
+
+@pytest.fixture(scope="module")
+def ladder128(run128):
+    """Members of a delta ladder on run128's profile: delta 1e-3 and 3e-4
+    escape, and 1e-4 completes at t_end."""
+    cfg, profile, mode = run128
+    return [
+        ps.Member(profile, ps.mode_initial_state(mode, delta), mode.mu0, 2e-3, t_end=12.0)
+        for delta in (1e-3, 3e-4, 1e-4)
+    ]
+
+
+def test_batched_ladder_members_equal_solo_runs(run128, ladder128):
+    # the nonlinear runs share one profile and have their own dt (the CFL
+    # dt of each delta's initial data); the linear partners march as a
+    # second batch at their partners' dt
+    cfg = run128[0]
+    records = ps.evolve_batch(ladder128, cfg)
+    assert [rec.status for rec in records] == ["escaped", "escaped", "completed"]
+    assert len({rec.dt for rec in records}) == 3
+    _check_members(ladder128, records, cfg)
+    partners = [dataclasses.replace(m, dt=rec.dt) for m, rec in zip(ladder128, records)]
+    linear = ps.evolve_batch(partners, cfg, linear=True)
+    assert [rec.status for rec in linear] == ["escaped", "escaped", "completed"]
+    _check_members(partners, linear, cfg, linear=True)
+
+
+def test_batched_sweep_members_equal_solo_runs():
+    # three gammas on stacked grids with one N
+    runs = []
+    for gamma in (1.25, 1.30, 1.32):
+        cfg = make_config(n_nodes=128, gamma=gamma, kind="sweep")
+        profile = ps.build_profile(cfg)
+        _, mode = ps.build_mode(profile, cfg.eig.eig_tol)
+        runs.append(ps.Member(profile, ps.mode_initial_state(mode, 1e-3), mode.mu0, 4e-3, t_end=6.0))
+    records = ps.evolve_batch(runs, cfg)
+    assert [rec.gamma for rec in records] == [1.25, 1.30, 1.32]
+    assert records[0].status == "escaped" and records[2].status == "completed"
+    _check_members(runs, records, cfg)
+
+
+def test_batched_max_steps_mid_chunk(run128, ladder128):
+    cfg = run128[0]
+    max_steps = RECORD_CHUNK + RECORD_CHUNK // 2 + 3
+    records = ps.evolve_batch(ladder128, cfg, max_steps=max_steps)
+    assert {rec.status for rec in records} == {"max_steps"}
+    _check_members(ladder128, records, cfg, max_steps=max_steps)
+
+
+@pytest.mark.parametrize("where", ["at_sample", "inside_step"])
+def test_batched_collapse_ends_only_its_member(run128, ladder128, monkeypatch, where):
+    # delta 1e-4's run collapses in the middle of chunk 2, at a sample or
+    # in a stage of the step before it; the others march on unchanged
+    cfg = run128[0]
+    free = ps.evolve_batch(ladder128, cfg)
+    collapse_index = RECORD_CHUNK + 12  # a snapshot (snapshot_every 4)
+    sample = free[2].snapshots[collapse_index // cfg.sim.snapshot_every][0]
+    if where == "at_sample":
+        def hit(row):
+            return np.array_equal(row, sample)
+    else:
+        # the half-step stage after sample K + 11 already passes sample
+        # K + 11; the other members are past 1.5 times it from the start
+        previous = free[2].sup_zeta[collapse_index - 1]
+        def hit(row):
+            return previous < np.abs(row).max() < 1.5 * previous
+        assert free[1].sup_zeta[0] > 1.5 * previous
+    monkeypatch.setattr(evolution, "nonlinear_accel_rows", _collapsing_rows(hit))
+    records = ps.evolve_batch(ladder128, cfg)
+    assert [rec.status for rec in records] == ["escaped", "escaped", "collapsed"]
+    assert len(records[2].times) == collapse_index
+    _check_members(ladder128, records, cfg)
+
+
+def test_batched_stop_on_chunk_boundary_while_another_is_mid_chunk(run128, ladder128):
+    # delta 1e-3 escapes at the last row of chunk 3 and delta 1e-4 at a row
+    # in the middle of chunk 2; delta 3e-4 completes at its t_end
+    cfg = run128[0]
+    free = ps.evolve_batch([dataclasses.replace(m, stop_amplitude=None) for m in ladder128], cfg)
+    boundary, middle = 3 * RECORD_CHUNK, RECORD_CHUNK + RECORD_CHUNK // 2
+    amp0 = np.sqrt(free[0].E0)
+    amp2 = np.sqrt(free[2].E0)
+    assert amp0[:boundary].max() < amp0[boundary] and amp2[:middle].max() < amp2[middle]
+    members = [
+        dataclasses.replace(ladder128[0], stop_amplitude=float(amp0[boundary]), t_end=20.0),
+        dataclasses.replace(ladder128[1], stop_amplitude=None, t_end=5.0),
+        dataclasses.replace(ladder128[2], stop_amplitude=float(amp2[middle]), t_end=20.0),
+    ]
+    records = ps.evolve_batch(members, cfg)
+    assert [rec.status for rec in records] == ["escaped", "completed", "escaped"]
+    assert [len(rec.times) for rec in records[::2]] == [boundary + 1, middle + 1]
+    assert len(records[1].times) % RECORD_CHUNK not in (0, 1)
+    _check_members(members, records, cfg)
+
+
+def test_evolve_batch_first_sample_collapse_is_the_members_error(run128, ladder128):
+    cfg = run128[0]
+    bad = ps.PerturbationState(0.0, np.full(run128[1].n_nodes, -2.0), np.zeros(run128[1].n_nodes))
+    members = [ladder128[0], dataclasses.replace(ladder128[1], initial=bad), ladder128[2]]
+    for linear in (False, True):
+        records = ps.evolve_batch(members, cfg, linear=linear, max_steps=40)
+        assert isinstance(records[1], StatePastVacuumCollapse)
+        for i in (0, 2):
+            assert records[i].status == "max_steps"
+        with pytest.raises(StatePastVacuumCollapse):
+            ps.evolve_run(run128[1], bad, cfg, mu0=1.0, linear=linear)
+
+
+def test_instability_ladder_equals_solo_runs():
+    # the batched ladder (nonlinear and linear partners) against one
+    # run_instability_experiment per delta: records, fit and remainder
+    cfg = make_config(n_nodes=256, kind="instability", deltas=(1e-3, 1e-4), pair_linear=True)
+    ladder = list(ps.instability_ladder(cfg, cfg.experiment.deltas))
+    assert [out["delta"] for out in ladder] == [1e-3, 1e-4]
+    for out in ladder:
+        solo = ps.run_instability_experiment(cfg, delta=out["delta"])
+        _assert_same_record(out["record"], solo["record"])
+        _assert_same_record(out["linear_record"], solo["linear_record"])
+        assert out["fit"] == solo["fit"]
+        for key in ("t", "remainder", "ratio"):
+            assert np.array_equal(out["remainder"][key], solo["remainder"][key])
+        assert out["remainder"]["rate"] == solo["remainder"]["rate"]
 
 
 def test_check_battery_passes():
