@@ -162,11 +162,12 @@ def nonlinear_accel_rows(
     N = disc.N
     z = zeta
     if (1.0 + z <= 0.0).any():
-        raise _collapse("1 + zeta <= 0: flow map interpenetrates", 1.0 + z <= 0.0)
+        failed = (1.0 + z <= 0.0).reshape(-1, N + 1).any(axis=1)
+        raise _collapse("1 + zeta <= 0: flow map interpenetrates", failed)
     if jm1 is None:
         jm1 = cell_jacobian_minus_one(z, disc)
     if (jm1 <= -1.0).any():
-        raise _collapse("J <= 0: orientation lost", jm1 <= -1.0)
+        raise _collapse("J <= 0: orientation lost", (jm1 <= -1.0).reshape(-1, N).any(axis=1))
     # pressure flux w^(1+alpha) (J^(-gt) - 1), cancellation-free
     flux = disc.w_half_1a * np.expm1(-disc.gt * np.log1p(jm1))
     a = np.empty_like(z)
@@ -187,7 +188,7 @@ def nonlinear_accel_rows(
         except OverflowError:
             ends.append(_endpoint_values(*map(np.float64, (*inner, *edge, *scalars))))
     if None in ends:
-        raise _collapse("boundary Jacobian J(R) <= 0", [[end is None] for end in ends])
+        raise _collapse("boundary Jacobian J(R) <= 0", [end is None for end in ends])
     rows[:, ::N] = ends
     return a
 
@@ -207,12 +208,8 @@ def _endpoint_values(a1, a2, z_prev, z_N, origin_coef, gt, h_N, r_N, phi_N):
 
 
 def _collapse(message: str, failed) -> StatePastVacuumCollapse:
-    """The collapse of the rows in which failed (a block of flags with the
-    rows' leading shape) holds anywhere."""
-    failed = np.asarray(failed)
-    return StatePastVacuumCollapse(
-        message, rows=np.flatnonzero(failed.reshape(-1, failed.shape[-1]).any(axis=1)).tolist()
-    )
+    """The collapse of the rows whose flag in failed is set."""
+    return StatePastVacuumCollapse(message, rows=np.flatnonzero(failed).tolist())
 
 
 def accel_time_derivative(

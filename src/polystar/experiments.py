@@ -162,66 +162,9 @@ def evolve_batch(
         return []
     chash = config_hash(cfg)
     runs = [_Run(m, cfg, linear, chash) for m in members]
-    batch = _Batch(
-        runs,
-        np.stack([m.initial.zeta for m in members]),
-        np.stack([m.initial.zeta_t for m in members]),
-    )
-    rows_accel = evolution.linear_accel_rows if linear else evolution.nonlinear_accel_rows
-
-    def flush(b):
-        """Record run b's buffered samples; return its stop, if one is met."""
-        run = batch.runs[b]
-        if not batch.n:
-            return None
-        z, zt, ztt = batch.buffers[:, b, : batch.n]
-        collapse = None
-        if linear:
-            ztt, collapse = _monitor(z, run.rec.profile.discretization)
-            if collapse is not None and not run.rec.times:
-                return collapse  # the first sample's: it propagates
-        status = run.record(z[: len(ztt)], zt[: len(ztt)], ztt)
-        return status or (collapse and "collapsed")
-
-    def stop(rows, status=None):
-        """Rows leave the block, recording their buffered samples first;
-        a row without a stop there gets status."""
-        for b in rows:
-            batch.runs[b].finish(flush(b) or status)
-        batch.remove(rows)
-
-    def take(first=False):
-        """Buffer the current sample of every run.  A nonlinear run
-        computes its acceleration here, the next step's k1; a run whose
-        sample collapses stops (on the first sample, with the error)."""
-        while not linear and batch.runs:
-            try:
-                batch.k1 = evolution.nonlinear_accel_rows(batch.z, batch.disc)
-                break
-            except StatePastVacuumCollapse as exc:
-                if first:
-                    for b in exc.rows:
-                        batch.runs[b].finish(exc)
-                    batch.remove(exc.rows)
-                else:
-                    stop(exc.rows, "collapsed")
-        if not batch.runs:
-            return
-        batch.buffers[0, :, batch.n] = batch.z
-        batch.buffers[1, :, batch.n] = batch.zt
-        if not linear:
-            batch.buffers[2, :, batch.n] = batch.k1
-        for run in batch.runs:
-            run.times.append(run.t)
-        batch.n += 1
-
-    def end_chunk():
-        stopped = [b for b in range(len(batch.runs)) if batch.runs[b].finish(flush(b))]
-        batch.n = 0
-        batch.remove(stopped)
-
-    take(first=True)
-    end_chunk()
+    batch = _Batch(list(runs), linear)
+    batch.take(first=True)
+    batch.end_chunk()
     steps = 0
     while batch.runs:
         ended = [
@@ -230,18 +173,12 @@ def evolve_batch(
             if steps >= max_steps or not run.t < run.sim.t_end - 1e-12
         ]
         if ended:
-            for b in ended:
-                run = batch.runs[b]
-                short = run.t < run.sim.t_end - 1e-12
-                run.finish(flush(b) or ("max_steps" if short else "completed"))
-            batch.remove(ended)
+            batch.stop(ended, lambda run: "max_steps" if run.t < run.sim.t_end - 1e-12 else "completed")
             continue
         try:
-            z, zt = evolution.step_rows(
-                batch.z, batch.zt, batch.dt, lambda z: rows_accel(z, batch.disc), batch.k1
-            )
+            z, zt = evolution.step_rows(batch.z, batch.zt, batch.dt, batch.accel, batch.k1)
         except StatePastVacuumCollapse as exc:
-            stop(exc.rows, "collapsed")
+            batch.stop(exc.rows, lambda run: "collapsed")
             continue
         batch.z, batch.zt, batch.k1 = z, zt, None
         steps += 1
@@ -249,22 +186,10 @@ def evolve_batch(
             run.t += run.sim.dt
         if steps % cfg.sim.record_every:
             continue
-        take()
+        batch.take()
         if batch.n == RECORD_CHUNK:
-            end_chunk()
+            batch.end_chunk()
     return [run.result for run in runs]
-
-
-def _monitor(z: np.ndarray, disc) -> tuple:
-    """(nonlinear accelerations of the rows of z before the first that
-    collapses, that collapse or None)."""
-    n, collapse = len(z), None
-    while n:
-        try:
-            return evolution.nonlinear_accel_rows(z[:n], disc), collapse
-        except StatePastVacuumCollapse as exc:
-            n, collapse = min(exc.rows), exc
-    return z[:0], collapse
 
 
 class _Run:
@@ -278,6 +203,7 @@ class _Run:
             dt = evolution.cfl_dt(member.initial, profile, cfg.sim)
         t_end = cfg.sim.t_end if member.t_end is None else member.t_end
         self.sim = replace(cfg.sim, linear=linear, dt=dt, t_end=t_end)
+        self.initial = member.initial
         self.stop_amplitude = member.stop_amplitude
         self.t = member.initial.t
         self.times = []  # of the buffered samples
@@ -346,13 +272,77 @@ class _Batch:
     a lone run keeps 1-D rows and a float dt, the unbatched case of the
     same kernels, which costs less per call."""
 
-    def __init__(self, runs: list, zeta: np.ndarray, zeta_t: np.ndarray):
-        self.runs = runs
+    def __init__(self, runs: list, linear: bool):
+        self.runs, self.linear = runs, linear
+        zeta = np.stack([run.initial.zeta for run in runs])
+        zeta_t = np.stack([run.initial.zeta_t for run in runs])
         self.buffers = np.empty((3, len(runs), RECORD_CHUNK, zeta.shape[1]))
         self.n = 0  # samples buffered per run
         self._select(list(range(len(runs))), zeta, zeta_t, None)
 
-    def remove(self, rows):
+    def accel(self, zeta: np.ndarray) -> np.ndarray:
+        """The runs' acceleration of a block of zeta rows."""
+        if self.linear:
+            return evolution.linear_accel_rows(zeta, self.disc)
+        return evolution.nonlinear_accel_rows(zeta, self.disc)
+
+    def take(self, first: bool = False) -> None:
+        """Buffer the current sample of every run.  A nonlinear run
+        computes its acceleration here, the next step's k1; a run whose
+        sample collapses stops (on the first sample, with the error)."""
+        while not self.linear and self.runs:
+            try:
+                self.k1 = self.accel(self.z)
+                break
+            except StatePastVacuumCollapse as exc:
+                if first:
+                    for b in exc.rows:
+                        self.runs[b].finish(exc)
+                    self.remove(exc.rows)
+                else:
+                    self.stop(exc.rows, lambda run: "collapsed")
+        if not self.runs:
+            return
+        self.buffers[0, :, self.n] = self.z
+        self.buffers[1, :, self.n] = self.zt
+        if not self.linear:
+            self.buffers[2, :, self.n] = self.k1
+        for run in self.runs:
+            run.times.append(run.t)
+        self.n += 1
+
+    def flush(self, b: int):
+        """Record run b's buffered samples; return its stop, if one is met
+        (the collapse of a linear run's first sample is returned as is)."""
+        run = self.runs[b]
+        if not self.n:
+            return None
+        z, zt, ztt = self.buffers[:, b, : self.n]
+        collapse = None
+        if self.linear:
+            ztt, collapse = _monitor(z, run.rec.profile.discretization)
+            if collapse is not None and not run.rec.times:
+                return collapse
+        status = run.record(z[: len(ztt)], zt[: len(ztt)], ztt)
+        if status is None and collapse is not None:
+            status = "collapsed"
+        return status
+
+    def end_chunk(self) -> None:
+        """Flush every run; the runs that meet a stop leave."""
+        stopped = [b for b in range(len(self.runs)) if self.runs[b].finish(self.flush(b))]
+        self.n = 0
+        self.remove(stopped)
+
+    def stop(self, rows: list, status) -> None:
+        """Rows leave the batch, recording their buffered samples first; a
+        run that meets no stop there ends with status(run)."""
+        for b in rows:
+            run = self.runs[b]
+            run.finish(self.flush(b) or status(run))
+        self.remove(rows)
+
+    def remove(self, rows: list) -> None:
         keep = [b for b in range(len(self.runs)) if b not in rows]
         if len(keep) == len(self.runs):
             return
@@ -374,6 +364,18 @@ class _Batch:
             self.disc = profiles[0].discretization
         else:
             self.disc = polytrope.Discretization.stack([p.discretization for p in profiles])
+
+
+def _monitor(z: np.ndarray, disc) -> tuple:
+    """(nonlinear accelerations of the rows of z before the first that
+    collapses, that collapse or None)."""
+    n, collapse = len(z), None
+    while n:
+        try:
+            return evolution.nonlinear_accel_rows(z[:n], disc), collapse
+        except StatePastVacuumCollapse as exc:
+            n, collapse = min(exc.rows), exc
+    return z[:0], collapse
 
 
 def run_instability_experiment(cfg: ExperimentConfig, delta: float | None = None) -> dict:
