@@ -424,15 +424,26 @@ def _collapsing_rows(hit, accel=evolution.nonlinear_accel_rows):
 
 @pytest.mark.parametrize("escape_first", [False, True], ids=["collapse", "earlier_escape_wins"])
 @pytest.mark.parametrize("record_every", [1, 3], ids=["every1", "every3"])
-@pytest.mark.parametrize("linear", [False, True], ids=["nonlinear", "linear"])
-def test_evolve_run_collapse_mid_chunk(run128, monkeypatch, escape_first, record_every, linear):
-    # force a collapse from the first nonlinear acceleration of a state
-    # past the mean amplitude of samples K + 9 and K + 10: inside the last
-    # step to sample K + 10 or at it with record_every 1, in an unrecorded
-    # step with record_every 3, and at sample K + 10 in a linear run's
-    # monitor.  The kernels see no time, so the forcing reads the growing
-    # amplitude.  A stop met by an earlier sample of the same chunk must
-    # still be reported
+def test_evolve_run_collapse_mid_chunk(run128, monkeypatch, escape_first, record_every):
+    # force a collapse from the first acceleration of a state past the
+    # mean amplitude of samples K + 9 and K + 10: inside the last step to
+    # sample K + 10 or at it with record_every 1, in an unrecorded step
+    # with record_every 3.  The kernels see no time, so the forcing reads
+    # the growing amplitude
+    _check_collapse_mid_chunk(run128, monkeypatch, escape_first, record_every, linear=False)
+
+
+@pytest.mark.parametrize("escape_first", [False, True], ids=["collapse", "earlier_escape_wins"])
+@pytest.mark.parametrize("record_every", [1, 3], ids=["every1", "every3"])
+def test_linear_monitor_collapse_mid_chunk(run128, monkeypatch, escape_first, record_every):
+    # a linear run meets the forced collapse only in its monitor, which the
+    # chunk pass computes for 32 rows at once: it stops at sample K + 10
+    _check_collapse_mid_chunk(run128, monkeypatch, escape_first, record_every, linear=True)
+
+
+def _check_collapse_mid_chunk(run128, monkeypatch, escape_first, record_every, linear):
+    """A stop met by an earlier sample of the collapse's chunk must still
+    be reported, and the record must equal the reference's."""
     _, (series, _, _) = _run_both(run128, linear=linear, record_every=record_every)
     threshold = sum(series["sup_zeta"][RECORD_CHUNK + 9 : RECORD_CHUNK + 11]) / 2.0
     monkeypatch.setattr(
