@@ -270,9 +270,8 @@ class Discretization:
     @classmethod
     def stack(cls, discs: list) -> Discretization:
         """One discretization whose row b is discs[b]: rows of states on
-        different profiles with the same N march as one block."""
-        if len({d.N for d in discs}) != 1:
-            raise ValueError("stacked discretizations must share N")
+        different profiles with the same N march as one block (np.stack
+        rejects discretizations of different N)."""
         parts = {}
         for f in fields(cls):
             values = [getattr(d, f.name) for d in discs]
@@ -297,9 +296,9 @@ class Discretization:
 
     def extrapolate_endpoints(self, values: np.ndarray) -> None:
         """Set the endpoint values of a nodal array from its interior, in
-        place and over the trailing axis: even (quadratic in r^2) through
-        the first two interior nodes at the origin, linear through the last
-        two at the vacuum radius."""
+        place, of a 1-D array or of each row of a (B, N+1) block: even
+        (quadratic in r^2) through the first two interior nodes at the
+        origin, linear through the last two at the vacuum radius."""
         # .T puts the nodes first: v[j] is a scalar of a 1-D array, and of
         # a (B, N+1) block the (B,) column j
         v, h = values.T, self.h.T
