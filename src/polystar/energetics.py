@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     ExponentOutOfRange,
@@ -416,6 +415,8 @@ class HardyReport:
 
 
 def _spline_integral(x: np.ndarray, y: np.ndarray, a: float, b: float) -> float:
+    from scipy.interpolate import CubicSpline
+
     return float(CubicSpline(x, y).integrate(a, b))
 
 
@@ -428,6 +429,8 @@ def hardy_check_origin(
 
     Reports both sides; v_r defaults to a spline derivative of v.
     """
+    from scipy.interpolate import CubicSpline
+
     r = profile.grid
     v = np.asarray(v, dtype=float)
     if not np.any(v != 0.0):
@@ -468,6 +471,8 @@ def hardy_check_boundary(
     with the cutoff psi supported in [R-2c, R], c = R/8.  Quadrature is
     truncated at the last strictly positive enthalpy node, the same
     resolution cut for every mesh built from one grading."""
+    from scipy.interpolate import CubicSpline
+
     if a <= 1.0:
         raise ExponentOutOfRange("boundary variant requires exponent a > 1")
     r = profile.grid
@@ -499,6 +504,7 @@ def hardy_trace_check(g, k: float, g_prime=None, n: int = 4097) -> HardyReport:
     at s = 0, where the integrands have only integrable behavior.
     """
     from scipy.integrate import quad
+    from scipy.interpolate import CubicSpline
 
     if k >= 1.0:
         raise ExponentOutOfRange("trace variant requires exponent k < 1")

@@ -130,7 +130,12 @@ def _radial_derivative(z: np.ndarray, r: np.ndarray) -> np.ndarray:
 def cell_jacobian_minus_one(zeta: np.ndarray, disc: Discretization) -> np.ndarray:
     """Conservative J - 1 at half nodes, exact for constant zeta; over the
     trailing axis, so a (K, N+1) block gives K rows."""
-    u = zeta + zeta * zeta + zeta * zeta * zeta / 3.0
+    # u = zeta + zeta^2 + zeta^3/3 with one square, in that order
+    z2 = zeta * zeta
+    u = zeta + z2
+    z2 *= zeta
+    z2 /= 3.0
+    u += z2
     return disc.conservative_derivative(u)
 
 
@@ -161,21 +166,36 @@ def nonlinear_accel_rows(
     scalars, which give inf as the 1-D form always did."""
     N = disc.N
     z = zeta
-    if (1.0 + z <= 0.0).any():
-        failed = (1.0 + z <= 0.0).reshape(-1, N + 1).any(axis=1)
+    xi = 1.0 + z
+    # each check is one reduction; fmin skips NaN, which fails no check
+    if np.fmin.reduce(xi, axis=None) <= 0.0:
+        failed = (xi <= 0.0).reshape(-1, N + 1).any(axis=1)
         raise _collapse("1 + zeta <= 0: flow map interpenetrates", failed)
     if jm1 is None:
         jm1 = cell_jacobian_minus_one(z, disc)
-    if (jm1 <= -1.0).any():
+    if np.fmin.reduce(jm1, axis=None) <= -1.0:
         raise _collapse("J <= 0: orientation lost", (jm1 <= -1.0).reshape(-1, N).any(axis=1))
     # pressure flux w^(1+alpha) (J^(-gt) - 1), cancellation-free
-    flux = disc.w_half_1a * np.expm1(-disc.gt * np.log1p(jm1))
+    flux = np.log1p(jm1)
+    flux *= disc.minus_gt
+    np.expm1(flux, out=flux)
+    flux *= disc.w_half_1a
+    # interior -(1+zeta)^2 (flux difference + [(1+zeta)^(-4) - 1] Phi),
+    # each product and sum in the order of that formula, in one contiguous
+    # buffer; only the last operation writes the rows of a
+    ai = np.log1p(z[..., 1:N])
+    ai *= -4.0
+    np.expm1(ai, out=ai)
+    ai *= disc.phi[..., 1:N]
+    dflux = flux[..., 1:] - flux[..., :-1]
+    dflux /= disc.dr_interior
+    dflux *= disc.inv_wr
+    ai += dflux
+    xi = xi[..., 1:N]
+    np.multiply(xi, xi, out=dflux)
+    ai *= dflux
     a = np.empty_like(z)
-    zi = z[..., 1:N]
-    a[..., 1:N] = -((1.0 + zi) ** 2) * (
-        (flux[..., 1:] - flux[..., :-1]) / disc.dr_interior * disc.inv_wr
-        + np.expm1(-4.0 * np.log1p(zi)) * disc.phi[..., 1:N]
-    )
+    np.negative(ai, out=a[..., 1:N])
     rows = a.reshape(-1, N + 1)
     ends = []
     edges = z.reshape(-1, N + 1)[:, N - 1 :].tolist()
@@ -301,24 +321,50 @@ def step_rows(
     k1: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """step over the trailing axis: (zeta, zeta_t) after one RK4 step of
-    every row.  dt is a float or a (B, 1) column, one step per row; accel
-    maps a block of zeta rows to its acceleration; k1, when given, is
-    accel(zeta)."""
+    every row.  dt is a float, or one step per row as an array that
+    broadcasts against the rows (a full array of their shape costs least);
+    accel maps a block of zeta rows to its acceleration; k1, when given,
+    is accel(zeta).
+
+    The stage inputs and the sums go into buffers allocated here; zeta,
+    zeta_t, k1 and the arrays accel returns are only read, never written
+    (k1 may be a caller's buffer, and accel's result may be k1).  Each sum
+    keeps the order of the classical form: zt + half*k1v is half*k1v,
+    then += zt."""
     z, zt = zeta, zeta_t
     half = 0.5 * dt
+    sixth = dt / 6.0
     # accelerations read zeta alone, so the stages need no zeta_t
     k1v = accel(z) if k1 is None else k1
-    k2z = zt + half * k1v
-    k2v = accel(z + half * zt)
-    k3z = zt + half * k2v
-    k3v = accel(z + half * k2z)
-    k4z = zt + dt * k3v
-    k4v = accel(z + dt * k3z)
-    sixth = dt / 6.0
-    return (
-        z + sixth * (zt + 2.0 * k2z + 2.0 * k3z + k4z),
-        zt + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
-    )
+    kz = np.multiply(half, k1v)  # k2z = zt + half*k1v
+    kz += zt
+    y = np.multiply(half, zt)
+    y += z
+    k2v = accel(y)
+    zsum = np.multiply(2.0, kz)  # zt + 2 k2z + 2 k3z + k4z
+    zsum += zt
+    vsum = np.multiply(2.0, k2v)  # k1v + 2 k2v + 2 k3v + k4v
+    vsum += k1v
+    y = np.multiply(half, kz)
+    y += z
+    np.multiply(half, k2v, out=kz)  # k3z
+    kz += zt
+    k3v = accel(y)
+    twice = np.multiply(2.0, kz)
+    zsum += twice
+    np.multiply(2.0, k3v, out=twice)
+    vsum += twice
+    y = np.multiply(dt, kz)
+    y += z
+    np.multiply(dt, k3v, out=kz)  # k4z
+    kz += zt
+    vsum += accel(y)
+    zsum += kz
+    zsum *= sixth
+    zsum += z
+    vsum *= sixth
+    vsum += zt
+    return zsum, vsum
 
 
 def _pressure_energy_density(x: np.ndarray, alpha: float) -> np.ndarray:

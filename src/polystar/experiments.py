@@ -142,9 +142,10 @@ def evolve_batch(
     block, so the block shrinks as the run goes on.
 
     Members share N, cfg and linear.  Members on different profiles step
-    through a Discretization.stack; each has its dt as a row of a (B, 1)
-    column, and its own time.  A collapse in one row ends only that
-    member; the others redo the step from their pre-step rows.
+    through a Discretization.stack; each has its own dt, which fills its
+    row of a (B, N+1) block, and its own time.  A collapse in one row
+    ends only that member; the others redo the step from their pre-step
+    rows.
 
     Each recorded sample of a nonlinear run computes its acceleration
     when it is taken: that is where a collapse is raised, and it is the
@@ -268,9 +269,10 @@ class _Run:
 class _Batch:
     """The runs still marching in evolve_batch: their rows of zeta, zeta_t
     and k1, dt, chunk buffers (row b holds run b's samples) and geometry,
-    shared or stacked.  Rows are (B, N+1) blocks with dt a (B, 1) column;
-    a lone run keeps 1-D rows and a float dt, the unbatched case of the
-    same kernels, which costs less per call."""
+    shared or stacked.  Rows are (B, N+1) blocks, and dt is a (B, N+1)
+    block too, each row filled with its run's step, so that no product
+    broadcasts a column; a lone run keeps 1-D rows and a float dt, the
+    unbatched case of the same kernels, which costs less per call."""
 
     def __init__(self, runs: list, linear: bool):
         self.runs, self.linear = runs, linear
@@ -358,7 +360,7 @@ class _Batch:
         self.z, self.zt = zeta[index], zeta_t[index]
         self.k1 = None if k1 is None else k1[index]
         dts = [run.sim.dt for run in self.runs]
-        self.dt = np.array(dts)[:, None] if len(dts) > 1 else dts[0]
+        self.dt = np.repeat(dts, zeta.shape[1]).reshape(len(dts), -1) if len(dts) > 1 else dts[0]
         profiles = [run.rec.profile for run in self.runs]
         if all(p is profiles[0] for p in profiles):
             self.disc = profiles[0].discretization

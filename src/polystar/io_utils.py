@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import chain
 
 
 def fmt(x) -> str:
@@ -34,9 +35,16 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def write_csv(path: str, header: list, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(map(fmt, row)) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = list(rows)
+    values = list(chain.from_iterable(rows))
+    width = len(rows[0]) if rows else 0
+    if set(map(type, values)) == {float} and all(len(row) == width for row in rows):
+        # every value a float: one % over a repeated line template, the
+        # text fmt gives
+        body = (",".join(["%.17g"] * width) + "\n") * len(rows) % tuple(values)
+    else:
+        body = "".join(",".join(map(fmt, row)) + "\n" for row in rows)
+    _atomic_write(path, ",".join(header) + "\n" + body)
 
 
 def write_json(path: str, obj: dict) -> None:

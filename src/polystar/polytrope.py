@@ -205,7 +205,8 @@ class Discretization:
     [r_j, r_{j+1}], and interior arrays over j = 1..N-1.  A stack of B
     discretizations with one N (Discretization.stack) has every array
     shaped (B, ...), alpha and gt as (B, 1) columns and origin_coef as a
-    (B,) vector, so that each broadcasts against (B, N+1) rows of states.
+    (B,) vector, so that each broadcasts against (B, N+1) rows of states;
+    minus_gt gives -gt as full (B, N) rows for the time loop.
     """
 
     alpha: float
@@ -294,6 +295,15 @@ class Discretization:
         columns = (self.origin_coef, self.gt, self.h[..., -1], self.r[..., -1], self.phi[..., -1])
         return np.column_stack([np.ravel(c) for c in columns]).tolist()
 
+    @cached_property
+    def minus_gt(self):
+        """-gt: a float, or of a stack one full (B, N) row per member, so
+        that the flux exponent's product runs without broadcasting a
+        column."""
+        if np.ndim(self.gt) == 0:
+            return -self.gt
+        return np.repeat(-self.gt, self.N, axis=1)
+
     def extrapolate_endpoints(self, values: np.ndarray) -> None:
         """Set the endpoint values of a nodal array from its interior, in
         place, of a 1-D array or of each row of a (B, N+1) block: even
@@ -308,7 +318,11 @@ class Discretization:
     def conservative_derivative(self, g: np.ndarray) -> np.ndarray:
         """(r^3 g)_r / r^2 at the half nodes as 3 [r^3 g] / [r^3], over the
         trailing axis."""
-        return 3.0 * np.diff(self.r3 * g) / self.d3
+        p = self.r3 * g
+        out = p[..., 1:] - p[..., :-1]
+        out *= 3.0
+        out /= self.d3
+        return out
 
     def apply_stiffness(self, phi: np.ndarray) -> np.ndarray:
         """S phi on the interior nodes, over the trailing axis; S represents -L."""

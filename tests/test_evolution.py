@@ -8,7 +8,7 @@ import pytest
 
 import polystar as ps
 from polystar.errors import StatePastVacuumCollapse
-from polystar.evolution import cell_jacobian_minus_one, nonlinear_accel_rows
+from polystar.evolution import cell_jacobian_minus_one, nonlinear_accel_rows, step_rows
 from polystar.polytrope import Discretization
 
 from conftest import smooth_trials
@@ -326,30 +326,35 @@ def _scalar_endpoint_accel(z, disc):
     return a
 
 
+def _profiles(n_nodes):
+    return [ps.solve_lane_emden(ps.PolytropeConfig(gamma=g), n_nodes) for g in (1.25, 1.3, 2.0)]
+
+
 @pytest.fixture(scope="module")
 def profiles_256():
-    return [ps.solve_lane_emden(ps.PolytropeConfig(gamma=g), 256) for g in (1.25, 1.3, 2.0)]
+    return _profiles(256)
 
 
 def test_nonlinear_accel_rows_match_1d_at_every_node(profiles_256, rng):
-    # stacked grids (gamma 1.25, 1.3, 2) and one shared grid, random-sign
-    # rows and growing-mode-sized rows; node N is where an array pow and a
-    # scalar pow can differ
-    n = profiles_256[0].n_nodes
-    stacked = Discretization.stack([p.discretization for p in profiles_256])
-    # smooth rows, and noise small enough that the cells near R keep J > 0
-    x = profiles_256[1].grid
-    for z in (smooth_trials(rng, x, 3, amplitude=1e-2), 1e-7 * rng.standard_normal((3, n))):
-        assert (z > 0).any() and (z < 0).any()
-        block = nonlinear_accel_rows(z, stacked)
-        for b, prof in enumerate(profiles_256):
-            single = ps.nonlinear_accel(ps.PerturbationState(0.0, z[b], z[b]), prof)
-            assert np.array_equal(block[b], single)
-            assert np.array_equal(single, _scalar_endpoint_accel(z[b], prof.discretization))
-        shared = profiles_256[1]
-        block = nonlinear_accel_rows(z, shared.discretization)
-        for b in range(3):
-            assert np.array_equal(block[b], _scalar_endpoint_accel(z[b], shared.discretization))
+    # at N 256 and 1024: stacked grids (gamma 1.25, 1.3, 2) and one shared
+    # grid, random-sign rows and growing-mode-sized rows; node N is where
+    # an array pow and a scalar pow can differ
+    for profiles in (profiles_256, _profiles(1024)):
+        n = profiles[0].n_nodes
+        stacked = Discretization.stack([p.discretization for p in profiles])
+        # smooth rows, and noise small enough that the cells near R keep J > 0
+        x = profiles[1].grid
+        for z in (smooth_trials(rng, x, 3, amplitude=1e-2), 1e-7 * rng.standard_normal((3, n))):
+            assert (z > 0).any() and (z < 0).any()
+            block = nonlinear_accel_rows(z, stacked)
+            for b, prof in enumerate(profiles):
+                single = ps.nonlinear_accel(ps.PerturbationState(0.0, z[b], z[b]), prof)
+                assert np.array_equal(block[b], single)
+                assert np.array_equal(single, _scalar_endpoint_accel(z[b], prof.discretization))
+            shared = profiles[1]
+            block = nonlinear_accel_rows(z, shared.discretization)
+            for b in range(3):
+                assert np.array_equal(block[b], _scalar_endpoint_accel(z[b], shared.discretization))
 
 
 def test_nonlinear_accel_rows_collapse_names_its_rows(profiles_256):
@@ -366,6 +371,95 @@ def test_nonlinear_accel_rows_collapse_names_its_rows(profiles_256):
         nonlinear_accel_rows(z[[0, 2, 3]], prof.discretization)
     assert second.value.rows == [2]
     assert np.array_equal(nonlinear_accel_rows(z[[0, 2]], prof.discretization), np.zeros((2, n)))
+
+
+def test_nonlinear_accel_rows_collapse_skips_nan_rows(profiles_256):
+    # a NaN fails no collapse check, as in an entrywise test: only the row
+    # that really collapses is named
+    disc = profiles_256[1].discretization
+    n = disc.N + 1
+    z = np.zeros((3, n))
+    z[0, 5] = np.nan
+    interpenetrating = z.copy()
+    interpenetrating[1, n // 2] = -1.5  # 1 + zeta <= 0
+    with pytest.raises(StatePastVacuumCollapse, match="1 \\+ zeta") as exc:
+        nonlinear_accel_rows(interpenetrating, disc)
+    assert exc.value.rows == [1]
+    inverted = z.copy()
+    inverted[2, n // 2] = -0.99  # 1 + zeta > 0, but [r^3 (1+zeta)^3] < 0 across a cell
+    with pytest.raises(StatePastVacuumCollapse, match="J <= 0") as exc:
+        nonlinear_accel_rows(inverted, disc)
+    assert exc.value.rows == [2]
+    assert np.isnan(nonlinear_accel_rows(z, disc)[0]).any()
+
+
+def _allocating_step_rows(zeta, zeta_t, dt, accel, k1=None):
+    """step_rows as written before its own buffers: every stage input and
+    every partial sum a new array."""
+    z, zt = zeta, zeta_t
+    half = 0.5 * dt
+    k1v = accel(z) if k1 is None else k1
+    k2z = zt + half * k1v
+    k2v = accel(z + half * zt)
+    k3z = zt + half * k2v
+    k3v = accel(z + half * k2z)
+    k4z = zt + dt * k3v
+    k4v = accel(z + dt * k3z)
+    sixth = dt / 6.0
+    return (
+        z + sixth * (zt + 2.0 * k2z + 2.0 * k3z + k4z),
+        zt + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
+    )
+
+
+def _growing_rows(profiles):
+    """Rows of growing-mode data, delta 1e-3, and each row's CFL step."""
+    states = [
+        ps.mode_initial_state(ps.largest_eigenpair(ps.assemble_pencil(p)), 1e-3) for p in profiles
+    ]
+    dts = [ps.cfl_dt(st, p, ps.SimConfig()) for st, p in zip(states, profiles)]
+    return np.stack([st.zeta for st in states]), np.stack([st.zeta_t for st in states]), dts
+
+
+def test_step_rows_match_the_allocating_form(profiles_256):
+    # 30 steps of the unstable gammas stacked, with dt as (B, N+1) rows
+    # and, in the allocating form, as the (B, 1) column it broadcast; and
+    # of one row with a float dt
+    profiles = [ps.solve_lane_emden(ps.PolytropeConfig(gamma=g), 256) for g in (1.25, 1.32)]
+    profiles.insert(1, profiles_256[1])
+    z, zt, dts = _growing_rows(profiles)
+    disc = Discretization.stack([p.discretization for p in profiles])
+    rows = np.repeat(dts, z.shape[1]).reshape(len(dts), -1)
+    column = np.array(dts)[:, None]
+    one = profiles[1].discretization
+    new = (z, zt)
+    old = (z, zt)
+    new1 = old1 = (z[1], zt[1])
+    for _ in range(30):
+        new = step_rows(*new, rows, lambda y: nonlinear_accel_rows(y, disc))
+        old = _allocating_step_rows(*old, column, lambda y: nonlinear_accel_rows(y, disc))
+        assert all(np.array_equal(a, b) for a, b in zip(new, old))
+        k1 = nonlinear_accel_rows(new1[0], one)
+        new1 = step_rows(*new1, dts[1], lambda y: nonlinear_accel_rows(y, one), k1)
+        old1 = _allocating_step_rows(*old1, dts[1], lambda y: nonlinear_accel_rows(y, one), k1)
+        assert all(np.array_equal(a, b) for a, b in zip(new1, old1))
+        assert all(np.array_equal(a, b[1]) for a, b in zip(new1, new))
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_step_rows_writes_only_its_own_buffers(profiles_256, batched):
+    # accel hands back k1 itself on every call: a step that wrote into an
+    # acceleration would change the caller's k1
+    z, zt, dts = _growing_rows(profiles_256[:2])
+    disc = Discretization.stack([p.discretization for p in profiles_256[:2]])
+    dt = np.repeat(dts, z.shape[1]).reshape(2, -1)
+    if not batched:
+        z, zt, dt, disc = z[0], zt[0], dts[0], profiles_256[0].discretization
+    k1 = nonlinear_accel_rows(z, disc)
+    before = [a.copy() for a in (z, zt, k1)]
+    step_rows(z, zt, dt, lambda y: k1, k1)
+    step_rows(z, zt, dt, lambda y: k1)
+    assert all(np.array_equal(a, b) for a, b in zip((z, zt, k1), before))
 
 
 def test_nonlinear_accel_rows_endpoint_overflow_as_numpy(profiles_256):
