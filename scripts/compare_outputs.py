@@ -1,0 +1,195 @@
+"""Largest relative changes between two output trees of output_digests.py.
+
+    python3 scripts/compare_outputs.py PARENT_DIR CHANGE_DIR
+
+PARENT_DIR and CHANGE_DIR are the OUT_DIRs of two `output_digests.py`
+runs (say, of a parent commit and of a change that moves output bits).
+Prints the files found in one tree only, then one block per file whose
+bytes differ:
+
+    CSV    the largest relative change of each numeric column, and how
+           many cells of each other column changed;
+    JSON   the largest relative change of each numeric leaf (a number,
+           or a list of numbers of unchanged length), and every other
+           leaf that changed, with its two values.
+
+A relative change is |b - a| / max(|a|, |b|): 0 for equal values (two
+NaNs included), inf when only one side is NaN.  Last comes the same
+listing by file pattern (a snapshot's five-digit index read as *), each
+entry the largest over the pattern's differing files.  Exit code 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import os
+import re
+import sys
+
+import numpy as np
+
+
+def rel_change(a, b) -> float:
+    """Largest |b - a| / max(|a|, |b|) over paired values."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.size == 0:
+        return 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.abs(b - a) / np.maximum(np.abs(a), np.abs(b))
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    r = np.where(same, 0.0, np.where(np.isnan(r), np.inf, r))
+    return float(r.max())
+
+
+def files_of(root: str) -> set:
+    return {
+        os.path.relpath(os.path.join(d, f), root) for d, _, names in os.walk(root) for f in names
+    }
+
+
+def _floats(cells: list):
+    try:
+        return [float(c) for c in cells]
+    except ValueError:
+        return None
+
+
+def compare_csv(pa: str, pb: str) -> dict:
+    """column -> largest relative change (numeric) or changed-cell count
+    (text), plus 'rows' when the row counts differ."""
+    with open(pa, newline="") as fh:
+        ra = list(csv.reader(fh))
+    with open(pb, newline="") as fh:
+        rb = list(csv.reader(fh))
+    out = {}
+    if ra[:1] != rb[:1]:
+        out["header"] = f"{ra[:1]} -> {rb[:1]}"
+        return out
+    body_a, body_b = ra[1:], rb[1:]
+    if len(body_a) != len(body_b):
+        out["rows"] = f"{len(body_a)} -> {len(body_b)}"
+    n = min(len(body_a), len(body_b))
+    for k, name in enumerate(ra[0] if ra else []):
+        ca = [row[k] for row in body_a[:n]]
+        cb = [row[k] for row in body_b[:n]]
+        fa, fb = _floats(ca), _floats(cb)
+        if fa is not None and fb is not None:
+            out[name] = rel_change(fa, fb)
+        else:
+            out[name] = f"{sum(x != y for x, y in zip(ca, cb))} of {n} cells changed"
+    return out
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _numeric(x) -> bool:
+    """A number, or a non-empty list of numbers (one leaf, such as
+    snapshot_times)."""
+    return _is_number(x) or (isinstance(x, list) and x != [] and all(map(_is_number, x)))
+
+
+def _leaves(obj, path: str = ""):
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _leaves(obj[key], f"{path}.{key}" if path else key)
+    elif isinstance(obj, list) and not _numeric(obj):
+        for i, item in enumerate(obj):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+def compare_json(pa: str, pb: str) -> dict:
+    """leaf path -> largest relative change (numeric on both sides) or
+    'old -> new' (anything else that changed)."""
+    with open(pa) as fh:
+        la = dict(_leaves(json.load(fh)))
+    with open(pb) as fh:
+        lb = dict(_leaves(json.load(fh)))
+    out = {}
+    for path in sorted(set(la) | set(lb)):
+        a, b = la.get(path, "<absent>"), lb.get(path, "<absent>")
+        if _numeric(a) and _numeric(b) and np.shape(a) == np.shape(b):
+            change = rel_change(a, b)
+            if change:
+                out[path] = change
+        elif a != b:
+            out[path] = f"{a!r} -> {b!r}"
+    return out
+
+
+def pattern(rel: str) -> str:
+    """The file's pattern: a snapshot index read as *."""
+    return re.sub(r"\d{5}", "*", rel)
+
+
+def _show(value) -> str:
+    return f"{value:.3g}" if isinstance(value, float) else str(value)
+
+
+def _merge(into: dict, changes: dict) -> None:
+    for key, value in changes.items():
+        old = into.get(key)
+        if isinstance(value, float) and isinstance(old, float):
+            into[key] = max(old, value)
+        elif old is None or isinstance(value, float):
+            into[key] = value
+
+
+def compare(parent: str, change: str, out=sys.stdout) -> int:
+    fa, fb = files_of(parent), files_of(change)
+    for rel in sorted(fa - fb):
+        print(f"missing {rel}", file=out)
+    for rel in sorted(fb - fa):
+        print(f"extra   {rel}", file=out)
+    groups, same = {}, 0
+    for rel in sorted(fa & fb):
+        pa, pb = os.path.join(parent, rel), os.path.join(change, rel)
+        with open(pa, "rb") as ha, open(pb, "rb") as hb:
+            if ha.read() == hb.read():
+                same += 1
+                continue
+        if rel.endswith(".csv"):
+            changes = compare_csv(pa, pb)
+        elif rel.endswith(".json"):
+            changes = compare_json(pa, pb)
+        else:
+            changes = {"bytes": "differ"}
+        print(f"differs {rel}", file=out)
+        for key, value in changes.items():
+            print(f"    {key}  {_show(value)}", file=out)
+        count, merged = groups.setdefault(pattern(rel), [0, {}])
+        groups[pattern(rel)][0] = count + 1
+        _merge(merged, changes)
+    differ = sum(count for count, _ in groups.values())
+    print(
+        f"# {len(fa & fb)} common files: {same} identical, {differ} differ; "
+        f"{len(fa - fb)} missing, {len(fb - fa)} extra",
+        file=out,
+    )
+    for pat in sorted(groups):
+        count, merged = groups[pat]
+        print(f"pattern {pat}  ({count} differ)", file=out)
+        for key, value in merged.items():
+            print(f"    {key}  {_show(value)}", file=out)
+    return 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_dir")
+    ap.add_argument("change_dir")
+    args = ap.parse_args(argv)
+    for d in (args.parent_dir, args.change_dir):
+        if not os.path.isdir(d):
+            ap.error(f"{d} is not a directory")
+    return compare(args.parent_dir, args.change_dir)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

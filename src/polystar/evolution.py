@@ -44,12 +44,9 @@ _EPS_FLOOR = 1e-14  # used only inside the dt formula
 class SimConfig:
     """Time-integration parameters.
 
-    amplitude_floor is the threshold below which the nodal Jacobian is
-    evaluated through its expanded polynomial to avoid cancellation in
-    diagnostics; the acceleration path is cancellation-free by
-    construction and does not branch.  linear and dt belong to one run
-    (the paired linear partner, the frozen step) and are set by the
-    caller, never by the configuration document.
+    linear and dt belong to one run (the paired linear partner, the
+    frozen step) and are set by the caller, never by the configuration
+    document.
     """
 
     dt_cfl: float = 0.4
@@ -57,7 +54,6 @@ class SimConfig:
     scheme: str = "rk4"
     record_every: int = 1
     theta1: float = 0.1
-    amplitude_floor: float = 1e-4
     linear: bool = False
     dt: float | None = None
     snapshot_every: int = 16
@@ -89,37 +85,10 @@ class PerturbationState:
         if self.zeta.shape != self.zeta_t.shape:
             raise ValueError("zeta and zeta_t must share a grid")
 
-    def zeta_r(self, profile: LaneEmdenProfile) -> np.ndarray:
-        """Radial derivative: central in the interior, even at the
-        origin, one-sided at the vacuum radius."""
-        return _radial_derivative(self.zeta, profile.grid)
-
-    def jacobian(
-        self, profile: LaneEmdenProfile, amplitude_floor: float = 1e-4
-    ) -> np.ndarray:
-        """Nodal J = (1+zeta)^2 (1+zeta+zeta_r r); below amplitude_floor
-        J - 1 comes from the expanded cubic polynomial."""
-        z = self.zeta
-        zr_r = self.zeta_r(profile) * profile.grid
-        if np.abs(z).max(initial=0.0) < amplitude_floor:
-            jm1 = (
-                3.0 * z
-                + zr_r
-                + 3.0 * z * z
-                + 2.0 * z * zr_r
-                + z**3
-                + z * z * zr_r
-            )
-            return 1.0 + jm1
-        return (1.0 + z) ** 2 * (1.0 + z + zr_r)
-
-    def varphi(self) -> np.ndarray:
-        """Momentum-like variable (1+zeta)^2 zeta_t."""
-        return (1.0 + self.zeta) ** 2 * self.zeta_t
-
 
 def _radial_derivative(z: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """PerturbationState.zeta_r over the trailing axis of z."""
+    """Radial derivative over the trailing axis of z: central in the
+    interior, even at the origin, one-sided at the vacuum radius."""
     out = np.empty_like(z)
     out[..., 0] = 0.0
     out[..., 1:-1] = (z[..., 2:] - z[..., :-2]) / (r[2:] - r[:-2])
@@ -281,9 +250,14 @@ def linear_accel_rows(zeta: np.ndarray, disc: Discretization) -> np.ndarray:
 
 
 def cfl_dt(state: PerturbationState, profile: LaneEmdenProfile, config: SimConfig) -> float:
-    """dt from the local signal speed sqrt(gt w J^(-(1+alpha)/alpha) / xi^2)."""
+    """dt from the local signal speed sqrt(gt w J^(-(1+alpha)/alpha) / xi^2).
+
+    J is the conservative cell Jacobian the dynamics uses.  Each node
+    takes the smaller J of its two cells, the faster signal; the end
+    nodes take their one cell.  At the equilibrium J is exactly 1."""
     disc = profile.discretization
-    J = np.clip(state.jacobian(profile, config.amplitude_floor), 1e-12, None)
+    jm1 = np.pad(cell_jacobian_minus_one(state.zeta, disc), 1, mode="edge")
+    J = np.clip(1.0 + np.minimum(jm1[:-1], jm1[1:]), 1e-12, None)
     c2 = (
         disc.gt
         * disc.w

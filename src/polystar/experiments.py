@@ -59,7 +59,8 @@ class RunRecord:
                 self.boundary_radius[i],
                 self.sup_zeta[i],
                 self.sup_zeta_r[i],
-                int(self.exceeded[i]),
+                # 0.0 and 1.0 print as 0 and 1: every value takes the float template
+                float(self.exceeded[i]),
             )
 
 
@@ -704,7 +705,7 @@ def _generic_drift(profile, cfg: ExperimentConfig, rng) -> float:
 
 
 def emit_profile(profile, cfg: ExperimentConfig, out_dir: str) -> None:
-    rows = zip(profile.grid, profile.w, profile.w_r, profile.phi)
+    rows = zip(*(x.tolist() for x in (profile.grid, profile.w, profile.w_r, profile.phi)))
     write_csv(os.path.join(out_dir, "profile.csv"), ["r", "w", "w_r", "phi"], rows)
     write_json(
         os.path.join(out_dir, "profile.json"),
@@ -726,7 +727,7 @@ def emit_mode(mode, profile, cfg: ExperimentConfig, out_dir: str) -> None:
     write_csv(
         os.path.join(out_dir, "mode.csv"),
         ["r", "phi0"],
-        zip(profile.grid, mode.phi0),
+        zip(profile.grid.tolist(), mode.phi0.tolist()),
     )
     write_json(
         os.path.join(out_dir, "mode.json"),
@@ -794,7 +795,7 @@ def emit_remainder(remainder: dict, out_dir: str, tag: str = "") -> None:
     write_csv(
         os.path.join(out_dir, f"{prefix}remainder.csv"),
         ["t", "remainder", "ratio"],
-        zip(remainder["t"], remainder["remainder"], remainder["ratio"]),
+        zip(*(remainder[k].tolist() for k in ("t", "remainder", "ratio"))),
     )
 
 

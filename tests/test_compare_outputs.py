@@ -1,0 +1,59 @@
+"""scripts/compare_outputs.py on two small output trees."""
+
+import importlib.util
+import io
+import json
+import os
+
+SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "compare_outputs.py")
+spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
+compare_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_outputs)
+
+
+def _tree(root, files: dict) -> str:
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return str(root)
+
+
+def test_compare_outputs_lists_files_and_largest_changes(tmp_path):
+    run = {"config_hash": "aa", "dt": 0.5, "status": "escaped", "times": [1.0, 2.0]}
+    parent = _tree(
+        tmp_path / "parent",
+        {
+            "same.json": "{}\n",
+            "gone.csv": "x\n1\n",
+            "run/series.csv": "t,E0,status\n0,4,ok\n1,8,ok\n",
+            "run/snapshot_00001.csv": "r,zeta\n0,1\n",
+            "run/snapshot_00002.csv": "r,zeta\n0,1\n",
+            "run/run.json": json.dumps(run),
+        },
+    )
+    run.update(config_hash="bb", dt=0.5000005, times=[1.0, 2.2])
+    change = _tree(
+        tmp_path / "change",
+        {
+            "same.json": "{}\n",
+            "new.csv": "x\n1\n",
+            "run/series.csv": "t,E0,status\n0,4,ok\n1,10,no\n",
+            "run/snapshot_00001.csv": "r,zeta\n0,1.5\n",
+            "run/snapshot_00002.csv": "r,zeta\n0,0.5\n",
+            "run/run.json": json.dumps(run),
+        },
+    )
+    out = io.StringIO()
+    assert compare_outputs.compare(parent, change, out=out) == 0
+    lines = out.getvalue().splitlines()
+    assert "missing gone.csv" in lines
+    assert "extra   new.csv" in lines
+    assert "# 5 common files: 1 identical, 4 differ; 1 missing, 1 extra" in lines
+    block = lines[lines.index("differs run/series.csv") + 1 :][:3]
+    assert block == ["    t  0", "    E0  0.2", "    status  1 of 2 cells changed"]
+    block = lines[lines.index("differs run/run.json") + 1 :][:3]
+    assert block == ["    config_hash  'aa' -> 'bb'", "    dt  1e-06", "    times  0.0909"]
+    # the two snapshots fold into one pattern, with the larger change
+    block = lines[lines.index("pattern run/snapshot_*.csv  (2 differ)") + 1 :][:2]
+    assert block == ["    r  0", "    zeta  0.5"]

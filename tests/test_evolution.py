@@ -8,7 +8,12 @@ import pytest
 
 import polystar as ps
 from polystar.errors import StatePastVacuumCollapse
-from polystar.evolution import cell_jacobian_minus_one, nonlinear_accel_rows, step_rows
+from polystar.evolution import (
+    _radial_derivative,
+    cell_jacobian_minus_one,
+    nonlinear_accel_rows,
+    step_rows,
+)
 from polystar.polytrope import Discretization
 
 from conftest import smooth_trials
@@ -207,29 +212,54 @@ def test_collapse_guard(profile13):
         ps.nonlinear_accel(state, profile13)
 
 
-def test_jacobian_and_varphi(profile13, mode13):
-    _, mode = mode13
-    st = ps.mode_initial_state(mode, 1e-3)
-    J = st.jacobian(profile13)
-    assert np.all(J > 0)
-    assert np.all(1.0 + st.zeta > 0)
-    assert st.zeta_r(profile13)[0] == 0.0
-    assert np.allclose(st.varphi(), (1 + st.zeta) ** 2 * st.zeta_t, rtol=0, atol=0)
-    # expanded-polynomial branch agrees with the product form
-    J_prod = (1.0 + st.zeta) ** 2 * (
-        1.0 + st.zeta + st.zeta_r(profile13) * profile13.grid
+def _cfl_dt_by_nodes(state, profile, sim):
+    """cfl_dt written node by node: node j takes the smaller J of the
+    cells j-1 and j that exist."""
+    disc = profile.discretization
+    J = 1.0 + cell_jacobian_minus_one(state.zeta, disc)
+    N = disc.N
+    node_J = np.array([min(J[max(j - 1, 0)], J[min(j, N - 1)]) for j in range(N + 1)])
+    node_J = np.clip(node_J, 1e-12, None)
+    c2 = (
+        disc.gt * disc.w * node_J ** (-(1.0 + disc.alpha) / disc.alpha) / (1.0 + state.zeta) ** 2
+        + 1e-14
     )
-    assert np.abs(J - J_prod).max() <= 1e-12
+    return sim.dt_cfl * float(np.min(disc.dloc / np.sqrt(c2)))
 
 
-def test_jacobian_expanded_branch_matches_product(profile13, mode13):
-    # below amplitude_floor the nodal J - 1 comes from the expanded cubic
+def test_cfl_dt_uses_the_cell_jacobian(profile13, mode13):
     _, mode = mode13
-    st = ps.mode_initial_state(mode, 1e-5)
-    assert np.abs(st.zeta).max() < 1e-4
-    J_expanded = st.jacobian(profile13, amplitude_floor=1e-4)
-    J_product = st.jacobian(profile13, amplitude_floor=0.0)
-    assert np.abs(J_expanded - J_product).max() <= 1e-15
+    disc = profile13.discretization
+    sim = ps.SimConfig()
+    eq = ps.equilibrium_state(profile13)
+    assert ps.cfl_dt(eq, profile13, sim) == sim.dt_cfl * float(
+        np.min(disc.dloc / np.sqrt(disc.gt * disc.w + 1e-14))
+    )
+    grow = ps.mode_initial_state(mode, 1e-3)
+    assert np.all(1.0 + grow.zeta > 0)
+    assert np.all(cell_jacobian_minus_one(grow.zeta, disc) > -1.0)
+    # random sign: smooth data as check's drift run starts from (at these
+    # seeds the critical node's right cell has the smaller J), and node
+    # noise whose steepest cells hit the 1e-12 clip
+    r = profile13.grid
+    x = 2.0 * r / r[-1] - 1.0
+    states = [grow]
+    for seed, amplitude in ((1, 1e-3), (2, 0.1)):
+        coef = np.random.default_rng(seed).standard_normal(5) * 0.5 ** np.arange(5)
+        zeta = amplitude * np.polynomial.chebyshev.chebval(x, coef)
+        states.append(ps.PerturbationState(t=0.0, zeta=zeta, zeta_t=np.zeros_like(r)))
+    noise = np.random.default_rng(3).uniform(-0.05, 0.05, r.size)
+    states.append(ps.PerturbationState(t=0.0, zeta=noise, zeta_t=np.zeros_like(r)))
+    for state in states:
+        dt = ps.cfl_dt(state, profile13, sim)
+        assert dt == _cfl_dt_by_nodes(state, profile13, sim)
+        assert dt != ps.cfl_dt(eq, profile13, sim)
+
+
+def test_radial_derivative_even_at_origin(profile13, mode13):
+    _, mode = mode13
+    zeta = ps.mode_initial_state(mode, 1e-3).zeta
+    assert _radial_derivative(zeta, profile13.grid)[0] == 0.0
 
 
 def test_smallness_monitor(profile13, mode13):

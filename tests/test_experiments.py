@@ -40,10 +40,9 @@ def test_config_defaults_roundtrip():
 def test_config_identity_pinned():
     # every output file embeds this hash; it must not move with refactors
     cfg = ExperimentConfig()
-    assert config_hash(cfg) == "91f00aeada01974a"
+    assert config_hash(cfg) == "c5d671567548b588"
     doc = json.loads(canonical_json(cfg))
     assert sorted(doc["sim"]) == [
-        "amplitude_floor",
         "dt_cfl",
         "record_every",
         "scheme",
@@ -97,6 +96,8 @@ BAD_TYPED_CONFIGS = [
     # per-run fields are set by the orchestration, never by the document
     {"sim": {"dt": 0.1}},
     {"sim": {"linear": True}},
+    # no sim key chooses a Jacobian: cfl_dt reads the one the dynamics uses
+    {"sim": {"amplitude_floor": 1e-4}},
 ]
 
 
