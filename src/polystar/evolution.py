@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StatePastVacuumCollapse
-from .polytrope import Discretization, LaneEmdenProfile
+from .polytrope import Discretization, FlatRows, LaneEmdenProfile
 
 _EPS_FLOOR = 1e-14  # used only inside the dt formula
 
@@ -96,16 +96,20 @@ def _radial_derivative(z: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def cell_jacobian_minus_one(zeta: np.ndarray, disc: Discretization) -> np.ndarray:
+def cell_jacobian_minus_one(
+    zeta: np.ndarray, disc: Discretization | FlatRows, out: np.ndarray | None = None
+) -> np.ndarray:
     """Conservative J - 1 at half nodes, exact for constant zeta; over the
-    trailing axis, so a (K, N+1) block gives K rows."""
+    trailing axis, so a (K, N+1) block gives K rows.  With disc a
+    FlatRows, zeta is a flat block and the result its flat cells.  The
+    result goes into out when given."""
     # u = zeta + zeta^2 + zeta^3/3 with one square, in that order
     z2 = zeta * zeta
     u = zeta + z2
     z2 *= zeta
     z2 /= 3.0
     u += z2
-    return disc.conservative_derivative(u)
+    return disc.conservative_derivative(u, out)
 
 
 def nonlinear_accel(
@@ -126,59 +130,71 @@ def nonlinear_accel_rows(
     """nonlinear_accel over the trailing axis: a (B, N+1) block gives B
     rows, each equal to the 1-D value bit for bit.  disc is one profile's
     discretization, shared by every row, or a Discretization.stack with
-    one member per row.
+    one member per row.  jm1, when given, is only read.
 
-    Each collapse check is one test over the whole block; when it fires,
-    StatePastVacuumCollapse.rows names the rows that failed it.  The
-    endpoint values are computed row by row from Python floats (see
-    Discretization.edge_scalars); an overflow there falls back to numpy
-    scalars, which give inf as the 1-D form always did."""
+    The block is one flat vector of B(N+1) nodes (Discretization.flat), so
+    that each stencil operation is one contiguous call whatever B is; the
+    entries across a row join are junk that the endpoint pass overwrites.
+    Both collapse checks are one reduction over the whole block; when it
+    fires, StatePastVacuumCollapse.rows names the rows that failed the
+    first check that fails.  The endpoint values are computed row by row
+    from Python floats; an overflow there falls back to numpy scalars,
+    which give inf as the 1-D form always did."""
     N = disc.N
-    z = zeta
-    xi = 1.0 + z
-    # each check is one reduction; fmin skips NaN, which fails no check
-    if np.fmin.reduce(xi, axis=None) <= 0.0:
-        failed = (xi <= 0.0).reshape(-1, N + 1).any(axis=1)
-        raise _collapse("1 + zeta <= 0: flow map interpenetrates", failed)
+    zf = zeta.reshape(-1)
+    M = zf.size
+    flat = disc.flat(M // (N + 1))
+    # [zeta of every node | J - 1 of the M-1 flat cells | one spare slot]
+    buf = np.empty(2 * M)
+    buf[:M] = zf
+    cells = buf[M : 2 * M - 1]
     if jm1 is None:
-        jm1 = cell_jacobian_minus_one(z, disc)
-    if np.fmin.reduce(jm1, axis=None) <= -1.0:
-        raise _collapse("J <= 0: orientation lost", (jm1 <= -1.0).reshape(-1, N).any(axis=1))
-    # pressure flux w^(1+alpha) (J^(-gt) - 1), cancellation-free
-    flux = np.log1p(jm1)
-    flux *= disc.minus_gt
-    np.expm1(flux, out=flux)
-    flux *= disc.w_half_1a
-    # interior -(1+zeta)^2 (flux difference + [(1+zeta)^(-4) - 1] Phi),
-    # each product and sum in the order of that formula, in one contiguous
-    # buffer; only the last operation writes the rows of a
-    ai = np.log1p(z[..., 1:N])
-    ai *= -4.0
-    np.expm1(ai, out=ai)
-    ai *= disc.phi[..., 1:N]
-    dflux = flux[..., 1:] - flux[..., :-1]
-    dflux /= disc.dr_interior
-    dflux *= disc.inv_wr
-    ai += dflux
-    xi = xi[..., 1:N]
-    np.multiply(xi, xi, out=dflux)
-    ai *= dflux
-    a = np.empty_like(z)
-    np.negative(ai, out=a[..., 1:N])
-    rows = a.reshape(-1, N + 1)
-    ends = []
-    edges = z.reshape(-1, N + 1)[:, N - 1 :].tolist()
-    per_row = disc.edge_scalars
-    if len(per_row) == 1:  # one profile shared by every row
-        per_row = per_row * len(edges)
-    for inner, edge, scalars in zip(rows[:, 1:3].tolist(), edges, per_row, strict=True):
+        cell_jacobian_minus_one(zf, flat, out=cells)
+    else:
+        cell_rows = buf[M:].reshape(-1, N + 1)
+        cell_rows[:, :N] = jm1
+        cell_rows[:, N] = np.nan
+    # zeta <= -1 exactly when 1 + zeta <= 0 (the sum is exact on [-2, -1/2]);
+    # fmin skips NaN, which fails no check, and the junk cells are NaN
+    if np.fmin.reduce(buf[: 2 * M - 1]) <= -1.0:
+        _raise_collapse(zf, buf[M:].reshape(-1, N + 1)[:, :N], N)
+    # the interior source [(1+zeta)^(-4) - 1] Phi and the pressure flux
+    # w^(1+alpha) (J^(-gt) - 1), cancellation-free, in one pass over
+    # [zeta at nodes 1..M-1 | J - 1 of the cells]
+    x = buf[1 : 2 * M - 1]
+    np.log1p(x, out=x)
+    x *= flat.exponent
+    np.expm1(x, out=x)
+    x *= flat.weight
+    source, flux = buf[1 : M - 1], cells
+    # interior -(1+zeta)^2 (flux difference + source), each product and
+    # sum in the order of that formula, written into the flat interior of a
+    a = np.empty(zeta.shape)
+    af = a.reshape(-1)
+    ai = af[1 : M - 1]
+    np.subtract(flux[1:], flux[:-1], out=ai)
+    ai /= flat.dr
+    ai *= flat.inv_wr
+    ai += source
+    xi2 = np.add(zf[1 : M - 1], 1.0, out=source)
+    np.multiply(xi2, xi2, out=xi2)
+    ai *= xi2
+    np.negative(ai, out=ai)
+    collapsed = []
+    k = 0
+    for b, scalars in enumerate(flat.edges):
+        values = (af.item(k + 1), af.item(k + 2), zf.item(k + N - 1), zf.item(k + N), *scalars)
         try:
-            ends.append(_endpoint_values(*inner, *edge, *scalars))
+            ends = _endpoint_values(*values)
         except OverflowError:
-            ends.append(_endpoint_values(*map(np.float64, (*inner, *edge, *scalars))))
-    if None in ends:
-        raise _collapse("boundary Jacobian J(R) <= 0", [end is None for end in ends])
-    rows[:, ::N] = ends
+            ends = _endpoint_values(*map(np.float64, values))
+        if ends is None:
+            collapsed.append(b)
+        else:
+            af[k], af[k + N] = ends
+        k += N + 1
+    if collapsed:
+        raise StatePastVacuumCollapse("boundary Jacobian J(R) <= 0", rows=collapsed)
     return a
 
 
@@ -196,9 +212,16 @@ def _endpoint_values(a1, a2, z_prev, z_N, origin_coef, gt, h_N, r_N, phi_N):
     return a1 + (a2 - a1) * origin_coef, xi**2 * phi_N * (JN ** (-gt) - xi ** (-4))
 
 
-def _collapse(message: str, failed) -> StatePastVacuumCollapse:
-    """The collapse of the rows whose flag in failed is set."""
-    return StatePastVacuumCollapse(message, rows=np.flatnonzero(failed).tolist())
+def _raise_collapse(zf: np.ndarray, jm1: np.ndarray, N: int):
+    """Raise the collapse of the flat nodes zf and the (B, N) cells jm1,
+    naming the rows that fail its first failing check."""
+    for message, failed in (
+        ("1 + zeta <= 0: flow map interpenetrates", (1.0 + zf <= 0.0).reshape(-1, N + 1)),
+        ("J <= 0: orientation lost", jm1 <= -1.0),
+    ):
+        rows = np.flatnonzero(failed.any(axis=1)).tolist()
+        if rows:
+            raise StatePastVacuumCollapse(message, rows=rows)
 
 
 def accel_time_derivative(
@@ -241,11 +264,34 @@ def linear_accel(state: PerturbationState, profile: LaneEmdenProfile) -> np.ndar
 
 
 def linear_accel_rows(zeta: np.ndarray, disc: Discretization) -> np.ndarray:
-    """linear_accel over the trailing axis, as nonlinear_accel_rows."""
+    """linear_accel over the trailing axis, as nonlinear_accel_rows: the
+    stiffness product is three flat sums over the block, each coupling
+    that would reach across a row end masked out, so that every interior
+    sum is (diag z + upper z') + lower z'' as in apply_stiffness, signed
+    zeros included.  The endpoint values follow extrapolate_endpoints,
+    row by row in Python floats."""
     N = disc.N
-    a = np.empty_like(zeta)
-    a[..., 1:N] = -disc.apply_stiffness(zeta[..., 1:N]) / disc.mass
-    disc.extrapolate_endpoints(a)
+    zf = zeta.reshape(-1)
+    M = zf.size
+    flat = disc.flat(M // (N + 1))
+    a = np.empty(zeta.shape)
+    af = a.reshape(-1)
+    s = af[1 : M - 1]
+    np.multiply(flat.diag, zf[1 : M - 1], out=s)
+    coupled = np.multiply(flat.upper, zf[2 : M - 1])
+    head, tail = s[:-1], s[1:]
+    np.add(head, coupled, out=head, where=flat.upper_rows)
+    np.multiply(flat.lower, zf[1 : M - 2], out=coupled)
+    np.add(tail, coupled, out=tail, where=flat.lower_rows)
+    np.negative(s, out=s)
+    s /= flat.mass
+    k = 0
+    for origin_coef, h_prev, h_last in flat.linear_edges:
+        a1, a2 = af.item(k + 1), af.item(k + 2)
+        b0, b1 = af.item(k + N - 2), af.item(k + N - 1)
+        af[k] = a1 + (a2 - a1) * origin_coef
+        af[k + N] = b1 + (b1 - b0) / h_prev * h_last
+        k += N + 1
     return a
 
 

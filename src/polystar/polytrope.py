@@ -205,8 +205,9 @@ class Discretization:
     [r_j, r_{j+1}], and interior arrays over j = 1..N-1.  A stack of B
     discretizations with one N (Discretization.stack) has every array
     shaped (B, ...), alpha and gt as (B, 1) columns and origin_coef as a
-    (B,) vector, so that each broadcasts against (B, N+1) rows of states;
-    minus_gt gives -gt as full (B, N) rows for the time loop.
+    (B,) vector, so that each broadcasts against (B, N+1) rows of states.
+    flat(B) lays the acceleration kernels' coefficients for B rows end to
+    end.
     """
 
     alpha: float
@@ -287,22 +288,16 @@ class Discretization:
         return cls(**parts)
 
     @cached_property
-    def edge_scalars(self) -> list:
-        """[origin_coef, gt, h_N, r_N, phi_N] of each row as Python floats.
-        The nonlinear acceleration computes its endpoint values row by row
-        in scalars: an array pow and a scalar pow can differ in the last
-        bit, and scalar arithmetic on floats costs less than on arrays."""
-        columns = (self.origin_coef, self.gt, self.h[..., -1], self.r[..., -1], self.phi[..., -1])
-        return np.column_stack([np.ravel(c) for c in columns]).tolist()
+    def _flat_rows(self) -> dict:
+        return {}
 
-    @cached_property
-    def minus_gt(self):
-        """-gt: a float, or of a stack one full (B, N) row per member, so
-        that the flux exponent's product runs without broadcasting a
-        column."""
-        if np.ndim(self.gt) == 0:
-            return -self.gt
-        return np.repeat(-self.gt, self.N, axis=1)
+    def flat(self, B: int) -> FlatRows:
+        """The coefficients of B rows laid end to end (FlatRows), built
+        once per B; a stack takes only its own B."""
+        rows = self._flat_rows.get(B)
+        if rows is None:
+            rows = self._flat_rows[B] = FlatRows.build(self, B)
+        return rows
 
     def extrapolate_endpoints(self, values: np.ndarray) -> None:
         """Set the endpoint values of a nodal array from its interior, in
@@ -315,14 +310,10 @@ class Discretization:
         v[0] = v[1] + (v[2] - v[1]) * self.origin_coef
         v[-1] = v[-2] + (v[-2] - v[-3]) / h[-2] * h[-1]
 
-    def conservative_derivative(self, g: np.ndarray) -> np.ndarray:
+    def conservative_derivative(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(r^3 g)_r / r^2 at the half nodes as 3 [r^3 g] / [r^3], over the
-        trailing axis."""
-        p = self.r3 * g
-        out = p[..., 1:] - p[..., :-1]
-        out *= 3.0
-        out /= self.d3
-        return out
+        trailing axis, into out when given."""
+        return _conservative_derivative(g, self.r3, self.d3, out)
 
     def apply_stiffness(self, phi: np.ndarray) -> np.ndarray:
         """S phi on the interior nodes, over the trailing axis; S represents -L."""
@@ -330,6 +321,92 @@ class Discretization:
         out[..., :-1] += self.stiffness_off * phi[..., 1:]
         out[..., 1:] += self.stiffness_off * phi[..., :-1]
         return out
+
+
+@dataclass(frozen=True, eq=False)
+class FlatRows:
+    """A discretization's acceleration coefficients for B rows laid end to
+    end, so that a kernel can treat a C-contiguous (B, N+1) block as one
+    flat vector of M = B(N+1) nodes and run each stencil operation as one
+    contiguous call whatever B is.
+
+    Flat node k is node k mod (N+1) of row k // (N+1); flat cell k joins
+    flat nodes k and k+1.  The B-1 cells that join one row's vacuum node
+    to the next row's origin, and the row ends among the flat interior
+    nodes 1..M-2, are junk: no real entry reads them, and the kernels
+    overwrite the junk nodes with each row's endpoint values.  The pads
+    keep junk harmless: d3 is NaN across a join, so junk J - 1 is NaN
+    (never <= -1, skipped by fmin) and stays NaN downstream without a
+    floating-point warning; the nonlinear weights and inv_wr are 0 at the
+    row ends and joins, dr is 1; the linear coefficients are 1 there (1 * x
+    is exact and never warns), and upper_rows and lower_rows mask out every
+    coupling that would reach across a row end, True when none does (B = 1).
+    """
+
+    r3: np.ndarray           # (M,) r^3
+    d3: np.ndarray           # (M-1,) [r^3] across each flat cell
+    exponent: np.ndarray     # (2M-2,) [-4 at nodes 1..M-1 | -gt at the cells]
+    weight: np.ndarray       # (2M-2,) [Phi at nodes 1..M-1 | w_half^(1+alpha) at the cells]
+    dr: np.ndarray           # (M-2,) interior trapezoid weights at flat nodes 1..M-2
+    inv_wr: np.ndarray       # (M-2,) 1 / (w^alpha r) at flat nodes 1..M-2
+    diag: np.ndarray         # (M-2,) the stiffness diagonal at flat nodes 1..M-2
+    upper: np.ndarray        # (M-3,) coupling of flat node k to k+1, k = 1..M-3
+    lower: np.ndarray        # (M-3,) coupling of flat node k to k-1, k = 2..M-2
+    upper_rows: object       # True, or the (M-3,) mask of the upper couplings within a row
+    lower_rows: object       # True, or the (M-3,) mask of the lower couplings within a row
+    mass: np.ndarray         # (M-2,) the pencil's mass at flat nodes 1..M-2
+    edges: list              # per row [origin_coef, gt, h_N, r_N, phi_N] as Python floats
+    linear_edges: list       # per row [origin_coef, h_(N-1), h_N]: the last two cell widths
+
+    @classmethod
+    def build(cls, disc: Discretization, B: int) -> FlatRows:
+        N = disc.N
+        M = B * (N + 1)
+
+        def lay(values, start: int, n: int, pad) -> np.ndarray:
+            """values at nodes start..start+n-1 of every row, pad elsewhere,
+            as one flat (M,) vector."""
+            out = np.full((B, N + 1), pad)
+            out[:, start : start + n] = values
+            return out.reshape(-1)
+
+        def per_row(*columns) -> list:
+            """The columns' values of each row, as Python floats."""
+            return np.column_stack([np.broadcast_to(np.ravel(c), (B,)) for c in columns]).tolist()
+
+        cells = lay(disc.w_half_1a, 0, N, 0.0)[: M - 1]
+        within_upper = lay(True, 1, N - 2, False)[1 : M - 2]
+        within_lower = lay(True, 2, N - 2, False)[2 : M - 1]
+        h, c = disc.h, disc.origin_coef
+        return cls(
+            r3=lay(disc.r3, 0, N + 1, 0.0),
+            d3=lay(disc.d3, 0, N, np.nan)[: M - 1],
+            exponent=np.concatenate([np.full(M - 1, -4.0), lay(-disc.gt, 0, N, 0.0)[: M - 1]]),
+            weight=np.concatenate([lay(disc.phi[..., 1:N], 1, N - 1, 0.0)[1:], cells]),
+            dr=lay(disc.dr_interior, 1, N - 1, 1.0)[1 : M - 1],
+            inv_wr=lay(disc.inv_wr, 1, N - 1, 0.0)[1 : M - 1],
+            diag=lay(disc.stiffness_diag, 1, N - 1, 1.0)[1 : M - 1],
+            upper=lay(disc.stiffness_off, 1, N - 2, 1.0)[1 : M - 2],
+            lower=lay(disc.stiffness_off, 2, N - 2, 1.0)[2 : M - 1],
+            upper_rows=True if within_upper.all() else within_upper,
+            lower_rows=True if within_lower.all() else within_lower,
+            mass=lay(disc.mass, 1, N - 1, 1.0)[1 : M - 1],
+            edges=per_row(c, disc.gt, h[..., -1], disc.r[..., -1], disc.phi[..., -1]),
+            linear_edges=per_row(c, h[..., -2], h[..., -1]),
+        )
+
+    def conservative_derivative(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Discretization.conservative_derivative of the flat nodes g on the
+        M-1 flat cells, into out when given."""
+        return _conservative_derivative(g, self.r3, self.d3, out)
+
+
+def _conservative_derivative(g, r3, d3, out=None) -> np.ndarray:
+    p = r3 * g
+    out = np.subtract(p[..., 1:], p[..., :-1], out=out)
+    out *= 3.0
+    out /= d3
+    return out
 
 
 def _composite_grid(R: float, n_nodes: int, grading: float) -> np.ndarray:

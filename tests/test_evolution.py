@@ -9,8 +9,10 @@ import pytest
 import polystar as ps
 from polystar.errors import StatePastVacuumCollapse
 from polystar.evolution import (
+    _endpoint_values,
     _radial_derivative,
     cell_jacobian_minus_one,
+    linear_accel_rows,
     nonlinear_accel_rows,
     step_rows,
 )
@@ -502,3 +504,239 @@ def test_nonlinear_accel_rows_endpoint_overflow_as_numpy(profiles_256):
         got = ps.nonlinear_accel(ps.PerturbationState(0.0, z, z), prof)
         want = _scalar_endpoint_accel(z, prof.discretization)
     assert np.array_equal(got, want, equal_nan=True)
+    # and in a block: of a row next to a join, and of the last row
+    for b in (0, 1):
+        z = np.zeros((2, prof.n_nodes))
+        z[b, -1] = 1e200
+        for block, disc in _blocks(profiles_256, z):
+            with np.errstate(all="ignore"):
+                got = nonlinear_accel_rows(block, disc)
+                want = _reference_nonlinear_accel_rows(block, disc)
+            _assert_same_bits(got, want)
+
+
+# The row kernels as written over the trailing axis of a (B, N+1) block,
+# before they treated the block as one flat vector: the references the
+# flat kernels must match bit for bit.
+
+
+def _row_collapse(message, failed):
+    return StatePastVacuumCollapse(message, rows=np.flatnonzero(failed).tolist())
+
+
+def _reference_nonlinear_accel_rows(zeta, disc, jm1=None):
+    N = disc.N
+    z = zeta
+    xi = 1.0 + z
+    if np.fmin.reduce(xi, axis=None) <= 0.0:
+        failed = (xi <= 0.0).reshape(-1, N + 1).any(axis=1)
+        raise _row_collapse("1 + zeta <= 0: flow map interpenetrates", failed)
+    if jm1 is None:
+        jm1 = cell_jacobian_minus_one(z, disc)
+    if np.fmin.reduce(jm1, axis=None) <= -1.0:
+        raise _row_collapse("J <= 0: orientation lost", (jm1 <= -1.0).reshape(-1, N).any(axis=1))
+    flux = np.log1p(jm1)
+    flux *= -disc.gt
+    np.expm1(flux, out=flux)
+    flux *= disc.w_half_1a
+    ai = np.log1p(z[..., 1:N])
+    ai *= -4.0
+    np.expm1(ai, out=ai)
+    ai *= disc.phi[..., 1:N]
+    dflux = flux[..., 1:] - flux[..., :-1]
+    dflux /= disc.dr_interior
+    dflux *= disc.inv_wr
+    ai += dflux
+    xi = xi[..., 1:N]
+    np.multiply(xi, xi, out=dflux)
+    ai *= dflux
+    a = np.empty_like(z)
+    np.negative(ai, out=a[..., 1:N])
+    rows = a.reshape(-1, N + 1)
+    columns = (disc.origin_coef, disc.gt, disc.h[..., -1], disc.r[..., -1], disc.phi[..., -1])
+    per_row = np.column_stack([np.ravel(c) for c in columns]).tolist()
+    edges = z.reshape(-1, N + 1)[:, N - 1 :].tolist()
+    if len(per_row) == 1:
+        per_row = per_row * len(edges)
+    ends = []
+    for inner, edge, scalars in zip(rows[:, 1:3].tolist(), edges, per_row, strict=True):
+        try:
+            ends.append(_endpoint_values(*inner, *edge, *scalars))
+        except OverflowError:
+            ends.append(_endpoint_values(*map(np.float64, (*inner, *edge, *scalars))))
+    if None in ends:
+        raise _row_collapse("boundary Jacobian J(R) <= 0", [end is None for end in ends])
+    rows[:, ::N] = ends
+    return a
+
+
+def _reference_linear_accel_rows(zeta, disc):
+    N = disc.N
+    a = np.empty_like(zeta)
+    a[..., 1:N] = -disc.apply_stiffness(zeta[..., 1:N]) / disc.mass
+    disc.extrapolate_endpoints(a)
+    return a
+
+
+def _assert_same_bits(got, want):
+    """Equal arrays, signed zeros included; NaN where want has NaN (its
+    sign and payload may differ)."""
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def _outcome(kernel, *args):
+    """kernel(*args), or the (message, rows) of the collapse it raises."""
+    try:
+        return kernel(*args)
+    except StatePastVacuumCollapse as exc:
+        return str(exc), exc.rows
+
+
+def _assert_same_outcome(kernel, reference, *args):
+    got, want = _outcome(kernel, *args), _outcome(reference, *args)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        _assert_same_bits(got, want)
+
+
+def _blocks(profiles, z):
+    """(block, discretization) pairs for the rows of z over profiles: the
+    rows on one shared grid and on a stack of the profiles, cycled; a lone
+    row also as a 1-D array on its own grid."""
+    B = len(z)
+    stack = Discretization.stack([profiles[b % len(profiles)].discretization for b in range(B)])
+    shared = profiles[1].discretization
+    pairs = [(z, shared), (z, stack)]
+    return pairs + [(z[0], shared)] if B == 1 else pairs
+
+
+@pytest.fixture(scope="module")
+def profiles_1024():
+    return _profiles(1024)
+
+
+@pytest.mark.parametrize("n_nodes", [256, 1024])
+def test_flat_kernels_match_the_row_kernels(profiles_256, profiles_1024, rng, n_nodes):
+    # B = 1 to 4 on a shared grid and on a stack, random-sign rows: smooth
+    # data, noise small enough that the cells near R keep J > 0, and O(1)
+    # noise for the linear kernel, which has no collapse
+    profiles = profiles_256 if n_nodes == 256 else profiles_1024
+    x = profiles[1].grid
+    n = x.size
+    for B in (1, 2, 3, 4):
+        smooth = smooth_trials(rng, x, B, amplitude=1e-2)
+        smooth -= smooth.mean(axis=1, keepdims=True)  # each row changes sign
+        noise = 1e-7 * rng.standard_normal((B, n))
+        for z in (smooth, noise):
+            assert (z > 0).any() and (z < 0).any()
+            for block, disc in _blocks(profiles, z):
+                _assert_same_bits(
+                    nonlinear_accel_rows(block, disc), _reference_nonlinear_accel_rows(block, disc)
+                )
+        for z in (smooth, noise, rng.standard_normal((B, n))):
+            for block, disc in _blocks(profiles, z):
+                _assert_same_bits(
+                    linear_accel_rows(block, disc), _reference_linear_accel_rows(block, disc)
+                )
+
+
+_KERNELS = (
+    (nonlinear_accel_rows, _reference_nonlinear_accel_rows),
+    (linear_accel_rows, _reference_linear_accel_rows),
+)
+
+
+def test_flat_kernels_keep_the_sign_of_zero_at_equilibrium(profiles_256, rng):
+    # a coupling across a row end adds 0 * zeta_end; added to a -0.0 sum,
+    # that would give +0.0: zero rows of both signs, next to random rows
+    n = profiles_256[0].n_nodes
+    for B in (1, 2, 3, 4):
+        for z in (np.zeros((B, n)), np.full((B, n), -0.0), rng.choice([0.0, -0.0], (B, n))):
+            z[1::2] = 1e-7 * rng.standard_normal(z[1::2].shape)
+            for block, disc in _blocks(profiles_256, z):
+                for kernel, reference in _KERNELS:
+                    _assert_same_bits(kernel(block, disc), reference(block, disc))
+
+
+def test_flat_kernels_match_on_nan_rows(profiles_256):
+    z = np.zeros((3, profiles_256[0].n_nodes))
+    z[0, 5] = np.nan
+    z[1, -1] = np.nan  # a vacuum node next to a row join
+    z[2, 0] = np.nan  # an origin next to a row join
+    for block, disc in _blocks(profiles_256, z):
+        for kernel, reference in _KERNELS:
+            _assert_same_bits(kernel(block, disc), reference(block, disc))
+
+
+def _collapsing_blocks(disc):
+    """(3, N+1) blocks on disc whose failing entries sit next to a row join."""
+    n = disc.N + 1
+    h = np.broadcast_to(disc.h[..., -1], (3,))
+    r = np.broadcast_to(disc.r[..., -1], (3,))
+    blocks = []
+    for b in (0, 1):
+        vacuum = np.zeros((3, n))
+        vacuum[b, -1] = -1.5  # row b's vacuum node: 1 + zeta <= 0
+        origin = np.zeros((3, n))
+        origin[b + 1, 0] = -1.0  # row b+1's origin: 1 + zeta == 0
+        last_cell = np.zeros((3, n))
+        last_cell[b, -2] = 0.9  # row b's last cell: J <= 0, 1 + zeta > 0
+        last_cell[b, -1] = -0.5
+        both = last_cell.copy()
+        both[b + 1, 0] = -1.5  # 1 + zeta <= 0 on row b+1 is reported first
+        # the last cell keeps r_N (1 + zeta_N) > r_(N-1), so J > 0 there,
+        # while the one-sided boundary Jacobian J(R) <= 0
+        boundary = np.zeros((3, n))
+        boundary[b, -1] = -1.0001 * h[b] / (r[b] + h[b])
+        blocks += [vacuum, origin, last_cell, both, boundary]
+    return blocks
+
+
+def test_flat_kernel_collapse_checks_next_to_a_row_join(profiles_256):
+    z = np.zeros((3, profiles_256[0].n_nodes))
+    messages = set()
+    for _, disc in _blocks(profiles_256, z):
+        for block in _collapsing_blocks(disc):
+            want = _outcome(_reference_nonlinear_accel_rows, block, disc)
+            assert isinstance(want, tuple)
+            assert _outcome(nonlinear_accel_rows, block, disc) == want
+            messages.add(want[0])
+    assert len(messages) == 3
+
+
+def test_flat_kernel_reads_a_given_jm1(profiles_256, rng):
+    n = profiles_256[0].n_nodes
+    x = profiles_256[1].grid
+    for B in (1, 3):
+        for block, disc in _blocks(profiles_256, smooth_trials(rng, x, B, amplitude=1e-2)):
+            jm1 = cell_jacobian_minus_one(block, disc)
+            before = jm1.copy()
+            _assert_same_outcome(
+                nonlinear_accel_rows, _reference_nonlinear_accel_rows, block, disc, jm1
+            )
+            assert np.array_equal(jm1, before)
+            # a given jm1 is checked as given
+            jm1[..., n // 2] = -2.0
+            _assert_same_outcome(
+                nonlinear_accel_rows, _reference_nonlinear_accel_rows, block, disc, jm1
+            )
+
+
+def test_flat_kernel_junk_raises_no_floating_point_error(profiles_256):
+    # a huge or infinite vacuum node next to a row join, which the row
+    # kernels handle without an invalid operation or a division by zero
+    # (overflow in zeta^3 is the row kernels' own)
+    for value in (1e150, np.inf):
+        z = np.zeros((3, profiles_256[0].n_nodes))
+        z[0, -1] = value
+        z[1, 1] = 1e-3
+        for block, disc in _blocks(profiles_256, z):
+            for kernel, reference in _KERNELS:
+                with np.errstate(over="ignore", invalid="raise", divide="raise"):
+                    want = reference(block, disc)
+                    got = kernel(block, disc)
+                _assert_same_bits(got, want)
