@@ -1,0 +1,175 @@
+"""Count the numpy calls inside the time loop's acceleration and step kernels.
+
+    PYTHONPATH=src python3 scripts/count_kernel_calls.py [--nodes N]
+
+For B = 1, 2 and 3 rows, it runs evolution.nonlinear_accel_rows,
+evolution.linear_accel_rows and one evolution.step_rows on the nonlinear
+acceleration (four accelerations and the RK4 sums), as the batched time
+loop calls them: one row is a 1-D array on its profile's discretization
+with a float dt; B rows are a (B, N+1) block on a Discretization.stack of
+the gammas 1.25, 1.3 and 1.32, with dt as a (B, N+1) block.  The state is
+wrapped in an ndarray subclass whose __array_ufunc__ and
+__array_function__ count, and every array the kernels derive from it or
+allocate with np.empty or np.zeros stays in that subclass.  It prints,
+per kernel and B:
+
+    calls    numpy ufunc calls (reductions included), array functions
+             (np.empty_like, ...) and np.empty / np.zeros
+    new      arrays those calls allocate
+    strided  operands with more than one row that are not C-contiguous,
+             each costing numpy's strided iterator set-up
+
+Indexing, item access and assignment into slices are not counted.  The
+perfbench tracer times named Python functions and cannot see inside a
+kernel; this is the layer below it.  Run it against two source trees
+(PYTHONPATH picks the tree) and compare the tables.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import contextlib
+import sys
+
+import numpy as np
+
+GAMMAS = (1.25, 1.3, 1.32)
+
+
+class Counted(np.ndarray):
+    """An ndarray that counts the numpy calls made on it while counting."""
+
+    counts = None  # a Counter while counting, else None
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        args = [_plain(x) for x in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(_plain(o) for o in out)
+        if "where" in kwargs:
+            kwargs["where"] = _plain(kwargs["where"])
+        result = getattr(ufunc, method)(*args, **kwargs)
+        if Counted.counts is not None:
+            _count(args + list(kwargs.get("out", ())), new=out is None and _owns(result))
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return _wrap(result)
+
+    def __array_function__(self, func, types, args, kwargs):
+        args, kwargs = _plain(args), _plain(kwargs)
+        result = func(*args, **kwargs)
+        if Counted.counts is not None:
+            _count(_arrays(args) + _arrays(list(kwargs.values())), new=_owns(result))
+        return _wrap(result)
+
+
+def _plain(x):
+    """x with every Counted replaced by a plain ndarray view."""
+    if isinstance(x, Counted):
+        return x.view(np.ndarray)
+    if isinstance(x, (list, tuple)):
+        return type(x)(_plain(v) for v in x)
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    return x
+
+
+def _arrays(values) -> list:
+    out = []
+    for v in values:
+        if isinstance(v, np.ndarray):
+            out.append(v)
+        elif isinstance(v, (list, tuple)):
+            out += _arrays(v)
+    return out
+
+
+def _owns(result) -> bool:
+    return isinstance(result, np.ndarray) and result.ndim > 0 and result.base is None
+
+
+def _wrap(result):
+    return result.view(Counted) if isinstance(result, np.ndarray) and result.ndim else result
+
+
+def _count(operands: list, new: bool) -> None:
+    counts = Counted.counts
+    counts["calls"] += 1
+    counts["new"] += int(new)
+    counts["strided"] += sum(
+        isinstance(x, np.ndarray) and x.ndim > 1 and x.shape[0] > 1 and not x.flags.c_contiguous
+        for x in operands
+    )
+
+
+@contextlib.contextmanager
+def counting():
+    """Count into a fresh Counter; np.empty and np.zeros, which take no
+    array to dispatch on, count and return Counted arrays meanwhile."""
+    real = {name: getattr(np, name) for name in ("empty", "zeros")}
+
+    def allocator(make):
+        def allocate(*args, **kwargs):
+            Counted.counts["calls"] += 1
+            Counted.counts["new"] += 1
+            return make(*args, **kwargs).view(Counted)
+
+        return allocate
+
+    Counted.counts = collections.Counter()
+    for name, make in real.items():
+        setattr(np, name, allocator(make))
+    try:
+        yield Counted.counts
+    finally:
+        for name, make in real.items():
+            setattr(np, name, make)
+        Counted.counts = None
+
+
+def measure(n_nodes: int) -> list:
+    """(kernel, B, calls, new, strided) rows."""
+    from polystar import evolution, polytrope
+
+    profiles = [
+        polytrope.solve_lane_emden(polytrope.PolytropeConfig(gamma=g), n_nodes) for g in GAMMAS
+    ]
+    rows = []
+    for B in (1, 2, 3):
+        r = profiles[0].grid / profiles[0].R
+        block = np.stack([1e-4 * (b + 1) * (1.0 - r * r) for b in range(B)])
+        if B == 1:
+            disc, block, dt = profiles[0].discretization, block[0], 1e-3
+        else:
+            disc = polytrope.Discretization.stack([p.discretization for p in profiles[:B]])
+            dt = np.full(block.shape, 1e-3)
+        zeta, zeta_t = block.view(Counted), (0.5 * block).view(Counted)
+
+        def nonlinear(z, disc=disc):
+            return evolution.nonlinear_accel_rows(z, disc)
+
+        kernels = (
+            ("nonlinear_accel_rows", lambda: nonlinear(zeta)),
+            ("linear_accel_rows", lambda: evolution.linear_accel_rows(zeta, disc)),
+            ("step_rows", lambda: evolution.step_rows(zeta, zeta_t, dt, nonlinear)),
+        )
+        for name, run in kernels:
+            run()  # build what is built once per discretization and B
+            with counting() as counts:
+                run()
+            rows.append((name, B, counts["calls"], counts["new"], counts["strided"]))
+    return rows
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--nodes", type=int, default=256, help="mesh.n_nodes (default 256)")
+    args = ap.parse_args(argv)
+    print(f"{'kernel':<22}{'B':>3}{'calls':>7}{'new':>6}{'strided':>9}")
+    for name, B, calls, new, strided in measure(args.nodes):
+        print(f"{name:<22}{B:>3}{calls:>7}{new:>6}{strided:>9}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
