@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import experiments
-from .config import ExperimentConfig, config_hash, load_config
+from .config import ExperimentConfig, config_hash, delta_tag, load_config
 from .energetics import instant_energy as energetics_report
 from .errors import ConfigError, PolystarError
 
@@ -101,7 +101,7 @@ def main(argv=None) -> int:
             results = []
             for result in experiments.instability_ladder(cfg, deltas):
                 delta = result["delta"]
-                tag = f"delta{delta:.0e}"
+                tag = delta_tag(delta)
                 experiments.emit_run(result["record"], cfg, out, tag=tag)
                 experiments.emit_fit(result["fit"], cfg, out, tag=tag)
                 if "remainder" in result:

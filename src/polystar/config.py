@@ -43,6 +43,12 @@ def _positive(value) -> bool:
     return _is_number(value) and value > 0
 
 
+def delta_tag(delta: float) -> str:
+    """The prefix of an instability run's output files: each delta of a
+    ladder needs its own."""
+    return f"delta{delta:.0e}"
+
+
 @dataclass(frozen=True)
 class MeshSection:
     n_nodes: int = 1024
@@ -82,6 +88,12 @@ class ExperimentSection:
             raise ConfigError("deltas must be finite and strictly positive")
         if list(self.deltas) != sorted(self.deltas, reverse=True):
             raise ConfigError("deltas must be sorted descending")
+        try:
+            tags = [delta_tag(d) for d in self.deltas]
+        except OverflowError:  # an int beyond the float range
+            raise ConfigError("deltas must be finite and strictly positive") from None
+        if len(set(tags)) < len(tags):
+            raise ConfigError(f"deltas must differ in their output tags, got {tags}")
         for g in self.gammas:
             check_gamma(g, "experiment.gammas")
         if not _positive(self.theta0):

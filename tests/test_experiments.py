@@ -98,6 +98,10 @@ BAD_TYPED_CONFIGS = [
     {"sim": {"linear": True}},
     # no sim key chooses a Jacobian: cfl_dt reads the one the dynamics uses
     {"sim": {"amplitude_floor": 1e-4}},
+    # deltas whose runs would write the same files (delta1e-04_*)
+    {"mesh": {"n_nodes": 256}, "experiment": {"kind": "instability", "deltas": [1.4e-4, 1e-4]}},
+    {"experiment": {"deltas": [1e-3, 1e-3]}},
+    {"experiment": {"deltas": [10**400]}},
 ]
 
 
