@@ -2,10 +2,9 @@
 
     PYTHONPATH=src python3 scripts/count_kernel_calls.py [--nodes N]
 
-For B = 1, 2 and 3 rows, it runs evolution.nonlinear_accel_rows,
-evolution.linear_accel_rows and one evolution.step_rows on the nonlinear
-acceleration (four accelerations and the RK4 sums), as the batched time
-loop calls them: one row is a 1-D array on its profile's discretization
+For B = 1, 2 and 3 rows, it runs evolution.nonlinear_accel_rows and one
+evolution.step_rows on it (four accelerations and the RK4 sums), the two
+batched kernels, as the batched time loop calls them: one row is a 1-D array on its profile's discretization
 with a float dt; B rows are a (B, N+1) block on a Discretization.stack of
 the gammas 1.25, 1.3 and 1.32, with dt as a (B, N+1) block.  The state is
 wrapped in an ndarray subclass whose __array_ufunc__ and
@@ -150,7 +149,6 @@ def measure(n_nodes: int) -> list:
 
         kernels = (
             ("nonlinear_accel_rows", lambda: nonlinear(zeta)),
-            ("linear_accel_rows", lambda: evolution.linear_accel_rows(zeta, disc)),
             ("step_rows", lambda: evolution.step_rows(zeta, zeta_t, dt, nonlinear)),
         )
         for name, run in kernels:

@@ -23,8 +23,8 @@ from .errors import (
     ConfigError,
     ConvergenceFailure,
     ExponentOutOfRange,
-    GridMismatch,
     InsufficientResolution,
+    NonFiniteOutput,
     NonMonotone,
     NoVacuumRadius,
     OutOfDomain,

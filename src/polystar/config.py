@@ -24,17 +24,20 @@ SCHEMA_VERSION = 1
 
 _KINDS = ("profile", "mode", "evolve", "instability", "sweep", "check")
 
-# SimConfig fields that belong to one run, not to the document: the
-# paired linear partner and the frozen step are set by the orchestration.
+# SimConfig fields that belong to one run, not to the document: a step
+# under linear_accel and the frozen step are set by the caller.
 # No other section has fields of these names.
 RUN_ONLY_SIM_FIELDS = ("linear", "dt")
 
 
 def _is_number(value) -> bool:
+    """An int or float that converts to a finite float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    # ints are exact (and may be too large for isfinite)
-    return isinstance(value, int) or math.isfinite(value)
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _positive(value) -> bool:
@@ -88,10 +91,7 @@ class ExperimentSection:
             raise ConfigError("deltas must be finite and strictly positive")
         if list(self.deltas) != sorted(self.deltas, reverse=True):
             raise ConfigError("deltas must be sorted descending")
-        try:
-            tags = [delta_tag(d) for d in self.deltas]
-        except OverflowError:  # an int beyond the float range
-            raise ConfigError("deltas must be finite and strictly positive") from None
+        tags = [delta_tag(d) for d in self.deltas]
         if len(set(tags)) < len(tags):
             raise ConfigError(f"deltas must differ in their output tags, got {tags}")
         for g in self.gammas:

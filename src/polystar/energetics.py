@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ExponentOutOfRange,
-    GridMismatch,
-    UnsupportedOrder,
-    WindowTooSmall,
-)
+from .errors import ExponentOutOfRange, UnsupportedOrder, WindowTooSmall
 from .evolution import (
     PerturbationState,
     SimConfig,
@@ -373,28 +368,26 @@ def growth_fit(record, delta: float, theta0: float) -> GrowthFit:
     )
 
 
-def duhamel_remainder(nonlinear, linear, delta: float) -> dict:
+def duhamel_remainder(nonlinear, mode, delta: float) -> dict:
     """|zeta_nl - zeta_lin|_0 against the squared linear envelope.
 
-    Both records must come from identical initial data, grid and dt.
+    zeta_lin is the linear approximate solution
+    delta e^(rate t) (phi0, rate phi0) of the growing mode the nonlinear
+    record started from, at each snapshot time; at t = 0 it is
+    mode_initial_state's data, bit for bit, so the remainder there is 0.
     Returns arrays t, remainder and ratio = remainder/(delta e^(rate t))^2;
     the quadratic envelope makes the ratio bounded and delta-independent.
     """
-    if nonlinear.grid_signature != linear.grid_signature:
-        raise GridMismatch("runs use different grids")
-    if abs(nonlinear.dt - linear.dt) > 1e-15 * nonlinear.dt:
-        raise GridMismatch("runs use different time steps")
-    profile = nonlinear.profile
-    rate = math.sqrt(nonlinear.mu0)
-    n = min(len(nonlinear.snapshots), len(linear.snapshots))
-    ts = np.asarray(nonlinear.snapshot_times[:n])
-    rem = np.empty(n)
-    for i in range(n):
-        zn, vn = nonlinear.snapshots[i]
-        zl, vl = linear.snapshots[i]
-        rem[i] = zero_norm(zn - zl, vn - vl, profile)
-    envelope = (delta * np.exp(rate * ts)) ** 2
-    return {"t": ts, "remainder": rem, "ratio": rem / envelope, "rate": rate}
+    rate = mode.rate
+    ts = np.asarray(nonlinear.snapshot_times)
+    amp = delta * np.exp(rate * ts)
+    rem = np.array(
+        [
+            zero_norm(zn - a * mode.phi0, vn - (a * rate) * mode.phi0, nonlinear.profile)
+            for a, (zn, vn) in zip(amp.tolist(), nonlinear.snapshots)
+        ]
+    )
+    return {"t": ts, "remainder": rem, "ratio": rem / amp**2, "rate": rate}
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,6 @@ class StatePastVacuumCollapse(PolystarError):
         self.rows = list(rows)
 
 
-class GridMismatch(PolystarError):
-    """Paired runs do not share the same radial grid or time step."""
-
-
 class WindowTooSmall(PolystarError):
     """Not enough samples inside the growth-fit window."""
 
@@ -60,6 +56,11 @@ class ExponentOutOfRange(PolystarError):
 
 class RateUnavailable(PolystarError):
     """No positive growth rate exists for the requested adiabatic exponent."""
+
+
+class NonFiniteOutput(PolystarError):
+    """A value bound for a JSON output is NaN or infinite, which JSON
+    cannot represent."""
 
 
 class ConfigError(PolystarError):

@@ -44,9 +44,8 @@ _EPS_FLOOR = 1e-14  # used only inside the dt formula
 class SimConfig:
     """Time-integration parameters.
 
-    linear and dt belong to one run (the paired linear partner, the
-    frozen step) and are set by the caller, never by the configuration
-    document.
+    linear (step under linear_accel) and dt (the frozen step) belong to
+    one run and are set by the caller, never by the configuration document.
     """
 
     dt_cfl: float = 0.4
@@ -260,38 +259,11 @@ def linear_accel(state: PerturbationState, profile: LaneEmdenProfile) -> np.ndar
     """zeta_tt = L zeta / (w^alpha r^4) with the identical discrete L as
     the spectral pencil, so the discrete growing mode is exactly its
     eigenvector.  Endpoint values by the same extrapolations."""
-    return linear_accel_rows(state.zeta, profile.discretization)
-
-
-def linear_accel_rows(zeta: np.ndarray, disc: Discretization) -> np.ndarray:
-    """linear_accel over the trailing axis, as nonlinear_accel_rows: the
-    stiffness product is three flat sums over the block, each coupling
-    that would reach across a row end masked out, so that every interior
-    sum is (diag z + upper z') + lower z'' as in apply_stiffness, signed
-    zeros included.  The endpoint values follow extrapolate_endpoints,
-    row by row in Python floats."""
+    disc = profile.discretization
     N = disc.N
-    zf = zeta.reshape(-1)
-    M = zf.size
-    flat = disc.flat(M // (N + 1))
-    a = np.empty(zeta.shape)
-    af = a.reshape(-1)
-    s = af[1 : M - 1]
-    np.multiply(flat.diag, zf[1 : M - 1], out=s)
-    coupled = np.multiply(flat.upper, zf[2 : M - 1])
-    head, tail = s[:-1], s[1:]
-    np.add(head, coupled, out=head, where=flat.upper_rows)
-    np.multiply(flat.lower, zf[1 : M - 2], out=coupled)
-    np.add(tail, coupled, out=tail, where=flat.lower_rows)
-    np.negative(s, out=s)
-    s /= flat.mass
-    k = 0
-    for origin_coef, h_prev, h_last in flat.linear_edges:
-        a1, a2 = af.item(k + 1), af.item(k + 2)
-        b0, b1 = af.item(k + N - 2), af.item(k + N - 1)
-        af[k] = a1 + (a2 - a1) * origin_coef
-        af[k + N] = b1 + (b1 - b0) / h_prev * h_last
-        k += N + 1
+    a = np.empty(state.zeta.shape)
+    a[1:N] = -disc.apply_stiffness(state.zeta[1:N]) / disc.mass
+    disc.extrapolate_endpoints(a)
     return a
 
 

@@ -3,13 +3,11 @@ and the property-check battery behind the `check` subcommand.
 
 A run freezes its time step at t = 0 (the state stays small up to the
 escape threshold, so the CFL bound at equilibrium keeps its margin) and
-records the energy series every record_every steps.  Paired linear and
-nonlinear runs therefore share grids, steps, and sample times exactly.
+records the energy series every record_every steps.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from collections.abc import Iterator
@@ -32,7 +30,6 @@ class RunRecord:
     n_nodes: int
     dt: float
     mu0: float
-    linear: bool
     profile: polytrope.LaneEmdenProfile = field(repr=False)
     times: list = field(default_factory=list)
     E0: list = field(default_factory=list)
@@ -44,10 +41,6 @@ class RunRecord:
     snapshot_times: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
     status: str = "running"
-
-    @property
-    def grid_signature(self) -> str:
-        return hashlib.sha256(self.profile.grid.tobytes()).hexdigest()[:16]
 
     def series_rows(self):
         for i, t in enumerate(self.times):
@@ -108,7 +101,6 @@ def evolve_run(
     initial: evolution.PerturbationState,
     cfg: ExperimentConfig,
     mu0: float,
-    linear: bool = False,
     stop_amplitude: float | None = None,
     t_end: float | None = None,
     dt: float | None = None,
@@ -118,15 +110,13 @@ def evolve_run(
     one-member batch of evolve_batch, whose docstring gives the stops.  A
     collapse of the first sample propagates."""
     member = Member(profile, initial, mu0, stop_amplitude, t_end, dt)
-    (result,) = evolve_batch([member], cfg, linear=linear, max_steps=max_steps)
+    (result,) = evolve_batch([member], cfg, max_steps=max_steps)
     if isinstance(result, StatePastVacuumCollapse):
         raise result
     return result
 
 
-def evolve_batch(
-    members: list, cfg: ExperimentConfig, linear: bool = False, max_steps: int = 5_000_000
-) -> list:
+def evolve_batch(members: list, cfg: ExperimentConfig, max_steps: int = 5_000_000) -> list:
     """March every member with RK4 at its own frozen dt, all as one
     (B, N+1) block, recording each member's series.  Returns one RunRecord
     per member, or the StatePastVacuumCollapse its first sample raised.
@@ -142,29 +132,25 @@ def evolve_batch(
     sample stops only when it is not finite.  A stopped member leaves the
     block, so the block shrinks as the run goes on.
 
-    Members share N, cfg and linear.  Members on different profiles step
+    Members share N and cfg.  Members on different profiles step
     through a Discretization.stack; each has its own dt, which fills its
     row of a (B, N+1) block, and its own time.  A collapse in one row
     ends only that member; the others redo the step from their pre-step
     rows.
 
-    Each recorded sample of a nonlinear run computes its acceleration
-    when it is taken: that is where a collapse is raised, and it is the
-    next step's k1.  The samples' zeta, zeta_t and acceleration go into
-    (RECORD_CHUNK, N+1) buffers per member, whose E0, H and sup-norms are
-    evaluated in one pass over the rows when the buffers are full, when
-    the member stops and on a collapse.  The record ends at the first row
-    that meets a stop; the steps taken after it are discarded.  A linear
-    run's monitor needs the nonlinear acceleration too, and computes it
-    in that pass, one call per chunk: the rows from the first that
-    collapses on are dropped, and it stops the run unless an earlier row
-    meets a stop.
+    Each recorded sample computes its acceleration when it is taken:
+    that is where a collapse is raised, and it is the next step's k1.  The
+    samples' zeta, zeta_t and acceleration go into (RECORD_CHUNK, N+1)
+    buffers per member, whose E0, H and sup-norms are evaluated in one
+    pass over the rows when the buffers are full, when the member stops
+    and on a collapse.  The record ends at the first row that meets a
+    stop; the steps taken after it are discarded.
     """
     if not members:
         return []
     chash = config_hash(cfg)
-    runs = [_Run(m, cfg, linear, chash) for m in members]
-    batch = _Batch(list(runs), linear)
+    runs = [_Run(m, cfg, chash) for m in members]
+    batch = _Batch(list(runs))
     batch.take(first=True)
     batch.end_chunk()
     steps = 0
@@ -198,13 +184,13 @@ class _Run:
     """One member's progress in evolve_batch: its record, frozen step,
     time, buffered sample times and result."""
 
-    def __init__(self, member: Member, cfg: ExperimentConfig, linear: bool, chash: str):
+    def __init__(self, member: Member, cfg: ExperimentConfig, chash: str):
         profile = member.profile
         dt = member.dt
         if dt is None:
             dt = evolution.cfl_dt(member.initial, profile, cfg.sim)
         t_end = cfg.sim.t_end if member.t_end is None else member.t_end
-        self.sim = replace(cfg.sim, linear=linear, dt=dt, t_end=t_end)
+        self.sim = replace(cfg.sim, dt=dt, t_end=t_end)
         self.initial = member.initial
         self.stop_amplitude = member.stop_amplitude
         self.t = member.initial.t
@@ -215,7 +201,6 @@ class _Run:
             n_nodes=profile.n_nodes,
             dt=dt,
             mu0=member.mu0,
-            linear=linear,
             profile=profile,
         )
         self.result = None
@@ -275,8 +260,8 @@ class _Batch:
     broadcasts a column; a lone run keeps 1-D rows and a float dt, the
     unbatched case of the same kernels, which costs less per call."""
 
-    def __init__(self, runs: list, linear: bool):
-        self.runs, self.linear = runs, linear
+    def __init__(self, runs: list):
+        self.runs = runs
         zeta = np.stack([run.initial.zeta for run in runs])
         zeta_t = np.stack([run.initial.zeta_t for run in runs])
         self.buffers = np.empty((3, len(runs), RECORD_CHUNK, zeta.shape[1]))
@@ -285,15 +270,13 @@ class _Batch:
 
     def accel(self, zeta: np.ndarray) -> np.ndarray:
         """The runs' acceleration of a block of zeta rows."""
-        if self.linear:
-            return evolution.linear_accel_rows(zeta, self.disc)
         return evolution.nonlinear_accel_rows(zeta, self.disc)
 
     def take(self, first: bool = False) -> None:
-        """Buffer the current sample of every run.  A nonlinear run
-        computes its acceleration here, the next step's k1; a run whose
-        sample collapses stops (on the first sample, with the error)."""
-        while not self.linear and self.runs:
+        """Buffer the current sample of every run with its acceleration,
+        the next step's k1; a run whose sample collapses stops (on the
+        first sample, with the error)."""
+        while self.runs:
             try:
                 self.k1 = self.accel(self.z)
                 break
@@ -308,28 +291,16 @@ class _Batch:
             return
         self.buffers[0, :, self.n] = self.z
         self.buffers[1, :, self.n] = self.zt
-        if not self.linear:
-            self.buffers[2, :, self.n] = self.k1
+        self.buffers[2, :, self.n] = self.k1
         for run in self.runs:
             run.times.append(run.t)
         self.n += 1
 
     def flush(self, b: int):
-        """Record run b's buffered samples; return its stop, if one is met
-        (the collapse of a linear run's first sample is returned as is)."""
-        run = self.runs[b]
+        """Record run b's buffered samples; return its stop, if one is met."""
         if not self.n:
             return None
-        z, zt, ztt = self.buffers[:, b, : self.n]
-        collapse = None
-        if self.linear:
-            ztt, collapse = _monitor(z, run.rec.profile.discretization)
-            if collapse is not None and not run.rec.times:
-                return collapse
-        status = run.record(z[: len(ztt)], zt[: len(ztt)], ztt)
-        if status is None and collapse is not None:
-            status = "collapsed"
-        return status
+        return self.runs[b].record(*self.buffers[:, b, : self.n])
 
     def end_chunk(self) -> None:
         """Flush every run; the runs that meet a stop leave."""
@@ -369,21 +340,9 @@ class _Batch:
             self.disc = polytrope.Discretization.stack([p.discretization for p in profiles])
 
 
-def _monitor(z: np.ndarray, disc) -> tuple:
-    """(nonlinear accelerations of the rows of z before the first that
-    collapses, that collapse or None)."""
-    n, collapse = len(z), None
-    while n:
-        try:
-            return evolution.nonlinear_accel_rows(z[:n], disc), collapse
-        except StatePastVacuumCollapse as exc:
-            n, collapse = min(exc.rows), exc
-    return z[:0], collapse
-
-
 def run_instability_experiment(cfg: ExperimentConfig, delta: float | None = None) -> dict:
-    """Growing-mode seeded nonlinear run with growth fit; optionally a
-    paired linear run feeding the perturbation-remainder series.
+    """Growing-mode seeded nonlinear run with growth fit; optionally the
+    remainder against the linear approximate solution (duhamel_remainder).
 
     The run continues past the theta0 crossing up to 2*theta0, where the
     linear-envelope prediction ln(2 theta0/delta)/sqrt(mu0) applies.
@@ -395,8 +354,8 @@ def run_instability_experiment(cfg: ExperimentConfig, delta: float | None = None
 def instability_ladder(cfg: ExperimentConfig, deltas=None) -> Iterator[dict]:
     """Yield run_instability_experiment(cfg, delta) for each delta (by
     default cfg.experiment.deltas), in order, from one batch of the
-    nonlinear runs of every delta and one of their linear partners
-    (evolve_batch; the deltas share one profile).
+    nonlinear runs of every delta (evolve_batch; the deltas share one
+    profile).
 
     The checks that do not depend on the run (gamma in the unstable range,
     every delta below theta0, a positive mu0) raise before the first
@@ -420,27 +379,17 @@ def instability_ladder(cfg: ExperimentConfig, deltas=None) -> Iterator[dict]:
     if mode.mu0 <= 0:
         raise RateUnavailable(f"largest eigenvalue {mode.mu0} is not positive")
 
-    def member(delta, dt=None):
-        initial = evolution.mode_initial_state(mode, delta)
-        return Member(profile, initial, mode.mu0, 2.0 * theta0, dt=dt)
-
-    records = evolve_batch([member(delta) for delta in deltas], cfg)
-    if exp.pair_linear:
-        # a delta whose nonlinear run failed has no partner; it raises first
-        ran = [i for i, rec in enumerate(records) if isinstance(rec, RunRecord)]
-        partners = evolve_batch([member(deltas[i], records[i].dt) for i in ran], cfg, linear=True)
-        linear_records = dict(zip(ran, partners))
-    for i, (delta, record) in enumerate(zip(deltas, records)):
+    members = [
+        Member(profile, evolution.mode_initial_state(mode, delta), mode.mu0, 2.0 * theta0)
+        for delta in deltas
+    ]
+    for delta, record in zip(deltas, evolve_batch(members, cfg)):
         if not isinstance(record, RunRecord):
             raise record
         fit = energetics.growth_fit(record, delta, theta0)
         out = {"record": record, "fit": fit, "mode": mode, "profile": profile, "delta": delta}
         if exp.pair_linear:
-            linear_record = linear_records[i]
-            if not isinstance(linear_record, RunRecord):
-                raise linear_record
-            out["linear_record"] = linear_record
-            out["remainder"] = energetics.duhamel_remainder(record, linear_record, delta)
+            out["remainder"] = energetics.duhamel_remainder(record, mode, delta)
         yield out
 
 
@@ -566,7 +515,8 @@ def check(cfg: ExperimentConfig) -> dict:
         add("vacuum_exponent", "skipped", note="n_nodes below refinement threshold")
 
     ee = polytrope.equilibrium_energy(profile)
-    add("energy_identity", "pass" if ee.rel_diff <= 1e-4 else "fail", ee.rel_diff, 1e-4)
+    note = None if ee.pressure_formula else "pressure formula is 0: |direct| relative to the internal energy"
+    add("energy_identity", "pass" if ee.rel_diff <= 1e-4 else "fail", ee.rel_diff, 1e-4, note)
 
     if refinement_ok:
         fine = build_profile(
@@ -765,7 +715,7 @@ def emit_run(record: RunRecord, cfg: ExperimentConfig, out_dir: str, tag: str = 
             "n_nodes": record.n_nodes,
             "dt": record.dt,
             "mu0": record.mu0,
-            "linear": record.linear,
+            "linear": False,  # kept in the schema: every run is nonlinear
             "status": record.status,
             "n_samples": len(record.times),
             "snapshot_times": list(record.snapshot_times),

@@ -7,9 +7,12 @@ files are written to a temporary sibling and renamed into place.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from itertools import chain
+
+from .errors import NonFiniteOutput
 
 
 def fmt(x) -> str:
@@ -48,4 +51,24 @@ def write_csv(path: str, header: list, rows) -> None:
 
 
 def write_json(path: str, obj: dict) -> None:
-    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Write obj as JSON; NaN and infinities, which JSON has no literal
+    for, raise NonFiniteOutput naming the first such key."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        key = _nonfinite_key(obj)
+        raise NonFiniteOutput(f"{os.path.basename(path)}: {key} is not finite") from None
+    _atomic_write(path, text + "\n")
+
+
+def _nonfinite_key(obj, key: str = "") -> str | None:
+    """The path (a.b[2].c) of the first non-finite float in obj, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else key
+    if isinstance(obj, dict):
+        items = ((f"{key}.{k}" if key else str(k), v) for k, v in sorted(obj.items()))
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{key}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    return next(filter(None, (_nonfinite_key(v, k) for k, v in items)), None)

@@ -206,8 +206,8 @@ class Discretization:
     discretizations with one N (Discretization.stack) has every array
     shaped (B, ...), alpha and gt as (B, 1) columns and origin_coef as a
     (B,) vector, so that each broadcasts against (B, N+1) rows of states.
-    flat(B) lays the acceleration kernels' coefficients for B rows end to
-    end.
+    flat(B) lays the nonlinear acceleration kernel's coefficients for B
+    rows end to end.
     """
 
     alpha: float
@@ -325,22 +325,20 @@ class Discretization:
 
 @dataclass(frozen=True, eq=False)
 class FlatRows:
-    """A discretization's acceleration coefficients for B rows laid end to
-    end, so that a kernel can treat a C-contiguous (B, N+1) block as one
-    flat vector of M = B(N+1) nodes and run each stencil operation as one
-    contiguous call whatever B is.
+    """A discretization's nonlinear acceleration coefficients for B rows
+    laid end to end, so that the kernel can treat a C-contiguous (B, N+1)
+    block as one flat vector of M = B(N+1) nodes and run each stencil
+    operation as one contiguous call whatever B is.
 
     Flat node k is node k mod (N+1) of row k // (N+1); flat cell k joins
     flat nodes k and k+1.  The B-1 cells that join one row's vacuum node
     to the next row's origin, and the row ends among the flat interior
-    nodes 1..M-2, are junk: no real entry reads them, and the kernels
-    overwrite the junk nodes with each row's endpoint values.  The pads
+    nodes 1..M-2, are junk: no real entry reads them, and the kernel
+    overwrites the junk nodes with each row's endpoint values.  The pads
     keep junk harmless: d3 is NaN across a join, so junk J - 1 is NaN
     (never <= -1, skipped by fmin) and stays NaN downstream without a
-    floating-point warning; the nonlinear weights and inv_wr are 0 at the
-    row ends and joins, dr is 1; the linear coefficients are 1 there (1 * x
-    is exact and never warns), and upper_rows and lower_rows mask out every
-    coupling that would reach across a row end, True when none does (B = 1).
+    floating-point warning; the weights and inv_wr are 0 at the row ends
+    and joins, and dr is 1.
     """
 
     r3: np.ndarray           # (M,) r^3
@@ -349,14 +347,7 @@ class FlatRows:
     weight: np.ndarray       # (2M-2,) [Phi at nodes 1..M-1 | w_half^(1+alpha) at the cells]
     dr: np.ndarray           # (M-2,) interior trapezoid weights at flat nodes 1..M-2
     inv_wr: np.ndarray       # (M-2,) 1 / (w^alpha r) at flat nodes 1..M-2
-    diag: np.ndarray         # (M-2,) the stiffness diagonal at flat nodes 1..M-2
-    upper: np.ndarray        # (M-3,) coupling of flat node k to k+1, k = 1..M-3
-    lower: np.ndarray        # (M-3,) coupling of flat node k to k-1, k = 2..M-2
-    upper_rows: object       # True, or the (M-3,) mask of the upper couplings within a row
-    lower_rows: object       # True, or the (M-3,) mask of the lower couplings within a row
-    mass: np.ndarray         # (M-2,) the pencil's mass at flat nodes 1..M-2
     edges: list              # per row [origin_coef, gt, h_N, r_N, phi_N] as Python floats
-    linear_edges: list       # per row [origin_coef, h_(N-1), h_N]: the last two cell widths
 
     @classmethod
     def build(cls, disc: Discretization, B: int) -> FlatRows:
@@ -370,14 +361,8 @@ class FlatRows:
             out[:, start : start + n] = values
             return out.reshape(-1)
 
-        def per_row(*columns) -> list:
-            """The columns' values of each row, as Python floats."""
-            return np.column_stack([np.broadcast_to(np.ravel(c), (B,)) for c in columns]).tolist()
-
         cells = lay(disc.w_half_1a, 0, N, 0.0)[: M - 1]
-        within_upper = lay(True, 1, N - 2, False)[1 : M - 2]
-        within_lower = lay(True, 2, N - 2, False)[2 : M - 1]
-        h, c = disc.h, disc.origin_coef
+        ends = (disc.origin_coef, disc.gt, disc.h[..., -1], disc.r[..., -1], disc.phi[..., -1])
         return cls(
             r3=lay(disc.r3, 0, N + 1, 0.0),
             d3=lay(disc.d3, 0, N, np.nan)[: M - 1],
@@ -385,14 +370,7 @@ class FlatRows:
             weight=np.concatenate([lay(disc.phi[..., 1:N], 1, N - 1, 0.0)[1:], cells]),
             dr=lay(disc.dr_interior, 1, N - 1, 1.0)[1 : M - 1],
             inv_wr=lay(disc.inv_wr, 1, N - 1, 0.0)[1 : M - 1],
-            diag=lay(disc.stiffness_diag, 1, N - 1, 1.0)[1 : M - 1],
-            upper=lay(disc.stiffness_off, 1, N - 2, 1.0)[1 : M - 2],
-            lower=lay(disc.stiffness_off, 2, N - 2, 1.0)[2 : M - 1],
-            upper_rows=True if within_upper.all() else within_upper,
-            lower_rows=True if within_lower.all() else within_lower,
-            mass=lay(disc.mass, 1, N - 1, 1.0)[1 : M - 1],
-            edges=per_row(c, disc.gt, h[..., -1], disc.r[..., -1], disc.phi[..., -1]),
-            linear_edges=per_row(c, h[..., -2], h[..., -1]),
+            edges=np.column_stack([np.broadcast_to(np.ravel(c), (B,)) for c in ends]).tolist(),
         )
 
     def conservative_derivative(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -561,10 +539,14 @@ def potential_coefficient(profile: LaneEmdenProfile, r: float) -> float:
 class EquilibriumEnergy:
     direct: float
     pressure_formula: float
+    internal: float  # int p dx / (gamma - 1)
 
     @property
     def rel_diff(self) -> float:
-        return abs(self.direct - self.pressure_formula) / abs(self.pressure_formula)
+        """|direct - pressure_formula| relative to |pressure_formula|, or to
+        the internal energy where pressure_formula is 0 (gamma = 4/3)."""
+        scale = abs(self.pressure_formula) or abs(self.internal)
+        return abs(self.direct - self.pressure_formula) / scale
 
 
 def equilibrium_energy(profile: LaneEmdenProfile) -> EquilibriumEnergy:
@@ -605,9 +587,9 @@ def equilibrium_energy(profile: LaneEmdenProfile) -> EquilibriumEnergy:
     M, field_int = sol.y[:, -1]
     grav = -0.5 * field_int - 0.5 * M**2 / R
 
-    direct = p_int / (gamma - 1.0) + grav
+    internal = p_int / (gamma - 1.0)
     formula = (4.0 - 3.0 * gamma) / (gamma - 1.0) * p_int
-    return EquilibriumEnergy(direct=direct, pressure_formula=formula)
+    return EquilibriumEnergy(direct=internal + grav, pressure_formula=formula, internal=internal)
 
 
 def vacuum_exponent(

@@ -14,9 +14,9 @@ def test_flat_kernels_make_the_same_contiguous_calls_at_every_batch_size(capsys)
     assert [(name, B) for name, B, *_ in rows] == [
         (name, B)
         for B in (1, 2, 3)
-        for name in ("nonlinear_accel_rows", "linear_accel_rows", "step_rows")
+        for name in ("nonlinear_accel_rows", "step_rows")
     ]
-    for name in ("nonlinear_accel_rows", "linear_accel_rows", "step_rows"):
+    for name in ("nonlinear_accel_rows", "step_rows"):
         counts = {B: tuple(values) for kernel, B, *values in rows if kernel == name}
         assert counts[1][0] > 0 and counts[1][1] > 0
         # one contiguous call per operation whatever B is

@@ -12,7 +12,6 @@ from polystar.evolution import (
     _endpoint_values,
     _radial_derivative,
     cell_jacobian_minus_one,
-    linear_accel_rows,
     nonlinear_accel_rows,
     step_rows,
 )
@@ -570,14 +569,6 @@ def _reference_nonlinear_accel_rows(zeta, disc, jm1=None):
     return a
 
 
-def _reference_linear_accel_rows(zeta, disc):
-    N = disc.N
-    a = np.empty_like(zeta)
-    a[..., 1:N] = -disc.apply_stiffness(zeta[..., 1:N]) / disc.mass
-    disc.extrapolate_endpoints(a)
-    return a
-
-
 def _assert_same_bits(got, want):
     """Equal arrays, signed zeros included; NaN where want has NaN (its
     sign and payload may differ)."""
@@ -622,8 +613,7 @@ def profiles_1024():
 @pytest.mark.parametrize("n_nodes", [256, 1024])
 def test_flat_kernels_match_the_row_kernels(profiles_256, profiles_1024, rng, n_nodes):
     # B = 1 to 4 on a shared grid and on a stack, random-sign rows: smooth
-    # data, noise small enough that the cells near R keep J > 0, and O(1)
-    # noise for the linear kernel, which has no collapse
+    # data, and noise small enough that the cells near R keep J > 0
     profiles = profiles_256 if n_nodes == 256 else profiles_1024
     x = profiles[1].grid
     n = x.size
@@ -637,29 +627,19 @@ def test_flat_kernels_match_the_row_kernels(profiles_256, profiles_1024, rng, n_
                 _assert_same_bits(
                     nonlinear_accel_rows(block, disc), _reference_nonlinear_accel_rows(block, disc)
                 )
-        for z in (smooth, noise, rng.standard_normal((B, n))):
-            for block, disc in _blocks(profiles, z):
-                _assert_same_bits(
-                    linear_accel_rows(block, disc), _reference_linear_accel_rows(block, disc)
-                )
-
-
-_KERNELS = (
-    (nonlinear_accel_rows, _reference_nonlinear_accel_rows),
-    (linear_accel_rows, _reference_linear_accel_rows),
-)
 
 
 def test_flat_kernels_keep_the_sign_of_zero_at_equilibrium(profiles_256, rng):
-    # a coupling across a row end adds 0 * zeta_end; added to a -0.0 sum,
-    # that would give +0.0: zero rows of both signs, next to random rows
+    # zero rows of both signs, next to random rows: no junk entry of a row
+    # join may reach a row's signed zeros
     n = profiles_256[0].n_nodes
     for B in (1, 2, 3, 4):
         for z in (np.zeros((B, n)), np.full((B, n), -0.0), rng.choice([0.0, -0.0], (B, n))):
             z[1::2] = 1e-7 * rng.standard_normal(z[1::2].shape)
             for block, disc in _blocks(profiles_256, z):
-                for kernel, reference in _KERNELS:
-                    _assert_same_bits(kernel(block, disc), reference(block, disc))
+                _assert_same_bits(
+                    nonlinear_accel_rows(block, disc), _reference_nonlinear_accel_rows(block, disc)
+                )
 
 
 def test_flat_kernels_match_on_nan_rows(profiles_256):
@@ -668,8 +648,9 @@ def test_flat_kernels_match_on_nan_rows(profiles_256):
     z[1, -1] = np.nan  # a vacuum node next to a row join
     z[2, 0] = np.nan  # an origin next to a row join
     for block, disc in _blocks(profiles_256, z):
-        for kernel, reference in _KERNELS:
-            _assert_same_bits(kernel(block, disc), reference(block, disc))
+        _assert_same_bits(
+            nonlinear_accel_rows(block, disc), _reference_nonlinear_accel_rows(block, disc)
+        )
 
 
 def _collapsing_blocks(disc):
@@ -728,15 +709,14 @@ def test_flat_kernel_reads_a_given_jm1(profiles_256, rng):
 
 def test_flat_kernel_junk_raises_no_floating_point_error(profiles_256):
     # a huge or infinite vacuum node next to a row join, which the row
-    # kernels handle without an invalid operation or a division by zero
-    # (overflow in zeta^3 is the row kernels' own)
+    # kernel handles without an invalid operation or a division by zero
+    # (overflow in zeta^3 is the row kernel's own)
     for value in (1e150, np.inf):
         z = np.zeros((3, profiles_256[0].n_nodes))
         z[0, -1] = value
         z[1, 1] = 1e-3
         for block, disc in _blocks(profiles_256, z):
-            for kernel, reference in _KERNELS:
-                with np.errstate(over="ignore", invalid="raise", divide="raise"):
-                    want = reference(block, disc)
-                    got = kernel(block, disc)
-                _assert_same_bits(got, want)
+            with np.errstate(over="ignore", invalid="raise", divide="raise"):
+                want = _reference_nonlinear_accel_rows(block, disc)
+                got = nonlinear_accel_rows(block, disc)
+            _assert_same_bits(got, want)

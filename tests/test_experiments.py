@@ -102,6 +102,9 @@ BAD_TYPED_CONFIGS = [
     {"mesh": {"n_nodes": 256}, "experiment": {"kind": "instability", "deltas": [1.4e-4, 1e-4]}},
     {"experiment": {"deltas": [1e-3, 1e-3]}},
     {"experiment": {"deltas": [10**400]}},
+    # ints that do not convert to a finite float, in float fields
+    {"mesh": {"n_nodes": 64}, "experiment": {"delta": 10**400}, "sim": {"t_end": 1.0}},
+    {"experiment": {"theta0": 10**400}},
 ]
 
 
@@ -362,26 +365,22 @@ def run128():
     return cfg, profile, mode
 
 
-def _run_both(run128, linear=False, record_every=1, t_end=6.0, **stops):
+def _run_both(run128, record_every=1, t_end=6.0, **stops):
     """evolve_run and the one-sample-at-a-time reference on one setup."""
     cfg, profile, mode = run128
     cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, record_every=record_every))
     initial = ps.mode_initial_state(mode, 1e-3)
-    rec = ps.evolve_run(
-        profile, initial, cfg, mu0=mode.mu0, linear=linear, t_end=t_end, **stops
-    )
-    sim = dataclasses.replace(cfg.sim, linear=linear, dt=rec.dt, t_end=t_end)
+    rec = ps.evolve_run(profile, initial, cfg, mu0=mode.mu0, t_end=t_end, **stops)
+    sim = dataclasses.replace(cfg.sim, dt=rec.dt, t_end=t_end)
     return rec, _reference_run(profile, initial, sim, **stops)
 
 
-@pytest.mark.parametrize(
-    "linear,record_every", [(False, 1), (True, 1), (False, 3)], ids=["nonlinear", "linear", "every3"]
-)
-def test_evolve_run_matches_unfused_recomputation(run128, linear, record_every):
-    # the run takes one acceleration per sample, reuses it as a nonlinear
-    # step's k1 and evaluates the samples in chunks; stepping and recording
-    # with the public functions one by one must give the same bits
-    rec, reference = _run_both(run128, linear=linear, record_every=record_every)
+@pytest.mark.parametrize("record_every", [1, 3], ids=["nonlinear", "every3"])
+def test_evolve_run_matches_unfused_recomputation(run128, record_every):
+    # the run takes one acceleration per sample, reuses it as the step's
+    # k1 and evaluates the samples in chunks; stepping and recording with
+    # the public functions one by one must give the same bits
+    rec, reference = _run_both(run128, record_every=record_every)
     assert rec.status == "completed"
     # every case spans more than one chunk
     assert len(rec.times) > RECORD_CHUNK + 1
@@ -434,22 +433,10 @@ def test_evolve_run_collapse_mid_chunk(run128, monkeypatch, escape_first, record
     # mean amplitude of samples K + 9 and K + 10: inside the last step to
     # sample K + 10 or at it with record_every 1, in an unrecorded step
     # with record_every 3.  The kernels see no time, so the forcing reads
-    # the growing amplitude
-    _check_collapse_mid_chunk(run128, monkeypatch, escape_first, record_every, linear=False)
-
-
-@pytest.mark.parametrize("escape_first", [False, True], ids=["collapse", "earlier_escape_wins"])
-@pytest.mark.parametrize("record_every", [1, 3], ids=["every1", "every3"])
-def test_linear_monitor_collapse_mid_chunk(run128, monkeypatch, escape_first, record_every):
-    # a linear run meets the forced collapse only in its monitor, which the
-    # chunk pass computes for 32 rows at once: it stops at sample K + 10
-    _check_collapse_mid_chunk(run128, monkeypatch, escape_first, record_every, linear=True)
-
-
-def _check_collapse_mid_chunk(run128, monkeypatch, escape_first, record_every, linear):
-    """A stop met by an earlier sample of the collapse's chunk must still
-    be reported, and the record must equal the reference's."""
-    _, (series, _, _) = _run_both(run128, linear=linear, record_every=record_every)
+    # the growing amplitude.  A stop met by an earlier sample of the
+    # collapse's chunk must still be reported, and the record must equal
+    # the reference's
+    _, (series, _, _) = _run_both(run128, record_every=record_every)
     threshold = sum(series["sup_zeta"][RECORD_CHUNK + 9 : RECORD_CHUNK + 11]) / 2.0
     monkeypatch.setattr(
         evolution, "nonlinear_accel_rows", _collapsing_rows(lambda row: np.abs(row).max() > threshold)
@@ -457,7 +444,7 @@ def _check_collapse_mid_chunk(run128, monkeypatch, escape_first, record_every, l
     stops = {}
     if escape_first:
         stops["stop_amplitude"] = math.sqrt(series["E0"][RECORD_CHUNK + 5])
-    rec, reference = _run_both(run128, linear=linear, record_every=record_every, **stops)
+    rec, reference = _run_both(run128, record_every=record_every, **stops)
     assert rec.status == ("escaped" if escape_first else "collapsed")
     assert len(rec.times) == RECORD_CHUNK + (6 if escape_first else 10)
     _assert_matches_reference(rec, reference)
@@ -474,17 +461,17 @@ def _assert_same_record(rec, solo):
         assert np.array_equal(zt, solo_zt)
 
 
-def _check_members(members, records, cfg, linear=False, max_steps=5_000_000):
+def _check_members(members, records, cfg, max_steps=5_000_000):
     """Each batched record equals its member's one-member batch and the
     one-sample-at-a-time reference, bit for bit."""
     assert len(records) == len(members)
     for m, rec in zip(members, records):
         solo = ps.evolve_run(
-            m.profile, m.initial, cfg, mu0=m.mu0, linear=linear,
+            m.profile, m.initial, cfg, mu0=m.mu0,
             stop_amplitude=m.stop_amplitude, t_end=m.t_end, dt=m.dt, max_steps=max_steps,
         )
         _assert_same_record(rec, solo)
-        sim = dataclasses.replace(cfg.sim, linear=linear, dt=solo.dt, t_end=m.t_end)
+        sim = dataclasses.replace(cfg.sim, dt=solo.dt, t_end=m.t_end)
         _assert_matches_reference(
             rec, _reference_run(m.profile, m.initial, sim, m.stop_amplitude, max_steps)
         )
@@ -502,18 +489,13 @@ def ladder128(run128):
 
 
 def test_batched_ladder_members_equal_solo_runs(run128, ladder128):
-    # the nonlinear runs share one profile and have their own dt (the CFL
-    # dt of each delta's initial data); the linear partners march as a
-    # second batch at their partners' dt
+    # the runs share one profile and have their own dt (the CFL dt of each
+    # delta's initial data)
     cfg = run128[0]
     records = ps.evolve_batch(ladder128, cfg)
     assert [rec.status for rec in records] == ["escaped", "escaped", "completed"]
     assert len({rec.dt for rec in records}) == 3
     _check_members(ladder128, records, cfg)
-    partners = [dataclasses.replace(m, dt=rec.dt) for m, rec in zip(ladder128, records)]
-    linear = ps.evolve_batch(partners, cfg, linear=True)
-    assert [rec.status for rec in linear] == ["escaped", "escaped", "completed"]
-    _check_members(partners, linear, cfg, linear=True)
 
 
 def test_batched_sweep_members_equal_solo_runs():
@@ -588,25 +570,23 @@ def test_evolve_batch_first_sample_collapse_is_the_members_error(run128, ladder1
     cfg = run128[0]
     bad = ps.PerturbationState(0.0, np.full(run128[1].n_nodes, -2.0), np.zeros(run128[1].n_nodes))
     members = [ladder128[0], dataclasses.replace(ladder128[1], initial=bad), ladder128[2]]
-    for linear in (False, True):
-        records = ps.evolve_batch(members, cfg, linear=linear, max_steps=40)
-        assert isinstance(records[1], StatePastVacuumCollapse)
-        for i in (0, 2):
-            assert records[i].status == "max_steps"
-        with pytest.raises(StatePastVacuumCollapse):
-            ps.evolve_run(run128[1], bad, cfg, mu0=1.0, linear=linear)
+    records = ps.evolve_batch(members, cfg, max_steps=40)
+    assert isinstance(records[1], StatePastVacuumCollapse)
+    for i in (0, 2):
+        assert records[i].status == "max_steps"
+    with pytest.raises(StatePastVacuumCollapse):
+        ps.evolve_run(run128[1], bad, cfg, mu0=1.0)
 
 
 def test_instability_ladder_equals_solo_runs():
-    # the batched ladder (nonlinear and linear partners) against one
-    # run_instability_experiment per delta: records, fit and remainder
+    # the batched ladder against one run_instability_experiment per delta:
+    # records, fit and remainder
     cfg = make_config(n_nodes=256, kind="instability", deltas=(1e-3, 1e-4), pair_linear=True)
     ladder = list(ps.instability_ladder(cfg, cfg.experiment.deltas))
     assert [out["delta"] for out in ladder] == [1e-3, 1e-4]
     for out in ladder:
         solo = ps.run_instability_experiment(cfg, delta=out["delta"])
         _assert_same_record(out["record"], solo["record"])
-        _assert_same_record(out["linear_record"], solo["linear_record"])
         assert out["fit"] == solo["fit"]
         for key in ("t", "remainder", "ratio"):
             assert np.array_equal(out["remainder"][key], solo["remainder"][key])
@@ -794,6 +774,21 @@ def test_cli_check_hardy_report(tmp_path, monkeypatch):
     lines = (out / "hardy.csv").read_text().splitlines()
     assert lines[0] == "family,ratio_max,ratio_mean,n_samples"
     assert {line.split(",")[0] for line in lines[1:]} == {"origin", "boundary"}
+
+
+def _no_json_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_cli_check_at_gamma_four_thirds_writes_json(tmp_path, monkeypatch):
+    # the energy identity's pressure formula is 0 at gamma 4/3: the check
+    # measures |direct| against the internal energy there, and says so
+    code, out = _run_cli(["check", "--gamma", repr(4.0 / 3.0), "--nodes", "128"], tmp_path, monkeypatch)
+    assert code == 0
+    report = json.loads((out / "check.json").read_text(), parse_constant=_no_json_constant)
+    (energy,) = [c for c in report["checks"] if c["name"] == "energy_identity"]
+    assert energy["status"] == "pass"
+    assert "internal energy" in energy["note"]
 
 
 def test_cli_evolve_energy_report(tmp_path, monkeypatch):

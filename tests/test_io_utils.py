@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from polystar.io_utils import fmt, write_csv
+from polystar.errors import NonFiniteOutput
+from polystar.io_utils import fmt, write_csv, write_json
 
 EDGE_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e22, 1e16, 1e-5, 0.1,
@@ -44,3 +45,13 @@ def test_write_csv_bytes_are_the_fmt_join(tmp_path, case):
     path = tmp_path / "out.csv"
     write_csv(str(path), header, iter(rows))  # emitters pass iterators
     assert path.read_bytes() == _fmt_join(header, rows)
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, np.float64("nan")], ids=["nan", "inf", "-inf", "numpy_nan"]
+)
+def test_write_json_refuses_non_finite_values(tmp_path, value):
+    path = tmp_path / "out.json"
+    with pytest.raises(NonFiniteOutput, match=r"out\.json: checks\[1\]\.value is not finite"):
+        write_json(str(path), {"checks": [{"value": 1.0}, {"value": value}], "n": 3})
+    assert not path.exists()
