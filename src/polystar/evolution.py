@@ -120,29 +120,28 @@ def nonlinear_accel(
 
     jm1, when given, is cell_jacobian_minus_one(state.zeta, ...), shared
     with the caller (accel_time_derivative)."""
-    return nonlinear_accel_rows(state.zeta, profile.discretization, jm1)
+    return nonlinear_accel_rows(state.zeta, profile.discretization.flat, jm1)
 
 
 def nonlinear_accel_rows(
-    zeta: np.ndarray, disc: Discretization, jm1: np.ndarray | None = None
+    zeta: np.ndarray, flat: FlatRows, jm1: np.ndarray | None = None
 ) -> np.ndarray:
     """nonlinear_accel over the trailing axis: a (B, N+1) block gives B
-    rows, each equal to the 1-D value bit for bit.  disc is one profile's
-    discretization, shared by every row, or a Discretization.stack with
-    one member per row.  jm1, when given, is only read.
+    rows, each equal to the 1-D value bit for bit.  flat lays out the
+    rows' grids, one row each (a 1-D zeta takes a one-row FlatRows).
+    jm1, when given, is only read.
 
-    The block is one flat vector of B(N+1) nodes (Discretization.flat), so
-    that each stencil operation is one contiguous call whatever B is; the
-    entries across a row join are junk that the endpoint pass overwrites.
+    The block is one flat vector of B(N+1) nodes, so that each stencil
+    operation is one contiguous call whatever B is; the entries across a
+    row join are junk that the endpoint pass overwrites.
     Both collapse checks are one reduction over the whole block; when it
     fires, StatePastVacuumCollapse.rows names the rows that failed the
     first check that fails.  The endpoint values are computed row by row
     from Python floats; an overflow there falls back to numpy scalars,
     which give inf as the 1-D form always did."""
-    N = disc.N
+    N = flat.N
     zf = zeta.reshape(-1)
     M = zf.size
-    flat = disc.flat(M // (N + 1))
     # [zeta of every node | J - 1 of the M-1 flat cells | one spare slot]
     buf = np.empty(2 * M)
     buf[:M] = zf

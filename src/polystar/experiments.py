@@ -132,9 +132,9 @@ def evolve_batch(members: list, cfg: ExperimentConfig, max_steps: int = 5_000_00
     sample stops only when it is not finite.  A stopped member leaves the
     block, so the block shrinks as the run goes on.
 
-    Members share N and cfg.  Members on different profiles step
-    through a Discretization.stack; each has its own dt, which fills its
-    row of a (B, N+1) block, and its own time.  A collapse in one row
+    Members share N and cfg.  Each steps on its own profile's grid (one
+    FlatRows lays out the rows), with its own dt, which fills its row of a
+    (B, N+1) block, and its own time.  A collapse in one row
     ends only that member; the others redo the step from their pre-step
     rows.
 
@@ -255,7 +255,7 @@ class _Run:
 class _Batch:
     """The runs still marching in evolve_batch: their rows of zeta, zeta_t
     and k1, dt, chunk buffers (row b holds run b's samples) and geometry,
-    shared or stacked.  Rows are (B, N+1) blocks, and dt is a (B, N+1)
+    one FlatRows of the runs' grids.  Rows are (B, N+1) blocks, and dt is a (B, N+1)
     block too, each row filled with its run's step, so that no product
     broadcasts a column; a lone run keeps 1-D rows and a float dt, the
     unbatched case of the same kernels, which costs less per call."""
@@ -270,7 +270,7 @@ class _Batch:
 
     def accel(self, zeta: np.ndarray) -> np.ndarray:
         """The runs' acceleration of a block of zeta rows."""
-        return evolution.nonlinear_accel_rows(zeta, self.disc)
+        return evolution.nonlinear_accel_rows(zeta, self.flat)
 
     def take(self, first: bool = False) -> None:
         """Buffer the current sample of every run with its acceleration,
@@ -333,11 +333,8 @@ class _Batch:
         self.k1 = None if k1 is None else k1[index]
         dts = [run.sim.dt for run in self.runs]
         self.dt = np.repeat(dts, zeta.shape[1]).reshape(len(dts), -1) if len(dts) > 1 else dts[0]
-        profiles = [run.rec.profile for run in self.runs]
-        if all(p is profiles[0] for p in profiles):
-            self.disc = profiles[0].discretization
-        else:
-            self.disc = polytrope.Discretization.stack([p.discretization for p in profiles])
+        discs = [run.rec.profile.discretization for run in self.runs]
+        self.flat = discs[0].flat if len(discs) == 1 else polytrope.FlatRows.build(discs)
 
 
 def run_instability_experiment(cfg: ExperimentConfig, delta: float | None = None) -> dict:
@@ -396,7 +393,7 @@ def instability_ladder(cfg: ExperimentConfig, deltas=None) -> Iterator[dict]:
 def sweep(cfg: ExperimentConfig) -> list:
     """One row per gamma: eigenvalue, rate, and (when unstable) the
     fitted growth rate and escape diagnostics.  The runs of the unstable
-    gammas march as one evolve_batch on their stacked grids.  Rows never
+    gammas march as one evolve_batch, each on its own grid.  Rows never
     abort their siblings; failures land in the status column."""
     rows = []
     unstable = []  # (row, member)
@@ -546,16 +543,25 @@ def check(cfg: ExperimentConfig) -> dict:
         mode.mu0,
     )
 
+    # 200 steps from the equilibrium, one sample at the end
     eq = evolution.equilibrium_state(profile)
-    state = eq
-    sim_fixed = replace(cfg.sim, dt=evolution.cfl_dt(eq, profile, cfg.sim))
-    for _ in range(200):
-        state = evolution.step(state, profile, sim_fixed)
-    still = float(np.abs(state.zeta).max() + np.abs(state.zeta_t).max())
-    add("equilibrium_preservation", "pass" if still == 0.0 else "fail", still, 0.0)
+    rec = _fixed_run(profile, eq, cfg, mode.mu0, lambda dt: 200, 200, snapshot_every=1)
+    if rec.status == "completed":
+        z, zt = rec.snapshots[-1]
+        still = float(np.abs(z).max() + np.abs(zt).max())
+        add("equilibrium_preservation", "pass" if still == 0.0 else "fail", still, 0.0)
+    else:
+        add("equilibrium_preservation", "fail", threshold=0.0, note=f"run ended {rec.status}")
 
-    drift = _generic_drift(profile, cfg, rng)
-    add("conservation_drift", "pass" if drift <= 1e-6 else "fail", drift, 1e-6)
+    # 3 time units from generic smooth data, H sampled every 16 steps
+    state = _conservation_state(profile, rng)
+    rec = _fixed_run(profile, state, cfg, mode.mu0, lambda dt: int(round(3.0 / dt)), 16)
+    if rec.status == "completed":
+        H0 = rec.H[0]
+        drift = max(abs(h - H0) for h in rec.H) / abs(H0)
+        add("conservation_drift", "pass" if drift <= 1e-6 else "fail", drift, 1e-6)
+    else:
+        add("conservation_drift", "fail", threshold=1e-6, note=f"run ended {rec.status}")
 
     ratios_o = []
     ratios_b = []
@@ -629,24 +635,28 @@ def emit_check(report: dict, out_dir: str) -> None:
     )
 
 
-def _generic_drift(profile, cfg: ExperimentConfig, rng) -> float:
-    """Relative drift of the conserved energy for generic smooth data."""
+def _conservation_state(profile, rng) -> evolution.PerturbationState:
+    """Generic smooth data of amplitude 1e-3 for the conservation run:
+    Chebyshev series in 2r/R - 1 with decaying coefficients."""
     r = profile.grid
     x = 2.0 * r / r[-1] - 1.0
     decay = 0.5 ** np.arange(5)
     z0 = 1e-3 * np.polynomial.chebyshev.chebval(x, rng.standard_normal(5) * decay)
     zt0 = 1e-3 * np.polynomial.chebyshev.chebval(x, rng.standard_normal(5) * decay)
-    state = evolution.PerturbationState(t=0.0, zeta=z0, zeta_t=zt0)
-    dt = evolution.cfl_dt(state, profile, cfg.sim)
-    sim_fixed = replace(cfg.sim, dt=dt)
-    H0 = evolution.conserved_energy(state, profile)
-    drift = 0.0
-    nsteps = int(round(3.0 / dt))
-    for i in range(nsteps):
-        state = evolution.step(state, profile, sim_fixed)
-        if (i + 1) % 16 == 0:
-            drift = max(drift, abs(evolution.conserved_energy(state, profile) - H0))
-    return drift / abs(H0)
+    return evolution.PerturbationState(t=0.0, zeta=z0, zeta_t=zt0)
+
+
+def _fixed_run(
+    profile, initial, cfg: ExperimentConfig, mu0: float, steps, record_every: int, **sim
+) -> RunRecord:
+    """evolve_run of n = max(1, steps(dt)) steps at the initial state's CFL
+    dt, recording every min(record_every, n) steps, so that at least one
+    sample follows t = 0, with the further sim fields sim.  Neither the
+    document's theta1 nor its t_end stops it."""
+    dt = evolution.cfl_dt(initial, profile, cfg.sim)
+    n = max(1, steps(dt))
+    sim = replace(cfg.sim, theta1=math.inf, record_every=min(record_every, n), **sim)
+    return evolve_run(profile, initial, replace(cfg, sim=sim), mu0, t_end=(n - 0.5) * dt, dt=dt)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ c = 1, which makes the equation the textbook dimensionless form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -202,12 +202,7 @@ class Discretization:
     spectral pencil, and the linear and nonlinear accelerations.
 
     Node arrays run over j = 0..N, half-node arrays over the N cells
-    [r_j, r_{j+1}], and interior arrays over j = 1..N-1.  A stack of B
-    discretizations with one N (Discretization.stack) has every array
-    shaped (B, ...), alpha and gt as (B, 1) columns and origin_coef as a
-    (B,) vector, so that each broadcasts against (B, N+1) rows of states.
-    flat(B) lays the nonlinear acceleration kernel's coefficients for B
-    rows end to end.
+    [r_j, r_{j+1}], and interior arrays over j = 1..N-1.
     """
 
     alpha: float
@@ -269,44 +264,16 @@ class Discretization:
             origin_coef=(0.0 - r[1] ** 2) / (r[2] ** 2 - r[1] ** 2),
         )
 
-    @classmethod
-    def stack(cls, discs: list) -> Discretization:
-        """One discretization whose row b is discs[b]: rows of states on
-        different profiles with the same N march as one block (np.stack
-        rejects discretizations of different N)."""
-        parts = {}
-        for f in fields(cls):
-            values = [getattr(d, f.name) for d in discs]
-            if f.name == "N":
-                parts[f.name] = values[0]
-            elif f.name == "origin_coef":
-                parts[f.name] = np.array(values)
-            elif f.name in ("alpha", "gt"):
-                parts[f.name] = np.array(values)[:, None]
-            else:
-                parts[f.name] = np.stack(values)
-        return cls(**parts)
-
     @cached_property
-    def _flat_rows(self) -> dict:
-        return {}
-
-    def flat(self, B: int) -> FlatRows:
-        """The coefficients of B rows laid end to end (FlatRows), built
-        once per B; a stack takes only its own B."""
-        rows = self._flat_rows.get(B)
-        if rows is None:
-            rows = self._flat_rows[B] = FlatRows.build(self, B)
-        return rows
+    def flat(self) -> FlatRows:
+        """This grid as the one row of a FlatRows, built on first use."""
+        return FlatRows.build([self])
 
     def extrapolate_endpoints(self, values: np.ndarray) -> None:
         """Set the endpoint values of a nodal array from its interior, in
-        place, of a 1-D array or of each row of a (B, N+1) block: even
-        (quadratic in r^2) through the first two interior nodes at the
-        origin, linear through the last two at the vacuum radius."""
-        # .T puts the nodes first: v[j] is a scalar of a 1-D array, and of
-        # a (B, N+1) block the (B,) column j
-        v, h = values.T, self.h.T
+        place: even (quadratic in r^2) through the first two interior nodes
+        at the origin, linear through the last two at the vacuum radius."""
+        v, h = values, self.h
         v[0] = v[1] + (v[2] - v[1]) * self.origin_coef
         v[-1] = v[-2] + (v[-2] - v[-3]) / h[-2] * h[-1]
 
@@ -325,8 +292,9 @@ class Discretization:
 
 @dataclass(frozen=True, eq=False)
 class FlatRows:
-    """A discretization's nonlinear acceleration coefficients for B rows
-    laid end to end, so that the kernel can treat a C-contiguous (B, N+1)
+    """The nonlinear acceleration coefficients of B rows laid end to end,
+    row b on its own Discretization (one profile's grid; every row has
+    the same N), so that the kernel can treat a C-contiguous (B, N+1)
     block as one flat vector of M = B(N+1) nodes and run each stencil
     operation as one contiguous call whatever B is.
 
@@ -341,6 +309,7 @@ class FlatRows:
     and joins, and dr is 1.
     """
 
+    N: int
     r3: np.ndarray           # (M,) r^3
     d3: np.ndarray           # (M-1,) [r^3] across each flat cell
     exponent: np.ndarray     # (2M-2,) [-4 at nodes 1..M-1 | -gt at the cells]
@@ -350,27 +319,35 @@ class FlatRows:
     edges: list              # per row [origin_coef, gt, h_N, r_N, phi_N] as Python floats
 
     @classmethod
-    def build(cls, disc: Discretization, B: int) -> FlatRows:
-        N = disc.N
-        M = B * (N + 1)
+    def build(cls, discs: list) -> FlatRows:
+        """Row b on discs[b]; a grid shared by several rows is listed once
+        per row."""
+        N = discs[0].N
+        if any(d.N != N for d in discs):
+            raise ValueError("the rows of a FlatRows share N")
+        M = len(discs) * (N + 1)
 
         def lay(values, start: int, n: int, pad) -> np.ndarray:
-            """values at nodes start..start+n-1 of every row, pad elsewhere,
-            as one flat (M,) vector."""
-            out = np.full((B, N + 1), pad)
-            out[:, start : start + n] = values
+            """values(d) at nodes start..start+n-1 of each row on d, pad
+            elsewhere, as one flat (M,) vector."""
+            out = np.full((len(discs), N + 1), pad)
+            for row, d in zip(out, discs):
+                row[start : start + n] = values(d)
             return out.reshape(-1)
 
-        cells = lay(disc.w_half_1a, 0, N, 0.0)[: M - 1]
-        ends = (disc.origin_coef, disc.gt, disc.h[..., -1], disc.r[..., -1], disc.phi[..., -1])
+        cells = lay(lambda d: d.w_half_1a, 0, N, 0.0)[: M - 1]
         return cls(
-            r3=lay(disc.r3, 0, N + 1, 0.0),
-            d3=lay(disc.d3, 0, N, np.nan)[: M - 1],
-            exponent=np.concatenate([np.full(M - 1, -4.0), lay(-disc.gt, 0, N, 0.0)[: M - 1]]),
-            weight=np.concatenate([lay(disc.phi[..., 1:N], 1, N - 1, 0.0)[1:], cells]),
-            dr=lay(disc.dr_interior, 1, N - 1, 1.0)[1 : M - 1],
-            inv_wr=lay(disc.inv_wr, 1, N - 1, 0.0)[1 : M - 1],
-            edges=np.column_stack([np.broadcast_to(np.ravel(c), (B,)) for c in ends]).tolist(),
+            N=N,
+            r3=lay(lambda d: d.r3, 0, N + 1, 0.0),
+            d3=lay(lambda d: d.d3, 0, N, np.nan)[: M - 1],
+            exponent=np.concatenate([np.full(M - 1, -4.0), lay(lambda d: -d.gt, 0, N, 0.0)[: M - 1]]),
+            weight=np.concatenate([lay(lambda d: d.phi[1:N], 1, N - 1, 0.0)[1:], cells]),
+            dr=lay(lambda d: d.dr_interior, 1, N - 1, 1.0)[1 : M - 1],
+            inv_wr=lay(lambda d: d.inv_wr, 1, N - 1, 0.0)[1 : M - 1],
+            edges=[
+                [float(x) for x in (d.origin_coef, d.gt, d.h[-1], d.r[-1], d.phi[-1])]
+                for d in discs
+            ],
         )
 
     def conservative_derivative(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

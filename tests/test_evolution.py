@@ -2,6 +2,7 @@
 consistency, integrator order, conservation, reversibility."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from polystar.evolution import (
     nonlinear_accel_rows,
     step_rows,
 )
-from polystar.polytrope import Discretization
+from polystar import polytrope
+from polystar.polytrope import FlatRows
 
 from conftest import smooth_trials
 
@@ -372,7 +374,7 @@ def test_nonlinear_accel_rows_match_1d_at_every_node(profiles_256, rng):
     # an array pow and a scalar pow can differ
     for profiles in (profiles_256, _profiles(1024)):
         n = profiles[0].n_nodes
-        stacked = Discretization.stack([p.discretization for p in profiles])
+        stacked = FlatRows.build([p.discretization for p in profiles])
         # smooth rows, and noise small enough that the cells near R keep J > 0
         x = profiles[1].grid
         for z in (smooth_trials(rng, x, 3, amplitude=1e-2), 1e-7 * rng.standard_normal((3, n))):
@@ -383,7 +385,7 @@ def test_nonlinear_accel_rows_match_1d_at_every_node(profiles_256, rng):
                 assert np.array_equal(block[b], single)
                 assert np.array_equal(single, _scalar_endpoint_accel(z[b], prof.discretization))
             shared = profiles[1]
-            block = nonlinear_accel_rows(z, shared.discretization)
+            block = nonlinear_accel_rows(z, FlatRows.build([shared.discretization] * 3))
             for b in range(3):
                 assert np.array_equal(block[b], _scalar_endpoint_accel(z[b], shared.discretization))
 
@@ -395,33 +397,35 @@ def test_nonlinear_accel_rows_collapse_names_its_rows(profiles_256):
     z[1, n // 2] = -1.5  # 1 + zeta <= 0
     z[3, -1] = -0.5  # only the boundary Jacobian J(R) <= 0
     z[3, -2] = 0.9
+    disc = prof.discretization
     with pytest.raises(StatePastVacuumCollapse) as first:
-        nonlinear_accel_rows(z, prof.discretization)
+        nonlinear_accel_rows(z, FlatRows.build([disc] * 4))
     assert first.value.rows == [1]
     with pytest.raises(StatePastVacuumCollapse) as second:
-        nonlinear_accel_rows(z[[0, 2, 3]], prof.discretization)
+        nonlinear_accel_rows(z[[0, 2, 3]], FlatRows.build([disc] * 3))
     assert second.value.rows == [2]
-    assert np.array_equal(nonlinear_accel_rows(z[[0, 2]], prof.discretization), np.zeros((2, n)))
+    assert np.array_equal(nonlinear_accel_rows(z[[0, 2]], FlatRows.build([disc] * 2)), np.zeros((2, n)))
 
 
 def test_nonlinear_accel_rows_collapse_skips_nan_rows(profiles_256):
     # a NaN fails no collapse check, as in an entrywise test: only the row
     # that really collapses is named
     disc = profiles_256[1].discretization
+    flat = FlatRows.build([disc] * 3)
     n = disc.N + 1
     z = np.zeros((3, n))
     z[0, 5] = np.nan
     interpenetrating = z.copy()
     interpenetrating[1, n // 2] = -1.5  # 1 + zeta <= 0
     with pytest.raises(StatePastVacuumCollapse, match="1 \\+ zeta") as exc:
-        nonlinear_accel_rows(interpenetrating, disc)
+        nonlinear_accel_rows(interpenetrating, flat)
     assert exc.value.rows == [1]
     inverted = z.copy()
     inverted[2, n // 2] = -0.99  # 1 + zeta > 0, but [r^3 (1+zeta)^3] < 0 across a cell
     with pytest.raises(StatePastVacuumCollapse, match="J <= 0") as exc:
-        nonlinear_accel_rows(inverted, disc)
+        nonlinear_accel_rows(inverted, flat)
     assert exc.value.rows == [2]
-    assert np.isnan(nonlinear_accel_rows(z, disc)[0]).any()
+    assert np.isnan(nonlinear_accel_rows(z, flat)[0]).any()
 
 
 def _allocating_step_rows(zeta, zeta_t, dt, accel, k1=None):
@@ -459,10 +463,10 @@ def test_step_rows_match_the_allocating_form(profiles_256):
     profiles = [ps.solve_lane_emden(ps.PolytropeConfig(gamma=g), 256) for g in (1.25, 1.32)]
     profiles.insert(1, profiles_256[1])
     z, zt, dts = _growing_rows(profiles)
-    disc = Discretization.stack([p.discretization for p in profiles])
+    disc = FlatRows.build([p.discretization for p in profiles])
     rows = np.repeat(dts, z.shape[1]).reshape(len(dts), -1)
     column = np.array(dts)[:, None]
-    one = profiles[1].discretization
+    one = profiles[1].discretization.flat
     new = (z, zt)
     old = (z, zt)
     new1 = old1 = (z[1], zt[1])
@@ -482,10 +486,10 @@ def test_step_rows_writes_only_its_own_buffers(profiles_256, batched):
     # accel hands back k1 itself on every call: a step that wrote into an
     # acceleration would change the caller's k1
     z, zt, dts = _growing_rows(profiles_256[:2])
-    disc = Discretization.stack([p.discretization for p in profiles_256[:2]])
+    disc = FlatRows.build([p.discretization for p in profiles_256[:2]])
     dt = np.repeat(dts, z.shape[1]).reshape(2, -1)
     if not batched:
-        z, zt, dt, disc = z[0], zt[0], dts[0], profiles_256[0].discretization
+        z, zt, dt, disc = z[0], zt[0], dts[0], profiles_256[0].discretization.flat
     k1 = nonlinear_accel_rows(z, disc)
     before = [a.copy() for a in (z, zt, k1)]
     step_rows(z, zt, dt, lambda y: k1, k1)
@@ -507,10 +511,10 @@ def test_nonlinear_accel_rows_endpoint_overflow_as_numpy(profiles_256):
     for b in (0, 1):
         z = np.zeros((2, prof.n_nodes))
         z[b, -1] = 1e200
-        for block, disc in _blocks(profiles_256, z):
+        for block, discs in _blocks(profiles_256, z):
             with np.errstate(all="ignore"):
-                got = nonlinear_accel_rows(block, disc)
-                want = _reference_nonlinear_accel_rows(block, disc)
+                got = nonlinear_accel_rows(block, FlatRows.build(discs))
+                want = _reference_nonlinear_accel_rows(block, discs)
             _assert_same_bits(got, want)
 
 
@@ -523,7 +527,23 @@ def _row_collapse(message, failed):
     return StatePastVacuumCollapse(message, rows=np.flatnonzero(failed).tolist())
 
 
-def _reference_nonlinear_accel_rows(zeta, disc, jm1=None):
+def _reference_geometry(discs):
+    """The arrays the reference reads for rows on discs: one grid's own
+    arrays when every row shares it, else the grids' arrays stacked as
+    (B, ...) rows, gt as a (B, 1) column and origin_coef as a (B,) vector,
+    each broadcasting against the (B, N+1) block."""
+    if all(d is discs[0] for d in discs):
+        return discs[0]
+    names = ("r", "h", "phi", "w_half_1a", "r3", "d3", "dr_interior", "inv_wr")
+    g = types.SimpleNamespace(N=discs[0].N, **{k: np.stack([getattr(d, k) for d in discs]) for k in names})
+    g.gt = np.array([d.gt for d in discs])[:, None]
+    g.origin_coef = np.array([d.origin_coef for d in discs])
+    g.conservative_derivative = lambda u, out=None: polytrope._conservative_derivative(u, g.r3, g.d3, out)
+    return g
+
+
+def _reference_nonlinear_accel_rows(zeta, discs, jm1=None):
+    disc = _reference_geometry(discs)
     N = disc.N
     z = zeta
     xi = 1.0 + z
@@ -586,8 +606,11 @@ def _outcome(kernel, *args):
         return str(exc), exc.rows
 
 
-def _assert_same_outcome(kernel, reference, *args):
-    got, want = _outcome(kernel, *args), _outcome(reference, *args)
+def _assert_same_outcome(block, discs, jm1=None):
+    """The flat kernel and the reference give the same array, or raise the
+    same collapse."""
+    got = _outcome(nonlinear_accel_rows, block, FlatRows.build(discs), jm1)
+    want = _outcome(_reference_nonlinear_accel_rows, block, discs, jm1)
     if isinstance(want, tuple):
         assert got == want
     else:
@@ -595,14 +618,15 @@ def _assert_same_outcome(kernel, reference, *args):
 
 
 def _blocks(profiles, z):
-    """(block, discretization) pairs for the rows of z over profiles: the
-    rows on one shared grid and on a stack of the profiles, cycled; a lone
-    row also as a 1-D array on its own grid."""
+    """(block, discretizations) pairs, one discretization per row, for the
+    rows of z over profiles: the rows on one shared grid and on the grids
+    of the profiles, cycled; a lone row also as a 1-D array on its own
+    grid."""
     B = len(z)
-    stack = Discretization.stack([profiles[b % len(profiles)].discretization for b in range(B)])
+    grids = [profiles[b % len(profiles)].discretization for b in range(B)]
     shared = profiles[1].discretization
-    pairs = [(z, shared), (z, stack)]
-    return pairs + [(z[0], shared)] if B == 1 else pairs
+    pairs = [(z, [shared] * B), (z, grids)]
+    return pairs + [(z[0], [shared])] if B == 1 else pairs
 
 
 @pytest.fixture(scope="module")
@@ -623,9 +647,9 @@ def test_flat_kernels_match_the_row_kernels(profiles_256, profiles_1024, rng, n_
         noise = 1e-7 * rng.standard_normal((B, n))
         for z in (smooth, noise):
             assert (z > 0).any() and (z < 0).any()
-            for block, disc in _blocks(profiles, z):
+            for block, discs in _blocks(profiles, z):
                 _assert_same_bits(
-                    nonlinear_accel_rows(block, disc), _reference_nonlinear_accel_rows(block, disc)
+                    nonlinear_accel_rows(block, FlatRows.build(discs)), _reference_nonlinear_accel_rows(block, discs)
                 )
 
 
@@ -636,9 +660,9 @@ def test_flat_kernels_keep_the_sign_of_zero_at_equilibrium(profiles_256, rng):
     for B in (1, 2, 3, 4):
         for z in (np.zeros((B, n)), np.full((B, n), -0.0), rng.choice([0.0, -0.0], (B, n))):
             z[1::2] = 1e-7 * rng.standard_normal(z[1::2].shape)
-            for block, disc in _blocks(profiles_256, z):
+            for block, discs in _blocks(profiles_256, z):
                 _assert_same_bits(
-                    nonlinear_accel_rows(block, disc), _reference_nonlinear_accel_rows(block, disc)
+                    nonlinear_accel_rows(block, FlatRows.build(discs)), _reference_nonlinear_accel_rows(block, discs)
                 )
 
 
@@ -647,17 +671,17 @@ def test_flat_kernels_match_on_nan_rows(profiles_256):
     z[0, 5] = np.nan
     z[1, -1] = np.nan  # a vacuum node next to a row join
     z[2, 0] = np.nan  # an origin next to a row join
-    for block, disc in _blocks(profiles_256, z):
+    for block, discs in _blocks(profiles_256, z):
         _assert_same_bits(
-            nonlinear_accel_rows(block, disc), _reference_nonlinear_accel_rows(block, disc)
+            nonlinear_accel_rows(block, FlatRows.build(discs)), _reference_nonlinear_accel_rows(block, discs)
         )
 
 
-def _collapsing_blocks(disc):
-    """(3, N+1) blocks on disc whose failing entries sit next to a row join."""
-    n = disc.N + 1
-    h = np.broadcast_to(disc.h[..., -1], (3,))
-    r = np.broadcast_to(disc.r[..., -1], (3,))
+def _collapsing_blocks(discs):
+    """(3, N+1) blocks on discs whose failing entries sit next to a row join."""
+    n = discs[0].N + 1
+    h = [d.h[-1] for d in discs]
+    r = [d.r[-1] for d in discs]
     blocks = []
     for b in (0, 1):
         vacuum = np.zeros((3, n))
@@ -680,11 +704,11 @@ def _collapsing_blocks(disc):
 def test_flat_kernel_collapse_checks_next_to_a_row_join(profiles_256):
     z = np.zeros((3, profiles_256[0].n_nodes))
     messages = set()
-    for _, disc in _blocks(profiles_256, z):
-        for block in _collapsing_blocks(disc):
-            want = _outcome(_reference_nonlinear_accel_rows, block, disc)
+    for _, discs in _blocks(profiles_256, z):
+        for block in _collapsing_blocks(discs):
+            want = _outcome(_reference_nonlinear_accel_rows, block, discs)
             assert isinstance(want, tuple)
-            assert _outcome(nonlinear_accel_rows, block, disc) == want
+            assert _outcome(nonlinear_accel_rows, block, FlatRows.build(discs)) == want
             messages.add(want[0])
     assert len(messages) == 3
 
@@ -693,18 +717,14 @@ def test_flat_kernel_reads_a_given_jm1(profiles_256, rng):
     n = profiles_256[0].n_nodes
     x = profiles_256[1].grid
     for B in (1, 3):
-        for block, disc in _blocks(profiles_256, smooth_trials(rng, x, B, amplitude=1e-2)):
-            jm1 = cell_jacobian_minus_one(block, disc)
+        for block, discs in _blocks(profiles_256, smooth_trials(rng, x, B, amplitude=1e-2)):
+            jm1 = cell_jacobian_minus_one(block, _reference_geometry(discs))
             before = jm1.copy()
-            _assert_same_outcome(
-                nonlinear_accel_rows, _reference_nonlinear_accel_rows, block, disc, jm1
-            )
+            _assert_same_outcome(block, discs, jm1)
             assert np.array_equal(jm1, before)
             # a given jm1 is checked as given
             jm1[..., n // 2] = -2.0
-            _assert_same_outcome(
-                nonlinear_accel_rows, _reference_nonlinear_accel_rows, block, disc, jm1
-            )
+            _assert_same_outcome(block, discs, jm1)
 
 
 def test_flat_kernel_junk_raises_no_floating_point_error(profiles_256):
@@ -715,8 +735,8 @@ def test_flat_kernel_junk_raises_no_floating_point_error(profiles_256):
         z = np.zeros((3, profiles_256[0].n_nodes))
         z[0, -1] = value
         z[1, 1] = 1e-3
-        for block, disc in _blocks(profiles_256, z):
+        for block, discs in _blocks(profiles_256, z):
             with np.errstate(over="ignore", invalid="raise", divide="raise"):
-                want = _reference_nonlinear_accel_rows(block, disc)
-                got = nonlinear_accel_rows(block, disc)
+                want = _reference_nonlinear_accel_rows(block, discs)
+                got = nonlinear_accel_rows(block, FlatRows.build(discs))
             _assert_same_bits(got, want)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polystar as ps
-from polystar import evolution
+from polystar import evolution, experiments
 from polystar.cli import main as cli_main
 from polystar.config import (
     ExperimentConfig,
@@ -610,6 +610,50 @@ def test_check_low_resolution_skips():
     assert report["all_mandatory_pass"]
 
 
+def _check_entry(report, name):
+    return next(c for c in report["checks"] if c["name"] == name)
+
+
+def test_check_marches_through_evolve_run(monkeypatch):
+    # both of the battery's runs take the batched loop, which calls
+    # neither the 1-D step nor conserved_energy
+    def called(*args, **kwargs):
+        raise AssertionError("check stepped or measured H outside evolve_batch")
+
+    monkeypatch.setattr(evolution, "step", called)
+    monkeypatch.setattr(evolution, "conserved_energy", called)
+    report = ps.check(make_config(n_nodes=64, kind="check"))
+    assert report["all_mandatory_pass"]
+    assert _check_entry(report, "conservation_drift")["value"] > 0.0
+
+
+def test_check_conservation_samples_h_after_t0():
+    # at gamma 1.22 and N 64 the CFL dt is about 0.56, so the 3-time-unit
+    # run takes 5 steps, fewer than the 16 between samples of H: it still
+    # measures the drift at its last step instead of passing with 0
+    report = ps.check(make_config(n_nodes=64, gamma=1.22, kind="check"))
+    drift = _check_entry(report, "conservation_drift")
+    assert drift["value"] > 0.0
+    assert drift["status"] == ("pass" if drift["value"] <= drift["threshold"] else "fail")
+
+
+def test_check_fails_a_run_that_does_not_complete(monkeypatch):
+    real = experiments.evolve_run
+
+    def nonfinite(*args, **kwargs):
+        record = real(*args, **kwargs)
+        record.status = "nonfinite"
+        return record
+
+    monkeypatch.setattr(experiments, "evolve_run", nonfinite)
+    report = ps.check(make_config(n_nodes=64, kind="check"))
+    for name in ("equilibrium_preservation", "conservation_drift"):
+        entry = _check_entry(report, name)
+        assert entry["status"] == "fail" and entry["value"] is None
+        assert entry["note"] == "run ended nonfinite"
+    assert not report["all_mandatory_pass"]
+
+
 # ---------------------------------------------------------------------------
 # CLI surface
 # ---------------------------------------------------------------------------
@@ -681,6 +725,7 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
         ["instability", "--nodes", "256", "--gamma", "1.4"], tmp_path, monkeypatch
     )
     assert code == 3
+
 
 
 # junk for the CLI: documents (JSON or not) and flags; --nodes only ever
