@@ -40,6 +40,23 @@ def _is_number(value) -> bool:
         return False
 
 
+def _type_problem(value) -> str:
+    """What is wrong with a value that fails its field's type check."""
+    items = value if isinstance(value, list) else [value]
+    if any(isinstance(v, int) and not isinstance(v, bool) and not _is_number(v) for v in items):
+        return "holds a value out of the float range" if items is value else "is out of the float range"
+    return "has the wrong type"
+
+
+def _shown(value, limit: int = 40) -> str:
+    """repr(value), cut to limit characters."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int with more digits than str() converts
+        return "<too many digits to show>"
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 def _positive(value) -> bool:
     """A finite number above zero; checked again on build because the CLI
     overrides do not pass the JSON type checks."""
@@ -141,7 +158,7 @@ def _build_section(cls, data: dict, where: str):
     coerced = {}
     for name, value in data.items():
         if not _TYPE_CHECKS[types[name]](value):
-            raise ConfigError(f"{where}.{name} has the wrong type: {value!r}")
+            raise ConfigError(f"{where}.{name} {_type_problem(value)}: {_shown(value)}")
         coerced[name] = tuple(value) if isinstance(value, list) else value
     return cls(**coerced)
 

@@ -727,6 +727,20 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert code == 3
 
 
+def test_config_error_names_the_float_range_briefly(tmp_path, monkeypatch, capsys):
+    # an int beyond the float range is no wrong type, and the message
+    # does not echo its 401 digits
+    huge = [cfg for cfg in BAD_TYPED_CONFIGS if "0" * 400 in json.dumps(cfg)]
+    assert len(huge) == 3
+    bad = tmp_path / "bad.json"
+    for cfg in huge:
+        bad.write_text(json.dumps(cfg))
+        code, _ = _run_cli(["evolve", "--config", str(bad)], tmp_path, monkeypatch)
+        err = capsys.readouterr().err.strip()
+        assert code == 2
+        assert "out of the float range" in err and "wrong type" not in err, err
+        assert len(err) <= 120, err
+
 
 # junk for the CLI: documents (JSON or not) and flags; --nodes only ever
 # takes small values, so every accepted run stays cheap
