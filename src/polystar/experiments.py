@@ -637,9 +637,10 @@ def emit_check(report: dict, out_dir: str) -> None:
 
 def _conservation_state(profile, rng) -> evolution.PerturbationState:
     """Generic smooth data of amplitude 1e-3 for the conservation run:
-    Chebyshev series in 2r/R - 1 with decaying coefficients."""
+    Chebyshev series in 2(r/R)^2 - 1 with decaying coefficients, even at
+    the origin like every state the scheme represents."""
     r = profile.grid
-    x = 2.0 * r / r[-1] - 1.0
+    x = 2.0 * (r / r[-1]) ** 2 - 1.0
     decay = 0.5 ** np.arange(5)
     z0 = 1e-3 * np.polynomial.chebyshev.chebval(x, rng.standard_normal(5) * decay)
     zt0 = 1e-3 * np.polynomial.chebyshev.chebval(x, rng.standard_normal(5) * decay)

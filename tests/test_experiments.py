@@ -7,6 +7,7 @@ import json
 import math
 import os
 import tempfile
+import types
 
 import numpy as np
 import pytest
@@ -635,6 +636,22 @@ def test_check_conservation_samples_h_after_t0():
     drift = _check_entry(report, "conservation_drift")
     assert drift["value"] > 0.0
     assert drift["status"] == ("pass" if drift["value"] <= drift["threshold"] else "fail")
+
+
+def test_check_conservation_data_are_even_at_the_origin(profile13):
+    # series in (r/R)^2: on a grid mirrored through r = 0 the data read
+    # the same at -r as at r, so on the profile's grid the even
+    # extrapolation of the scheme's origin node reproduces them
+    r = profile13.grid
+    N = r.size - 1
+    mirrored = types.SimpleNamespace(grid=np.concatenate([-r[:0:-1], r]))
+    state = experiments._conservation_state(mirrored, np.random.default_rng(0))
+    for z in (state.zeta, state.zeta_t):
+        assert np.array_equal(z[:N][::-1], z[N + 1 :])
+    coef = profile13.discretization.origin_coef
+    state = experiments._conservation_state(profile13, np.random.default_rng(0))
+    for z in (state.zeta, state.zeta_t):
+        assert abs(z[1] + (z[2] - z[1]) * coef - z[0]) <= 1e-9 * np.abs(z).max()
 
 
 def test_check_fails_a_run_that_does_not_complete(monkeypatch):
