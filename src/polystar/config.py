@@ -50,10 +50,7 @@ def _type_problem(value) -> str:
 
 def _shown(value, limit: int = 40) -> str:
     """repr(value), cut to limit characters."""
-    try:
-        text = repr(value)
-    except ValueError:  # an int with more digits than str() converts
-        return "<too many digits to show>"
+    text = repr(value)
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 

@@ -323,8 +323,6 @@ class FlatRows:
         """Row b on discs[b]; a grid shared by several rows is listed once
         per row."""
         N = discs[0].N
-        if any(d.N != N for d in discs):
-            raise ValueError("the rows of a FlatRows share N")
         M = len(discs) * (N + 1)
 
         def lay(values, start: int, n: int, pad) -> np.ndarray:

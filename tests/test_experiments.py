@@ -628,11 +628,20 @@ def test_check_marches_through_evolve_run(monkeypatch):
     assert _check_entry(report, "conservation_drift")["value"] > 0.0
 
 
-def test_check_conservation_samples_h_after_t0():
+@pytest.mark.parametrize("gamma, r_max, dt_cfl", [(1.22, 500.0, 0.4), (1.205, 200.0, 0.99)])
+def test_check_conservation_samples_h_after_t0(gamma, r_max, dt_cfl):
     # at gamma 1.22 and N 64 the CFL dt is about 0.56, so the 3-time-unit
-    # run takes 5 steps, fewer than the 16 between samples of H: it still
-    # measures the drift at its last step instead of passing with 0
-    report = ps.check(make_config(n_nodes=64, gamma=1.22, kind="check"))
+    # run takes 5 steps, fewer than the 16 between samples of H; at gamma
+    # 1.205 the dt of about 7.1 rounds 3 time units to 0 steps.  Each run
+    # still measures the drift at its last step (at least one) instead of
+    # passing with 0
+    cfg = make_config(n_nodes=64, gamma=gamma, kind="check")
+    cfg = dataclasses.replace(
+        cfg,
+        polytrope=dataclasses.replace(cfg.polytrope, r_max=r_max),
+        sim=dataclasses.replace(cfg.sim, dt_cfl=dt_cfl),
+    )
+    report = ps.check(cfg)
     drift = _check_entry(report, "conservation_drift")
     assert drift["value"] > 0.0
     assert drift["status"] == ("pass" if drift["value"] <= drift["threshold"] else "fail")
