@@ -44,7 +44,7 @@ def _type_problem(value) -> str:
     """What is wrong with a value that fails its field's type check."""
     items = value if isinstance(value, list) else [value]
     if any(isinstance(v, int) and not isinstance(v, bool) and not _is_number(v) for v in items):
-        return "holds a value out of the float range" if items is value else "is out of the float range"
+        return ("holds a value" if items is value else "is") + " out of the float range"
     return "has the wrong type"
 
 

@@ -551,13 +551,15 @@ def check(cfg: ExperimentConfig) -> dict:
 
     # 200 steps from the equilibrium, one sample at the end
     eq = evolution.equilibrium_state(profile)
-    rec = _fixed_run(profile, eq, cfg, mode.mu0, lambda dt: 200, 200, snapshot_every=1)
+    rec = _fixed_run(profile, eq, cfg, mode.mu0, lambda dt: 200, record_every=200, snapshot_every=1)
     z, zt = rec.snapshots[-1]
     add_run("equilibrium_preservation", rec, float(np.abs(z).max() + np.abs(zt).max()), 0.0)
 
     # 3 time units from generic smooth data, H sampled every 16 steps
     state = _conservation_state(profile, rng)
-    rec = _fixed_run(profile, state, cfg, mode.mu0, lambda dt: int(round(3.0 / dt)), 16)
+    rec = _fixed_run(
+        profile, state, cfg, mode.mu0, lambda dt: int(round(3.0 / dt)), record_every=16
+    )
     drift = max(abs(h - rec.H[0]) for h in rec.H) / abs(rec.H[0])
     add_run("conservation_drift", rec, drift, 1e-6)
 

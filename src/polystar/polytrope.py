@@ -269,11 +269,11 @@ class Discretization:
         """This grid as the one row of a FlatRows, built on first use."""
         return FlatRows.build([self])
 
-    def extrapolate_endpoints(self, values: np.ndarray) -> None:
+    def extrapolate_endpoints(self, v: np.ndarray) -> None:
         """Set the endpoint values of a nodal array from its interior, in
         place: even (quadratic in r^2) through the first two interior nodes
         at the origin, linear through the last two at the vacuum radius."""
-        v, h = values, self.h
+        h = self.h
         v[0] = v[1] + (v[2] - v[1]) * self.origin_coef
         v[-1] = v[-2] + (v[-2] - v[-3]) / h[-2] * h[-1]
 
@@ -338,7 +338,9 @@ class FlatRows:
             N=N,
             r3=lay(lambda d: d.r3, 0, N + 1, 0.0),
             d3=lay(lambda d: d.d3, 0, N, np.nan)[: M - 1],
-            exponent=np.concatenate([np.full(M - 1, -4.0), lay(lambda d: -d.gt, 0, N, 0.0)[: M - 1]]),
+            exponent=np.concatenate(
+                [np.full(M - 1, -4.0), lay(lambda d: -d.gt, 0, N, 0.0)[: M - 1]]
+            ),
             weight=np.concatenate([lay(lambda d: d.phi[1:N], 1, N - 1, 0.0)[1:], cells]),
             dr=lay(lambda d: d.dr_interior, 1, N - 1, 1.0)[1 : M - 1],
             inv_wr=lay(lambda d: d.inv_wr, 1, N - 1, 0.0)[1 : M - 1],

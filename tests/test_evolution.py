@@ -369,17 +369,17 @@ def profiles_256():
 
 
 def test_nonlinear_accel_rows_match_1d_at_every_node(profiles_256, rng):
-    # at N 256 and 1024: stacked grids (gamma 1.25, 1.3, 2) and one shared
+    # at N 256 and 1024: one grid per row (gamma 1.25, 1.3, 2) and one shared
     # grid, random-sign rows and growing-mode-sized rows; node N is where
     # an array pow and a scalar pow can differ
     for profiles in (profiles_256, _profiles(1024)):
         n = profiles[0].n_nodes
-        stacked = FlatRows.build([p.discretization for p in profiles])
+        per_row = FlatRows.build([p.discretization for p in profiles])
         # smooth rows, and noise small enough that the cells near R keep J > 0
         x = profiles[1].grid
         for z in (smooth_trials(rng, x, 3, amplitude=1e-2), 1e-7 * rng.standard_normal((3, n))):
             assert (z > 0).any() and (z < 0).any()
-            block = nonlinear_accel_rows(z, stacked)
+            block = nonlinear_accel_rows(z, per_row)
             for b, prof in enumerate(profiles):
                 single = ps.nonlinear_accel(ps.PerturbationState(0.0, z[b], z[b]), prof)
                 assert np.array_equal(block[b], single)
@@ -404,7 +404,8 @@ def test_nonlinear_accel_rows_collapse_names_its_rows(profiles_256):
     with pytest.raises(StatePastVacuumCollapse) as second:
         nonlinear_accel_rows(z[[0, 2, 3]], FlatRows.build([disc] * 3))
     assert second.value.rows == [2]
-    assert np.array_equal(nonlinear_accel_rows(z[[0, 2]], FlatRows.build([disc] * 2)), np.zeros((2, n)))
+    both = nonlinear_accel_rows(z[[0, 2]], FlatRows.build([disc] * 2))
+    assert np.array_equal(both, np.zeros((2, n)))
 
 
 def test_nonlinear_accel_rows_collapse_skips_nan_rows(profiles_256):
@@ -535,7 +536,9 @@ def _reference_geometry(discs):
     if all(d is discs[0] for d in discs):
         return discs[0]
     names = ("r", "h", "phi", "w_half_1a", "r3", "d3", "dr_interior", "inv_wr")
-    g = types.SimpleNamespace(N=discs[0].N, **{k: np.stack([getattr(d, k) for d in discs]) for k in names})
+    g = types.SimpleNamespace(N=discs[0].N)
+    for k in names:
+        setattr(g, k, np.stack([getattr(d, k) for d in discs]))
     g.gt = np.array([d.gt for d in discs])[:, None]
     g.origin_coef = np.array([d.origin_coef for d in discs])
     g.conservative_derivative = lambda u, out=None: polytrope._conservative_derivative(u, g.r3, g.d3, out)
@@ -636,7 +639,7 @@ def profiles_1024():
 
 @pytest.mark.parametrize("n_nodes", [256, 1024])
 def test_flat_kernels_match_the_row_kernels(profiles_256, profiles_1024, rng, n_nodes):
-    # B = 1 to 4 on a shared grid and on a stack, random-sign rows: smooth
+    # B = 1 to 4 on a shared grid and on the profiles' grids, random-sign rows: smooth
     # data, and noise small enough that the cells near R keep J > 0
     profiles = profiles_256 if n_nodes == 256 else profiles_1024
     x = profiles[1].grid
@@ -649,7 +652,8 @@ def test_flat_kernels_match_the_row_kernels(profiles_256, profiles_1024, rng, n_
             assert (z > 0).any() and (z < 0).any()
             for block, discs in _blocks(profiles, z):
                 _assert_same_bits(
-                    nonlinear_accel_rows(block, FlatRows.build(discs)), _reference_nonlinear_accel_rows(block, discs)
+                    nonlinear_accel_rows(block, FlatRows.build(discs)),
+                    _reference_nonlinear_accel_rows(block, discs),
                 )
 
 
@@ -662,7 +666,8 @@ def test_flat_kernels_keep_the_sign_of_zero_at_equilibrium(profiles_256, rng):
             z[1::2] = 1e-7 * rng.standard_normal(z[1::2].shape)
             for block, discs in _blocks(profiles_256, z):
                 _assert_same_bits(
-                    nonlinear_accel_rows(block, FlatRows.build(discs)), _reference_nonlinear_accel_rows(block, discs)
+                    nonlinear_accel_rows(block, FlatRows.build(discs)),
+                    _reference_nonlinear_accel_rows(block, discs),
                 )
 
 
@@ -673,7 +678,8 @@ def test_flat_kernels_match_on_nan_rows(profiles_256):
     z[2, 0] = np.nan  # an origin next to a row join
     for block, discs in _blocks(profiles_256, z):
         _assert_same_bits(
-            nonlinear_accel_rows(block, FlatRows.build(discs)), _reference_nonlinear_accel_rows(block, discs)
+            nonlinear_accel_rows(block, FlatRows.build(discs)),
+            _reference_nonlinear_accel_rows(block, discs),
         )
 
 
