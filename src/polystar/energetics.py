@@ -407,35 +407,45 @@ class HardyReport:
         return self.lhs / self.rhs
 
 
-def _spline_integral(x: np.ndarray, y: np.ndarray, a: float, b: float) -> float:
+def _spline_integral(x: np.ndarray, y: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Integral over [a, b] of the cubic splines through the rows of y."""
     from scipy.interpolate import CubicSpline
 
-    return float(CubicSpline(x, y).integrate(a, b))
+    return CubicSpline(x, y, axis=-1).integrate(a, b)
+
+
+def _hardy_reports(v: np.ndarray, lhs: np.ndarray, rhs: np.ndarray):
+    """One HardyReport per row of v, (0, 0) for a zero row; a single
+    report for a 1-D v."""
+    reps = [
+        HardyReport(float(lo), float(hi)) if np.any(row != 0.0) else HardyReport(0.0, 0.0)
+        for row, lo, hi in zip(np.atleast_2d(v), lhs, rhs)
+    ]
+    return reps if v.ndim == 2 else reps[0]
 
 
 def hardy_check_origin(
     v: np.ndarray, profile: LaneEmdenProfile, v_r: np.ndarray | None = None
-) -> HardyReport:
+):
     """Origin-localized inequality with cutoff c = R/4:
 
         int_0^c r^2 v^2  <=  C ( int_0^2c r^4 v_r^2 + int_c^2c r^4 v^2 ).
 
-    Reports both sides; v_r defaults to a spline derivative of v.
+    Reports both sides; v_r defaults to a spline derivative of v.  A
+    (K, N+1) block v gives one report per row, each the one-row report.
     """
     from scipy.interpolate import CubicSpline
 
     r = profile.grid
     v = np.asarray(v, dtype=float)
-    if not np.any(v != 0.0):
-        return HardyReport(0.0, 0.0)
-    if v_r is None:
-        v_r = CubicSpline(r, v)(r, 1)
+    rows = np.atleast_2d(v)
+    v_r = CubicSpline(r, rows, axis=-1)(r, 1) if v_r is None else np.atleast_2d(v_r)
     c = profile.R / 4.0
-    lhs = _spline_integral(r, r**2 * v * v, 0.0, c)
+    lhs = _spline_integral(r, r**2 * rows * rows, 0.0, c)
     rhs = _spline_integral(r, r**4 * v_r * v_r, 0.0, 2 * c) + _spline_integral(
-        r, r**4 * v * v, c, 2 * c
+        r, r**4 * rows * rows, c, 2 * c
     )
-    return HardyReport(lhs, rhs)
+    return _hardy_reports(v, lhs, rhs)
 
 
 def _smooth_step(s: np.ndarray) -> np.ndarray:
@@ -456,35 +466,33 @@ def hardy_check_boundary(
     profile: LaneEmdenProfile,
     a: float,
     v_r: np.ndarray | None = None,
-) -> HardyReport:
+):
     """Boundary-localized inequality for weight exponent a > 1:
 
         int w^(a-2) (psi v)^2  <=  C ( int w^a (psi v_r)^2 + int w^a (psi v)^2 )
 
     with the cutoff psi supported in [R-2c, R], c = R/8.  Quadrature is
     truncated at the last strictly positive enthalpy node, the same
-    resolution cut for every mesh built from one grading."""
+    resolution cut for every mesh built from one grading.  v is one row
+    or a block of rows, as in hardy_check_origin."""
     from scipy.interpolate import CubicSpline
 
     if a <= 1.0:
         raise ExponentOutOfRange("boundary variant requires exponent a > 1")
     r = profile.grid
     v = np.asarray(v, dtype=float)
-    if not np.any(v != 0.0):
-        return HardyReport(0.0, 0.0)
-    if v_r is None:
-        v_r = CubicSpline(r, v)(r, 1)
-    R = profile.R
-    c = R / 8.0
-    psi = _smooth_step((r - (R - 2 * c)) / c)
-    w = np.clip(profile.w, 0.0, None)
-    pos = w > 0.0
-    lo, hi = R - 2 * c, r[pos][-1]
-    lhs = _spline_integral(r[pos], w[pos] ** (a - 2.0) * (psi[pos] * v[pos]) ** 2, lo, hi)
-    rhs = _spline_integral(
-        r[pos], w[pos] ** a * (psi[pos] * v_r[pos]) ** 2, lo, hi
-    ) + _spline_integral(r[pos], w[pos] ** a * (psi[pos] * v[pos]) ** 2, lo, hi)
-    return HardyReport(lhs, rhs)
+    rows = np.atleast_2d(v)
+    v_r = CubicSpline(r, rows, axis=-1)(r, 1) if v_r is None else np.atleast_2d(v_r)
+    c = profile.R / 8.0
+    pos = profile.w > 0.0
+    r, w, rows, v_r = r[pos], profile.w[pos], rows[:, pos], v_r[:, pos]
+    psi = _smooth_step((r - (profile.R - 2 * c)) / c)
+    lo, hi = profile.R - 2 * c, r[-1]
+    lhs = _spline_integral(r, w ** (a - 2.0) * (psi * rows) ** 2, lo, hi)
+    rhs = _spline_integral(r, w**a * (psi * v_r) ** 2, lo, hi) + _spline_integral(
+        r, w**a * (psi * rows) ** 2, lo, hi
+    )
+    return _hardy_reports(v, lhs, rhs)
 
 
 def hardy_trace_check(g, k: float, g_prime=None, n: int = 4097) -> HardyReport:

@@ -413,6 +413,30 @@ def test_hardy_boundary_family_bounded_and_mesh_stable(profile13, profile13_2048
     assert abs(coarse.max() - fine.max()) <= 0.05 * fine.max()
 
 
+@pytest.mark.parametrize("with_derivative", [True, False])
+def test_hardy_families_on_a_block_equal_one_row_calls(profile13, with_derivative):
+    # one report per row, bit for bit the one-row report; a zero row is (0, 0)
+    x = profile13.grid / profile13.R
+    coeffs = np.random.default_rng(3).standard_normal((6, 9)) * 0.5 ** np.arange(9)
+    coeffs[2] = 0.0
+    P = np.polynomial.polynomial
+    v = P.polyval(x, coeffs.T)
+    v_r = P.polyval(x, P.polyder(coeffs.T)) / profile13.R if with_derivative else None
+    vb = v * (1.0 - x)
+    vb_r = v_r * (1.0 - x) - v / profile13.R if with_derivative else None
+    origin = ps.hardy_check_origin(v, profile13, v_r)
+    boundary = ps.hardy_check_boundary(vb, profile13, a=profile13.alpha, v_r=vb_r)
+    for i in range(len(coeffs)):
+        one = ps.hardy_check_origin(v[i], profile13, None if v_r is None else v_r[i])
+        assert origin[i] == one
+        one = ps.hardy_check_boundary(
+            vb[i], profile13, a=profile13.alpha, v_r=None if vb_r is None else vb_r[i]
+        )
+        assert boundary[i] == one
+    assert (origin[2].lhs, origin[2].rhs) == (boundary[2].lhs, boundary[2].rhs) == (0.0, 0.0)
+    assert origin[0].ratio > 0.0 and boundary[0].ratio > 0.0
+
+
 def test_hardy_trace_polynomial_case():
     # g = x(1-x), k = 0: both sides equal 1/3 exactly
     rep = hardy_trace_check(lambda s: s * (1 - s), k=0.0, g_prime=lambda s: 1 - 2 * s)

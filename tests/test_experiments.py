@@ -861,6 +861,20 @@ def test_cli_check_hardy_report(tmp_path, monkeypatch):
     assert {line.split(",")[0] for line in lines[1:]} == {"origin", "boundary"}
 
 
+def test_cli_check_at_gamma_two_skips_the_boundary_family(tmp_path, monkeypatch):
+    # alpha = 1 at gamma 2: the boundary family needs alpha > 1, so it is
+    # reported as skipped instead of stopping the battery
+    code, out = _run_cli(["check", "--gamma", "2", "--nodes", "256"], tmp_path, monkeypatch)
+    assert code in (0, 4)
+    report = json.loads((out / "check.json").read_text(), parse_constant=_no_json_constant)
+    (hardy,) = [c for c in report["checks"] if c["name"] == "hardy_families_finite"]
+    assert hardy["status"] == "pass"
+    assert hardy["value"]["boundary_max"] is None and "alpha > 1" in hardy["note"]
+    rows = [line.split(",") for line in (out / "hardy.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["origin", "boundary"]
+    assert rows[1][-1] == "0" and "alpha > 1" in rows[1][1]
+
+
 def _no_json_constant(name):
     raise ValueError(f"{name} is not JSON")
 

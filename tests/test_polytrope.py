@@ -1,6 +1,7 @@
 """Equilibrium solver tests: closed form, series identities, boundary
 behavior, energy identity, and structural invariants."""
 
+import functools
 import math
 import time
 
@@ -146,6 +147,25 @@ def test_potential_out_of_domain(profile13):
         ps.potential_coefficient(profile13, 1.5 * profile13.R)
 
 
+def _quad_potential_coefficient(profile, r):
+    """Phi(r) by adaptive quad of (4 pi / K^alpha) w^alpha s^2 / r^3: a
+    slow reference for the Gauss-Legendre route on the solver's steps."""
+    pref = 4.0 * math.pi / profile.K**profile.alpha
+
+    def integrand(s):
+        return max(profile.enthalpy(s)[0][0], 0.0) ** profile.alpha * s * s
+
+    val, _ = quad(integrand, 0.0, min(r, profile.R), limit=200)
+    return pref * val / r**3
+
+
+@functools.cache
+def _nested_quad_reference(gamma):
+    """_nested_quad_direct_energy at one gamma; the ODE solve, and so the
+    energy, does not depend on the mesh size."""
+    return _nested_quad_direct_energy(ps.solve_lane_emden(ps.PolytropeConfig(gamma=gamma), 256))
+
+
 def _nested_quad_direct_energy(profile):
     """The direct energy route with the enclosed mass integrated again,
     by quad, at every point of the field integral: a slow reference."""
@@ -170,8 +190,49 @@ def _nested_quad_direct_energy(profile):
 @pytest.mark.parametrize("gamma", [1.3, 5 / 3])
 def test_equilibrium_energy_matches_nested_quadrature(gamma):
     prof = ps.solve_lane_emden(ps.PolytropeConfig(gamma=gamma), 256)
-    ref = _nested_quad_direct_energy(prof)
+    ref = _nested_quad_reference(gamma)
     assert abs(ps.equilibrium_energy(prof).direct - ref) <= 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("n_nodes", [256, 1024])
+@pytest.mark.parametrize("gamma", [1.25, 1.3, 1.4, 5 / 3, 2.0])
+def test_step_quadrature_matches_adaptive_references(gamma, n_nodes):
+    # the Gauss-Legendre routes against the adaptive quad ones they replaced
+    prof = ps.solve_lane_emden(ps.PolytropeConfig(gamma=gamma), n_nodes)
+    ref = _nested_quad_reference(gamma)
+    assert abs(ps.equilibrium_energy(prof).direct - ref) <= 1e-10 * abs(ref)
+    radii = prof.grid[np.linspace(8, prof.n_nodes - 8, 9).astype(int)]
+    phi = ps.potential_coefficient(prof, radii)
+    phi_ref = np.array([_quad_potential_coefficient(prof, float(r)) for r in radii])
+    assert np.all(np.abs(phi - phi_ref) <= 1e-10 * phi_ref)
+
+
+def test_potential_coefficient_on_an_array_equals_scalar_calls(profile13):
+    radii = np.array([0.0, 1e-4, profile13.series_radius, 0.5, 3.0, profile13.R])
+    phi = ps.potential_coefficient(profile13, radii)
+    assert phi.shape == radii.shape
+    assert phi.tolist() == [ps.potential_coefficient(profile13, float(r)) for r in radii]
+    block = ps.potential_coefficient(profile13, radii.reshape(2, 3))
+    assert np.array_equal(block, phi.reshape(2, 3))
+    with pytest.raises(OutOfDomain):
+        ps.potential_coefficient(profile13, np.array([1.0, 1.5 * profile13.R]))
+
+
+def test_integral_diagnostics_read_the_enthalpy_once(profile13, monkeypatch):
+    # each identity is one vector pass: no per-radius enthalpy callbacks
+    calls = []
+    enthalpy = ps.LaneEmdenProfile.enthalpy
+
+    def counted(self, r):
+        calls.append(np.size(r))
+        return enthalpy(self, r)
+
+    monkeypatch.setattr(ps.LaneEmdenProfile, "enthalpy", counted)
+    ps.equilibrium_energy(profile13)
+    assert len(calls) <= 2
+    calls.clear()
+    ps.potential_coefficient(profile13, profile13.grid[8:-8:100])
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("gamma", [1.25, 1.3, 1.4, 5 / 3])
