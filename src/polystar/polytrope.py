@@ -14,10 +14,13 @@ Integration starts from the origin Taylor series
 
     w = 1 - (c/6) r^2 + (alpha c^2 / 120) r^4 + ...
 
-to sidestep the removable 2/r singularity, runs a high-order adaptive
-Runge-Kutta pair with dense output, and locates R by the integrator's
-event root-finding.  The default entropy constant K is chosen so that
-c = 1, which makes the equation the textbook dimensionless form.
+to sidestep the removable 2/r singularity, runs the adaptive
+Dormand-Prince 8(5,3) pair with dense output, and locates R as the
+root of the dense w by Brent's method.  The integrator is _dop853, a
+port of the path scipy.integrate.solve_ivp takes for this solve, so
+this module imports numpy alone.  The default entropy constant K is
+chosen so that c = 1, which makes the equation the textbook
+dimensionless form.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import _dop853
 from .errors import (
     ConfigError,
     InsufficientResolution,
@@ -42,6 +45,9 @@ _MAX_SERIES_ORDER = 8
 
 # fewest mesh nodes the composite grid and the solver accept
 MIN_NODES = 64
+
+# smallest relative ODE tolerance: scipy's DOP853 raised smaller ones to it
+MIN_REL_TOL = 100 * np.finfo(float).eps
 
 # Gauss-Legendre rule on [0, 1], placed on every integrator step: exact to
 # degree 15, and the DOP853 dense output is a degree-7 polynomial per step
@@ -75,6 +81,12 @@ class PolytropeConfig:
         check_gamma(self.gamma)
         if self.K is not None and not self.K > 0:
             raise ConfigError("entropy constant K must be positive")
+        if not (math.isfinite(self.ode_rel_tol) and self.ode_rel_tol >= MIN_REL_TOL):
+            raise ConfigError(f"ode_rel_tol must be finite and >= 100 eps = {MIN_REL_TOL:.3g}")
+        if not (math.isfinite(self.ode_abs_tol) and self.ode_abs_tol >= 0):
+            raise ConfigError("ode_abs_tol must be finite and non-negative")
+        if not (math.isfinite(self.r_max) and self.r_max > 0):
+            raise ConfigError("r_max must be finite and positive")
 
     @property
     def alpha(self) -> float:
@@ -410,37 +422,23 @@ def solve_lane_emden(
         w, wr = y
         return (wr, -2.0 / r * wr - c * max(w, 0.0) ** alpha)
 
-    def surface(r, y):
-        return y[0]
-
-    surface.terminal = True
-    surface.direction = -1
-
     def integrate(r0, rtol, atol, dense):
-        sol = solve_ivp(
-            rhs,
-            (r0, config.r_max),
-            (pv(r0, coef), pv(r0, dcoef)),
-            method="DOP853",
-            rtol=rtol,
-            atol=atol,
-            events=surface,
-            dense_output=dense,
-        )
-        if sol.status != 1 or len(sol.t_events[0]) == 0:
+        y0 = (pv(r0, coef), pv(r0, dcoef))
+        sol = _dop853.solve(rhs, r0, y0, config.r_max, rtol, atol, dense)
+        if sol.status != 1:
             raise NoVacuumRadius(
                 f"w did not cross zero before r_max={config.r_max} (gamma={config.gamma})"
             )
         return sol
 
     rough = integrate(1e-6, 1e-8, 1e-10, dense=False)
-    R_est = rough.t_events[0][0]
+    R_est = rough.root
     series_radius = config.series_radius or 1e-3 * R_est
     if not 0 < series_radius < 0.1 * R_est:
         raise ValueError("series_radius must be small relative to R")
 
     sol = integrate(series_radius, config.ode_rel_tol, config.ode_abs_tol, dense=True)
-    R = float(sol.t_events[0][0])
+    R = float(sol.root)
 
     grid = _composite_grid(R, n_nodes, grading)
     w = np.empty_like(grid)

@@ -106,6 +106,12 @@ BAD_TYPED_CONFIGS = [
     # ints that do not convert to a finite float, in float fields
     {"mesh": {"n_nodes": 64}, "experiment": {"delta": 10**400}, "sim": {"t_end": 1.0}},
     {"experiment": {"theta0": 10**400}},
+    # solver fields the integrator would clamp, reject or fail on mid-solve
+    {"polytrope": {"ode_rel_tol": 0.0}},
+    {"polytrope": {"ode_rel_tol": 2e-14}},
+    {"polytrope": {"ode_abs_tol": -1}},
+    {"polytrope": {"r_max": -5}},
+    {"polytrope": {"r_max": 0}},
 ]
 
 

@@ -3,13 +3,19 @@ behavior, energy identity, and structural invariants."""
 
 import functools
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
+from scipy.optimize import brentq
 
 import polystar as ps
+from polystar import _dop853
 from polystar.errors import (
     InsufficientResolution,
     NonMonotone,
@@ -102,6 +108,170 @@ def test_radius_mesh_convergence():
 def test_no_vacuum_radius_guard():
     with pytest.raises(NoVacuumRadius):
         ps.solve_lane_emden(ps.PolytropeConfig(gamma=1.25, r_max=5.0), 256)
+
+
+def test_r_max_at_or_below_the_start_radius_is_no_vacuum_radius():
+    # the rough pass starts at r = 1e-6; solve_ivp integrated backwards
+    # from there and ended with status 0
+    for r_max in (1e-7, 1e-6):
+        msg = rf"w did not cross zero before r_max={r_max} \(gamma=1.3\)"
+        with pytest.raises(NoVacuumRadius, match=msg):
+            ps.solve_lane_emden(ps.PolytropeConfig(r_max=r_max), 256)
+
+
+def test_step_size_collapse_is_no_vacuum_radius(monkeypatch):
+    # status -1 ("Required step size is less than spacing between
+    # numbers") from a right-hand side that blows up at r = 1
+    solve = _dop853.solve
+
+    def blowing_up(fun, t0, y0, t_bound, rtol, atol, dense):
+        sol = solve(lambda t, y: (y[0] ** 2, 0.0), 0.0, (1.0, 0.0), t_bound, rtol, atol, dense)
+        assert sol.status == -1
+        return sol
+
+    monkeypatch.setattr(_dop853, "solve", blowing_up)
+    with pytest.raises(NoVacuumRadius, match=r"before r_max=500.0 \(gamma=1.3\)"):
+        ps.solve_lane_emden(ps.PolytropeConfig(), 256)
+
+
+def _event_on_w():
+    def surface(r, y):
+        return y[0]
+
+    surface.terminal = True
+    surface.direction = -1
+    return surface
+
+
+def _solve_ivp(fun, t0, y0, t_bound, rtol, atol, dense):
+    return solve_ivp(
+        fun, (t0, t_bound), y0, method="DOP853", rtol=rtol, atol=atol,
+        events=_event_on_w(), dense_output=dense,
+    )
+
+
+def test_dop853_tableau_is_scipys():
+    for name in ("C", "A", "B", "E3", "E5", "D"):
+        assert np.array_equal(getattr(_dop853, name), getattr(dop853_coefficients, name)), name
+
+
+PIN_GAMMAS = [1.205, 1.22, 1.25, 1.3, 4 / 3, 1.4, 5 / 3, 1.9, 2.0]
+
+
+@pytest.mark.parametrize("gamma", PIN_GAMMAS)
+def test_dop853_equals_solve_ivp_bit_for_bit(gamma, monkeypatch):
+    # both passes of a solve: the rough one (1e-8/1e-10, no dense output)
+    # and the production one, against solve_ivp on the same arguments
+    calls = []
+    solve = _dop853.solve
+
+    def recorded(*args):
+        calls.append((args, solve(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(_dop853, "solve", recorded)
+    ps.solve_lane_emden(ps.PolytropeConfig(gamma=gamma), 256)
+    assert [args[4:] for args, _ in calls] == [(1e-8, 1e-10, False), (1e-12, 1e-14, True)]
+    for args, sol in calls:
+        ref = _solve_ivp(*args)
+        assert sol.status == ref.status == 1
+        assert np.array_equal(sol.t, ref.t)
+        assert sol.root == ref.t_events[0][0]
+        assert (sol.sol is None) == (ref.sol is None)
+    sol, ref = calls[1][1], _solve_ivp(*calls[1][0])
+    radii = np.concatenate([np.linspace(sol.t[0], sol.t[-1], 3001), sol.t, sol.t[1:] - 1e-9])
+    assert np.array_equal(sol.sol(radii), ref.sol(radii))
+    assert sol.sol.t_max == ref.sol.t_max
+
+
+def test_dop853_step_size_collapse_equals_solve_ivp():
+    # y' = y^2 from y = 1 blows up at t = 1
+    def fun(t, y):
+        return (y[0] ** 2, 0.0)
+
+    sol = _dop853.solve(fun, 0.0, (1.0, 0.0), 2.0, 1e-12, 1e-14, False)
+    ref = solve_ivp(fun, (0.0, 2.0), (1.0, 0.0), method="DOP853", rtol=1e-12, atol=1e-14)
+    assert sol.status == ref.status == -1
+    assert np.array_equal(sol.t, ref.t)
+    assert sol.t[-1] == 1.0000000000001357 and sol.t.size == 428  # t0 and 427 steps
+
+
+@pytest.mark.parametrize(
+    "f, a, b",
+    [
+        (lambda x: x**3 - 2.0, 0.0, 2.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: math.exp(x) - 3.0, -1.0, 4.0),
+        (lambda x: (x - 0.3) * (x + 2.0), 0.0, 1.0),
+        (lambda x: 1.0 / (x - 0.7) if x != 0.7 else 0.0, 0.0, 1.0),
+        (lambda x: math.sin(50.0 * x), 0.01, 0.1),
+        (lambda x: x - 1e-300, -1.0, 1.0),
+    ],
+)
+def test_brent_root_equals_scipys(f, a, b):
+    eps = np.finfo(float).eps
+    assert _dop853._brentq(f, a, b) == brentq(f, a, b, xtol=4 * eps, rtol=4 * eps)
+
+
+def test_brent_root_is_none_where_scipy_raises():
+    eps = np.finfo(float).eps
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=4 * eps, rtol=4 * eps)
+    assert _dop853._brentq(lambda x: x * x + 1.0, -1.0, 1.0) is None
+
+    def flat(x):
+        return (x - 1.0 / 3.0) ** 5
+
+    with pytest.raises(RuntimeError, match="converge after 100"):
+        brentq(flat, 0.0, 1.0, xtol=4 * eps, rtol=4 * eps)
+    assert _dop853._brentq(flat, 0.0, 1.0) is None
+
+
+def _profile_through_solve_ivp(cfg, n_nodes, monkeypatch):
+    def through_solve_ivp(*args):
+        ref = _solve_ivp(*args)
+        return _dop853.Solution(ref.status, ref.t, ref.t_events[0][0], ref.sol)
+
+    with monkeypatch.context() as m:
+        m.setattr(_dop853, "solve", through_solve_ivp)
+        return ps.solve_lane_emden(cfg, n_nodes)
+
+
+@pytest.mark.parametrize("n_nodes", [64, 256, 1024, 2048])
+@pytest.mark.parametrize("gamma", PIN_GAMMAS)
+def test_profile_equals_a_solve_ivp_build(gamma, n_nodes, monkeypatch):
+    cfg = ps.PolytropeConfig(gamma=gamma)
+    prof = ps.solve_lane_emden(cfg, n_nodes)
+    ref = _profile_through_solve_ivp(cfg, n_nodes, monkeypatch)
+    for name in ("grid", "w", "w_r", "phi"):
+        assert np.array_equal(getattr(prof, name), getattr(ref, name)), name
+    assert (prof.R, prof.mass, prof.series_radius) == (ref.R, ref.mass, ref.series_radius)
+    assert ps.equilibrium_energy(prof) == ps.equilibrium_energy(ref)
+    idx = np.linspace(8, n_nodes - 8, 9).astype(int)
+    radii = np.concatenate([[0.0], prof.grid[idx], [prof.R]])
+    phi, phi_ref = ps.potential_coefficient(prof, radii), ps.potential_coefficient(ref, radii)
+    assert np.array_equal(phi, phi_ref)
+
+
+def test_import_loads_no_scipy_integrate():
+    # the Lane-Emden solve is in-package; scipy.linalg serves the eigen
+    # solve, and scipy.interpolate and quad load lazily in the Hardy checks
+    code = (
+        "import sys\n"
+        "import polystar\n"
+        "from polystar import experiments\n"
+        "from polystar.config import ExperimentConfig\n"
+        "experiments.build_mode(experiments.build_profile(ExperimentConfig()), 1e-8)\n"
+        "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.special', 'scipy.sparse')\n"
+        "print([name for name in heavy if name in sys.modules])\n"
+    )
+    src = os.path.dirname(os.path.dirname(ps.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout.strip() == "[]", out.stdout + out.stderr
 
 
 def test_nonmonotone_detection(profile13):
