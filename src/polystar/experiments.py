@@ -459,7 +459,9 @@ def check(cfg: ExperimentConfig) -> dict:
     """Run the full property battery and report measured values.
 
     Refinement-based checks are marked skipped below 256 nodes, where a
-    doubled mesh would not be meaningfully finer.
+    doubled mesh would not be meaningfully finer.  radius_convergence
+    compares R with R at a tenth of the ODE tolerances, and is skipped
+    too where ode_rel_tol / 10 would fall below 100 eps.
     """
     results = []
     rng = np.random.default_rng(cfg.experiment.seed)
@@ -503,14 +505,17 @@ def check(cfg: ExperimentConfig) -> dict:
     note = None if ee.pressure_formula else "pressure formula is 0: |direct| relative to the internal energy"
     add("energy_identity", "pass" if ee.rel_diff <= 1e-4 else "fail", ee.rel_diff, 1e-4, note)
 
-    if refinement_ok:
-        fine = build_profile(
-            replace(cfg, mesh=replace(cfg.mesh, n_nodes=2 * n_nodes))
-        )
-        dR = abs(fine.R - profile.R)
-        add("radius_convergence", "pass" if dR <= 1e-10 * profile.R else "fail", dR)
-    else:
+    # R is the ODE's event, found before any grid exists: refine the
+    # integrator's tolerances, not the mesh
+    pc = cfg.polytrope
+    if not refinement_ok:
         add("radius_convergence", "skipped", note="n_nodes below refinement threshold")
+    elif pc.ode_rel_tol / 10 < polytrope.MIN_REL_TOL:
+        add("radius_convergence", "skipped", note="ode_rel_tol / 10 below 100 eps")
+    else:
+        finer = replace(pc, ode_rel_tol=pc.ode_rel_tol / 10, ode_abs_tol=pc.ode_abs_tol / 10)
+        dR = abs(build_profile(replace(cfg, polytrope=finer)).R - profile.R)
+        add("radius_convergence", "pass" if dR <= 1e-10 * profile.R else "fail", dR)
 
     pencil, mode = build_mode(profile, cfg.eig.eig_tol)
     u = rng.standard_normal(pencil.n_interior)

@@ -617,6 +617,25 @@ def test_check_low_resolution_skips():
     assert report["all_mandatory_pass"]
 
 
+def test_check_radius_convergence_refines_the_ode_tolerance():
+    # R at N and at 2N are the same event, so the check refines the ODE
+    # tolerances instead, and measures a nonzero change
+    cfg = make_config(n_nodes=256, kind="check")
+    entry = _check_entry(ps.check(cfg), "radius_convergence")
+    pc = cfg.polytrope
+    finer = dataclasses.replace(pc, ode_rel_tol=pc.ode_rel_tol / 10, ode_abs_tol=pc.ode_abs_tol / 10)
+    R, R_fine = (ps.solve_lane_emden(p, 256).R for p in (pc, finer))
+    assert entry["status"] == "pass"
+    assert entry["value"] == abs(R_fine - R) > 0.0
+    assert entry["value"] <= 1e-10 * R
+
+    # a tenth of ode_rel_tol = 1e-13 is below 100 eps
+    tight = dataclasses.replace(cfg, polytrope=dataclasses.replace(pc, ode_rel_tol=1e-13))
+    entry = _check_entry(ps.check(tight), "radius_convergence")
+    assert entry["status"] == "skipped"
+    assert entry["note"] == "ode_rel_tol / 10 below 100 eps"
+
+
 def _check_entry(report, name):
     return next(c for c in report["checks"] if c["name"] == name)
 
