@@ -190,8 +190,8 @@ ERROR_EXPONENT = -1 / (7 + 1)  # the error estimator has order 7
 @dataclass(frozen=True)
 class Solution:
     """status is 1 when y[0] fell to zero at `root`, 0 when t_bound came
-    first, and -1 when the step size collapsed or the root could not be
-    bracketed.  t lists t0 and every accepted step's end, the last one
+    first, and -1 when the step size collapsed or Brent's iteration
+    failed.  t lists t0 and every accepted step's end, the last one
     replaced by the root when the event fired (solve_ivp's `t`); sol is
     the dense output when it was asked for (solve_ivp's `sol`)."""
 
@@ -207,11 +207,10 @@ class DenseSolution:
     OdeSolution's choice of step for each point (searchsorted, side
     "left"), evaluated for all points at once.
 
-    ts are the step ends as in Solution.t; step k runs from t_old[k] over
-    a width h[k] from y_old[k] and has the coefficients F[:, k]."""
+    ts are the step ends as in Solution.t; step k runs from ts[k] over a
+    width h[k] from y_old[k] and has the coefficients F[:, k]."""
 
     ts: np.ndarray
-    t_old: np.ndarray
     h: np.ndarray
     y_old: np.ndarray  # (steps, n)
     F: np.ndarray  # (INTERPOLATOR_POWER, steps, n)
@@ -225,16 +224,8 @@ class DenseSolution:
         t = np.asarray(t)
         k = np.searchsorted(self.ts, t, side="left") - 1
         k = np.clip(k, 0, self.h.size - 1)
-        x = ((t - self.t_old[k]) / self.h[k])[:, None]
-        y = np.zeros((t.size, self.y_old.shape[1]))
-        for i, f in enumerate(self.F[::-1]):
-            y += f[k]
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += self.y_old[k]
-        return y.T
+        x = ((t - self.ts[k]) / self.h[k])[:, None]
+        return _horner(self.F[:, k], self.y_old[k], x).T
 
 
 def _norm(x):
@@ -343,7 +334,7 @@ def solve(fun, t0, y0, t_bound, rtol, atol, dense: bool) -> Solution:
     h_abs = _initial_step(f_of, t, y, t_bound, f, rtol, atol)
     K_extended = np.empty((N_STAGES_EXTENDED, y.size))
     K = K_extended[: N_STAGES + 1]
-    steps = []  # (t_old, h, y_old, F) of each step, with dense output
+    steps = []  # (h, y_old, F) of each step, with dense output
     while True:
         # RungeKutta._step_impl: one accepted step, or a collapsed step size
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
@@ -392,7 +383,7 @@ def solve(fun, t0, y0, t_bound, rtol, atol, dense: bool) -> Solution:
         F = None
         if dense:
             F = _dense_coefficients(f_of, K_extended, t_old, y_old, h, y, f)
-            steps.append((t_old, h, y_old, F))
+            steps.append((h, y_old, F))
         g_new = y[0]
         if g >= 0 and g_new <= 0:
             if F is None:
@@ -413,20 +404,15 @@ def solve(fun, t0, y0, t_bound, rtol, atol, dense: bool) -> Solution:
 
 
 def _horner(F, y_old, x):
-    """Dop853DenseOutput at one point x of its step, for one component."""
-    y = 0.0
+    """Dop853DenseOutput's Horner scheme at the fraction x of a step with
+    coefficients F, shape (INTERPOLATOR_POWER, *y_old.shape)."""
+    y = np.zeros(F.shape[1:])
     for i, f in enumerate(F[::-1]):
         y += f
-        if i % 2 == 0:
-            y *= x
-        else:
-            y *= 1 - x
+        y *= x if i % 2 == 0 else 1 - x
     return y + y_old
 
 
 def _dense_solution(ts, steps) -> DenseSolution:
-    t_old, h, y_old, F = zip(*steps)
-    return DenseSolution(
-        ts=np.array(ts), t_old=np.array(t_old), h=np.array(h),
-        y_old=np.array(y_old), F=np.stack(F, axis=1),
-    )
+    h, y_old, F = zip(*steps)
+    return DenseSolution(np.array(ts), np.array(h), np.array(y_old), np.stack(F, axis=1))

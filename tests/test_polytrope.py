@@ -184,6 +184,15 @@ def test_dop853_equals_solve_ivp_bit_for_bit(gamma, monkeypatch):
     assert sol.sol.t_max == ref.sol.t_max
 
 
+def test_dense_output_reads_the_earlier_step_at_a_step_end():
+    # OdeSolution's searchsorted(side="left"): t = ts[k] reads step k - 1;
+    # on real steps both choices mostly agree to the last bit
+    F = np.zeros((_dop853.INTERPOLATOR_POWER, 2, 1))
+    ts, y_old = np.array([0.0, 1.0, 2.0]), np.array([[0.0], [5.0]])
+    dense = _dop853.DenseSolution(ts, np.ones(2), y_old, F)
+    assert dense(np.array([0.0, 1.0, 1.5, 2.0])).tolist() == [[0.0, 0.0, 5.0, 5.0]]
+
+
 def test_dop853_step_size_collapse_equals_solve_ivp():
     # y' = y^2 from y = 1 blows up at t = 1
     def fun(t, y):
