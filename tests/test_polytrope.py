@@ -236,14 +236,10 @@ def test_brent_root_is_none_where_scipy_raises():
     assert _dop853._brentq(flat, 0.0, 1.0) is None
 
 
-def _profile_through_solve_ivp(cfg, n_nodes, monkeypatch):
-    def through_solve_ivp(*args):
-        ref = _solve_ivp(*args)
-        return _dop853.Solution(ref.status, ref.t, ref.t_events[0][0], ref.sol)
-
-    with monkeypatch.context() as m:
-        m.setattr(_dop853, "solve", through_solve_ivp)
-        return ps.solve_lane_emden(cfg, n_nodes)
+def _through_solve_ivp(*args):
+    """_dop853.solve's result, computed by solve_ivp."""
+    ref = _solve_ivp(*args)
+    return _dop853.Solution(ref.status, ref.t, ref.t_events[0][0], ref.sol)
 
 
 @pytest.mark.parametrize("n_nodes", [64, 256, 1024, 2048])
@@ -251,7 +247,8 @@ def _profile_through_solve_ivp(cfg, n_nodes, monkeypatch):
 def test_profile_equals_a_solve_ivp_build(gamma, n_nodes, monkeypatch):
     cfg = ps.PolytropeConfig(gamma=gamma)
     prof = ps.solve_lane_emden(cfg, n_nodes)
-    ref = _profile_through_solve_ivp(cfg, n_nodes, monkeypatch)
+    monkeypatch.setattr(_dop853, "solve", _through_solve_ivp)
+    ref = ps.solve_lane_emden(cfg, n_nodes)
     for name in ("grid", "w", "w_r", "phi"):
         assert np.array_equal(getattr(prof, name), getattr(ref, name)), name
     assert (prof.R, prof.mass, prof.series_radius) == (ref.R, ref.mass, ref.series_radius)
