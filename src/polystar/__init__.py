@@ -71,7 +71,6 @@ from .polytrope import (
 )
 from .spectral import (
     GrowingMode,
-    OperatorPencil,
     assemble_pencil,
     largest_eigenpair,
     mode_regularity_report,

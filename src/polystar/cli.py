@@ -72,7 +72,7 @@ def main(argv=None) -> int:
 
         elif args.command == "mode":
             profile = experiments.build_profile(cfg)
-            _, mode = experiments.build_mode(profile, cfg.eig.eig_tol)
+            mode = experiments.build_mode(profile, cfg.eig.eig_tol)
             experiments.emit_mode(mode, profile, cfg, out)
             print(f"mode gamma={profile.gamma} mu0={mode.mu0:.12g} rate={mode.rate:.12g} -> {out}")
 
@@ -80,7 +80,7 @@ def main(argv=None) -> int:
             from . import evolution
 
             profile = experiments.build_profile(cfg)
-            _, mode = experiments.build_mode(profile, cfg.eig.eig_tol)
+            mode = experiments.build_mode(profile, cfg.eig.eig_tol)
             initial = evolution.mode_initial_state(mode, cfg.experiment.delta)
             record = experiments.evolve_run(
                 profile, initial, cfg, mu0=mode.mu0, t_end=cfg.sim.t_end

@@ -116,6 +116,8 @@ class ExperimentSection:
             raise ConfigError("delta must be finite and positive")
         if not 0 <= self.jmax <= MAX_ENERGY_ORDER:
             raise ConfigError(f"experiment.jmax must lie in [0, {MAX_ENERGY_ORDER}]")
+        if self.seed < 0:
+            raise ConfigError("experiment.seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -111,25 +111,15 @@ def cell_jacobian_minus_one(
     return disc.conservative_derivative(u, out)
 
 
-def nonlinear_accel(
-    state: PerturbationState,
-    profile: LaneEmdenProfile,
-    jm1: np.ndarray | None = None,
-) -> np.ndarray:
-    """zeta_tt on the full grid for the exact-Jacobian equation.
-
-    jm1, when given, is cell_jacobian_minus_one(state.zeta, ...), shared
-    with the caller (accel_time_derivative)."""
-    return nonlinear_accel_rows(state.zeta, profile.discretization.flat, jm1)
+def nonlinear_accel(state: PerturbationState, profile: LaneEmdenProfile) -> np.ndarray:
+    """zeta_tt on the full grid for the exact-Jacobian equation."""
+    return nonlinear_accel_rows(state.zeta, profile.discretization.flat)
 
 
-def nonlinear_accel_rows(
-    zeta: np.ndarray, flat: FlatRows, jm1: np.ndarray | None = None
-) -> np.ndarray:
+def nonlinear_accel_rows(zeta: np.ndarray, flat: FlatRows) -> np.ndarray:
     """nonlinear_accel over the trailing axis: a (B, N+1) block gives B
     rows, each equal to the 1-D value bit for bit.  flat lays out the
     rows' grids, one row each (a 1-D zeta takes a one-row FlatRows).
-    jm1, when given, is only read.
 
     The block is one flat vector of B(N+1) nodes, so that each stencil
     operation is one contiguous call whatever B is; the entries across a
@@ -146,12 +136,7 @@ def nonlinear_accel_rows(
     buf = np.empty(2 * M)
     buf[:M] = zf
     cells = buf[M : 2 * M - 1]
-    if jm1 is None:
-        cell_jacobian_minus_one(zf, flat, out=cells)
-    else:
-        cell_rows = buf[M:].reshape(-1, N + 1)
-        cell_rows[:, :N] = jm1
-        cell_rows[:, N] = np.nan
+    cell_jacobian_minus_one(zf, flat, out=cells)
     # zeta <= -1 exactly when 1 + zeta <= 0 (the sum is exact on [-2, -1/2]);
     # fmin skips NaN, which fails no check, and the junk cells are NaN
     if np.fmin.reduce(buf[: 2 * M - 1]) <= -1.0:
@@ -236,7 +221,7 @@ def accel_time_derivative(
     z, zt = state.zeta, state.zeta_t
     N = disc.N
     jm1 = cell_jacobian_minus_one(z, disc)
-    ztt = nonlinear_accel(state, profile, jm1=jm1)
+    ztt = nonlinear_accel(state, profile)
     phi_v = (1.0 + z) ** 2 * zt
     dJ = disc.conservative_derivative(phi_v)
     dflux = (
@@ -286,20 +271,14 @@ def cfl_dt(state: PerturbationState, profile: LaneEmdenProfile, config: SimConfi
 
 
 def step(
-    state: PerturbationState,
-    profile: LaneEmdenProfile,
-    config: SimConfig,
-    k1: np.ndarray | None = None,
+    state: PerturbationState, profile: LaneEmdenProfile, config: SimConfig
 ) -> PerturbationState:
-    """One classical RK4 step of the first-order system (zeta, zeta_t).
-
-    k1, when given, is the acceleration of state under config's operator,
-    already computed by the caller (a recorded sample's monitor)."""
+    """One classical RK4 step of the first-order system (zeta, zeta_t)."""
     accel = linear_accel if config.linear else nonlinear_accel
     dt = config.dt if config.dt is not None else cfl_dt(state, profile, config)
     t, zt = state.t, state.zeta_t
     zeta, zeta_t = step_rows(
-        state.zeta, zt, dt, lambda z: accel(PerturbationState(t, z, zt), profile), k1
+        state.zeta, zt, dt, lambda z: accel(PerturbationState(t, z, zt), profile)
     )
     return PerturbationState(t=t + dt, zeta=zeta, zeta_t=zeta_t)
 

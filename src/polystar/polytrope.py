@@ -87,6 +87,10 @@ class PolytropeConfig:
             raise ConfigError("ode_abs_tol must be finite and non-negative")
         if not (math.isfinite(self.r_max) and self.r_max > 0):
             raise ConfigError("r_max must be finite and positive")
+        if self.series_radius is not None and not (
+            math.isfinite(self.series_radius) and self.series_radius > 0
+        ):
+            raise ConfigError("series_radius must be finite and positive")
 
     @property
     def alpha(self) -> float:
@@ -306,6 +310,15 @@ class Discretization:
         out[..., 1:] += self.stiffness_off * phi[..., :-1]
         return out
 
+    def bilinear(self, u: np.ndarray, v: np.ndarray) -> float:
+        """u^T S v on the interior nodes through a manifestly symmetric
+        expression: swapping u and v permutes only commutative additions,
+        so the value is bitwise identical."""
+        return float(
+            np.sum(self.stiffness_diag * (u * v))
+            + np.sum(self.stiffness_off * (u[:-1] * v[1:] + u[1:] * v[:-1]))
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class FlatRows:
@@ -433,7 +446,7 @@ def solve_lane_emden(
 
     rough = integrate(1e-6, 1e-8, 1e-10, dense=False)
     R_est = rough.root
-    series_radius = config.series_radius or 1e-3 * R_est
+    series_radius = 1e-3 * R_est if config.series_radius is None else config.series_radius
     if not 0 < series_radius < 0.1 * R_est:
         raise ValueError("series_radius must be small relative to R")
 

@@ -14,6 +14,10 @@ identity [w^(1+alpha)]' = -r w^alpha Phi(r).  The weights w^(1+alpha) r^4
 vanish at both endpoints, so no boundary rows are needed: the first and
 last interior rows simply omit the degenerate outer fluxes.
 
+The pencil is the profile's polytrope.Discretization: S is its
+stiffness_diag and stiffness_off, M its mass, the same arrays the
+weighted norms, the energies and the linear dynamics read.
+
 The generalized problem  (-S) phi = mu M phi  with the diagonal mass
 M = w^alpha r^4 dr is reduced by the M^(-1/2) scaling to a standard
 symmetric tridiagonal problem; the algebraically largest eigenvalue is
@@ -23,52 +27,16 @@ stebz/stein via scipy), which is deterministic across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .energetics import _norm_X_rows, _norm_Y_rows, weighted_norm_X, weighted_norm_Y
 from .errors import ConvergenceFailure, ZeroVector
-from .polytrope import LaneEmdenProfile
+from .polytrope import Discretization, LaneEmdenProfile
 
 _NEAR_DEGENERATE_GAP = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorPencil:
-    """Tridiagonal stiffness (representing -L) and diagonal mass weights
-    on the interior nodes of a profile grid."""
-
-    grid: np.ndarray              # interior nodes r_1 .. r_{N-1}
-    stiffness_diag: np.ndarray
-    stiffness_off: np.ndarray
-    mass_weights: np.ndarray      # w^alpha r^4 dr, positive
-    gamma_tilde: float
-    profile: LaneEmdenProfile = field(repr=False)
-
-    @property
-    def n_interior(self) -> int:
-        return self.grid.size
-
-    def apply_stiffness(self, phi: np.ndarray) -> np.ndarray:
-        return self.profile.discretization.apply_stiffness(phi)
-
-    def bilinear(self, u: np.ndarray, v: np.ndarray) -> float:
-        """u^T S v through a manifestly symmetric expression: swapping
-        u and v permutes only commutative additions, so the value is
-        bitwise identical."""
-        return float(
-            np.sum(self.stiffness_diag * (u * v))
-            + np.sum(self.stiffness_off * (u[:-1] * v[1:] + u[1:] * v[:-1]))
-        )
-
-    def to_dense(self) -> np.ndarray:
-        n = self.n_interior
-        S = np.zeros((n, n))
-        S[np.arange(n), np.arange(n)] = self.stiffness_diag
-        S[np.arange(n - 1), np.arange(1, n)] = self.stiffness_off
-        S[np.arange(1, n), np.arange(n - 1)] = self.stiffness_off
-        return S
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,49 +54,39 @@ class GrowingMode:
     gap: float
 
 
-def assemble_pencil(profile: LaneEmdenProfile) -> OperatorPencil:
-    """Flux-form assembly; symmetric by construction, never symmetrized.
-    The arrays are the profile's discretization, shared with the norms
-    and the dynamics."""
-    disc = profile.discretization
-    return OperatorPencil(
-        grid=disc.r[1 : disc.N],
-        stiffness_diag=disc.stiffness_diag,
-        stiffness_off=disc.stiffness_off,
-        mass_weights=disc.mass,
-        gamma_tilde=disc.gt,
-        profile=profile,
-    )
+def assemble_pencil(profile: LaneEmdenProfile) -> Discretization:
+    """The pencil (S, M): the profile's Discretization, whose flux-form
+    stiffness is symmetric by construction, never symmetrized, and whose
+    mass weights are the X-norm weights of the interior nodes."""
+    return profile.discretization
 
 
-def rayleigh_quotient(pencil: OperatorPencil, phi: np.ndarray) -> float:
+def rayleigh_quotient(disc: Discretization, phi: np.ndarray) -> float:
     """Q(phi)/I(phi) for a trial vector on the interior nodes.
 
     Evaluated through the pencil's flux sums, which coincides with the
     matrix quotient phi^T (-S) phi / phi^T M phi.
     """
     phi = np.asarray(phi, dtype=float)
-    if phi.shape != pencil.grid.shape:
+    if phi.shape != (disc.N - 1,):
         raise ValueError("trial vector must live on the interior nodes")
     if not np.any(phi != 0.0):
         raise ZeroVector("trial vector is identically zero")
-    num = -float(phi @ pencil.apply_stiffness(phi))
-    den = float(np.sum(pencil.mass_weights * phi * phi))
+    num = -float(phi @ disc.apply_stiffness(phi))
+    den = float(np.sum(disc.mass * phi * phi))
     return num / den
 
 
-def largest_eigenpair(pencil: OperatorPencil, eig_tol: float = 1e-8) -> GrowingMode:
+def largest_eigenpair(disc: Discretization, eig_tol: float = 1e-8) -> GrowingMode:
     """Largest eigenvalue of (-S) phi = mu M phi and its eigenvector.
 
     M^(-1/2) scaling keeps the problem symmetric tridiagonal; the top two
     eigenvalues are requested so a near-degenerate pair can be flagged
     instead of silently trusted.
     """
-    from .energetics import weighted_norm_X, weighted_norm_Y  # cycle-free at call time
-
-    scale = 1.0 / np.sqrt(pencil.mass_weights)
-    d = -pencil.stiffness_diag * scale * scale
-    e = -pencil.stiffness_off * scale[:-1] * scale[1:]
+    scale = 1.0 / np.sqrt(disc.mass)
+    d = -disc.stiffness_diag * scale * scale
+    e = -disc.stiffness_off * scale[:-1] * scale[1:]
     n = d.size
     # Two calls, not one with select_range=(n - 2, n - 1): the single call
     # returns mu0 and phi0 that differ in the last bits, for every gamma
@@ -143,8 +101,6 @@ def largest_eigenpair(pencil: OperatorPencil, eig_tol: float = 1e-8) -> GrowingM
     mu0 = float(vals[0])
     gap = float(top_vals[1] - top_vals[0])
 
-    profile = pencil.profile
-    disc = profile.discretization
     interior = vecs[:, 0] * scale
     # endpoint values are a reporting convenience: both carry zero weight
     # in every norm
@@ -155,16 +111,18 @@ def largest_eigenpair(pencil: OperatorPencil, eig_tol: float = 1e-8) -> GrowingM
         phi0 = -phi0
         interior = -interior
 
-    nx2 = weighted_norm_X(phi0, profile, profile.alpha) ** 2
-    ny2 = weighted_norm_Y(phi0, profile, profile.alpha) ** 2
+    # the norms as weighted_norm_X/Y return them, Python floats, then
+    # squared: the squared sums themselves differ in the last bits
+    nx2 = float(_norm_X_rows(phi0, disc.xweight)) ** 2
+    ny2 = float(_norm_Y_rows(phi0, disc, disc.yweight)) ** 2
     s = 1.0 / np.sqrt((1.0 + mu0) * nx2 + ny2)
     phi0 = phi0 * s
     interior = interior * s
 
-    resid_rows = -pencil.apply_stiffness(interior) - mu0 * pencil.mass_weights * interior
+    resid_rows = -disc.apply_stiffness(interior) - mu0 * disc.mass * interior
     residual = float(np.abs(resid_rows / disc.dr_interior).max())
     res_scale = float(
-        (pencil.mass_weights / disc.dr_interior).max()
+        (disc.mass / disc.dr_interior).max()
         * np.abs(interior).max()
         * (1.0 + abs(mu0))
     )
@@ -193,8 +151,6 @@ def mode_regularity_report(mode: GrowingMode, profile: LaneEmdenProfile) -> dict
     (finite for 0 <= beta <= floor(alpha)), and the near-boundary
     integrals with weight w^(z-2) for z slightly above one.
     """
-    from .energetics import weighted_norm_X, weighted_norm_Y
-
     r = profile.grid
     phi0 = mode.phi0
     nfit = 6

@@ -32,8 +32,8 @@ def profile13():
 
 @pytest.fixture(scope="session")
 def mode13(profile13):
-    pencil = ps.assemble_pencil(profile13)
-    return pencil, ps.largest_eigenpair(pencil)
+    disc = ps.assemble_pencil(profile13)
+    return disc, ps.largest_eigenpair(disc)
 
 
 @pytest.fixture(scope="session")
@@ -43,8 +43,8 @@ def profile13_2048():
 
 @pytest.fixture(scope="session")
 def mode13_2048(profile13_2048):
-    pencil = ps.assemble_pencil(profile13_2048)
-    return pencil, ps.largest_eigenpair(pencil)
+    disc = ps.assemble_pencil(profile13_2048)
+    return disc, ps.largest_eigenpair(disc)
 
 
 @pytest.fixture(scope="session")
@@ -54,8 +54,8 @@ def profile13_512():
 
 @pytest.fixture(scope="session")
 def mode13_512(profile13_512):
-    pencil = ps.assemble_pencil(profile13_512)
-    return pencil, ps.largest_eigenpair(pencil)
+    disc = ps.assemble_pencil(profile13_512)
+    return disc, ps.largest_eigenpair(disc)
 
 
 @pytest.fixture(scope="session")
@@ -79,8 +79,9 @@ def insta13():
 
 @pytest.fixture(scope="session")
 def duhamel_pairs():
-    """Paired nonlinear/linear runs on the doubled mesh for the remainder
-    study, marched as two batches."""
+    """Nonlinear growing-mode runs on the doubled mesh for the remainder
+    study, marched as one batch; each remainder compares its run with the
+    closed-form linear solution delta e^(rate t) phi0."""
     cfg = make_config(n_nodes=2048, kind="instability", deltas=(1e-3, 1e-4), pair_linear=True)
     return {res["delta"]: res for res in ps.instability_ladder(cfg)}
 

@@ -78,10 +78,10 @@ def test_criterion_04_eigenvalue_sign_structure():
         ok &= mu < 0
     # marginal index at the doubled-twice mesh
     prof = ps.solve_lane_emden(ps.PolytropeConfig(gamma=4 / 3), 4096)
-    pencil = ps.assemble_pencil(prof)
-    mode = ps.largest_eigenpair(pencil)
-    lin_trial = pencil.grid / prof.R
-    scale_q = abs(ps.rayleigh_quotient(pencil, lin_trial))
+    disc = ps.assemble_pencil(prof)
+    mode = ps.largest_eigenpair(disc)
+    lin_trial = disc.r[1:-1] / prof.R
+    scale_q = abs(ps.rayleigh_quotient(disc, lin_trial))
     bound = 10.0 * 4096.0**-2 * scale_q
     interior = mode.phi0[1:-1]
     variation = (interior.max() - interior.min()) / np.abs(interior).max()
@@ -100,12 +100,12 @@ def test_criterion_05_variational_dominance():
     parts = []
     for gamma in (1.25, 1.3, 1.32):
         prof = ps.solve_lane_emden(ps.PolytropeConfig(gamma=gamma), 1024)
-        pencil = ps.assemble_pencil(prof)
-        mode = ps.largest_eigenpair(pencil)
+        disc = ps.assemble_pencil(prof)
+        mode = ps.largest_eigenpair(disc)
         rng = np.random.default_rng(20240802)
-        trials = smooth_trials(rng, pencil.grid, 100)
-        worst = max(ps.rayleigh_quotient(pencil, t) for t in trials)
-        lower = ps.rayleigh_quotient(pencil, np.ones(pencil.n_interior))
+        trials = smooth_trials(rng, disc.r[1:-1], 100)
+        worst = max(ps.rayleigh_quotient(disc, t) for t in trials)
+        lower = ps.rayleigh_quotient(disc, np.ones(disc.N - 1))
         ok &= worst <= mode.mu0 + 1e-8 and mode.mu0 >= lower - 1e-8
         parts.append(f"g={gamma}: max Q/I={worst:.5e} <= mu0={mode.mu0:.5e} >= Q(1)/I(1)={lower:.5e}")
     assert _line(5, ok, "; ".join(parts))

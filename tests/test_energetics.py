@@ -80,13 +80,13 @@ def test_norms_and_pencil_share_one_geometry(gamma):
     # |f|_Y^2 is the flux part of the pencil's quadratic form and |f|_X^2
     # its mass; both endpoints carry zero weight in either norm
     p = ps.solve_lane_emden(ps.PolytropeConfig(gamma=gamma), 256)
-    pencil = ps.assemble_pencil(p)
+    disc = ps.assemble_pencil(p)
     f = np.random.default_rng(7).standard_normal(p.n_nodes)
     fi = f[1:-1]
-    mass = pencil.mass_weights
-    zeroth = (4.0 - 3.0 * pencil.gamma_tilde) * np.sum(p.phi[1:-1] * mass * fi**2)
+    mass = disc.mass
+    zeroth = (4.0 - 3.0 * disc.gt) * np.sum(p.phi[1:-1] * mass * fi**2)
     y2 = ps.weighted_norm_Y(f, p, p.alpha) ** 2
-    assert y2 == pytest.approx(pencil.bilinear(fi, fi) + zeroth, rel=1e-13)
+    assert y2 == pytest.approx(disc.bilinear(fi, fi) + zeroth, rel=1e-13)
     x2 = ps.weighted_norm_X(f, p, p.alpha) ** 2
     assert x2 == pytest.approx(np.sum(mass * fi**2), rel=1e-13)
 

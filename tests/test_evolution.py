@@ -291,21 +291,6 @@ def test_smallness_monitor(profile13, mode13):
     assert rep.exceeded
 
 
-@pytest.mark.parametrize("linear", [False, True])
-def test_step_with_given_k1_is_bitwise_step(profile13, mode13, linear):
-    _, mode = mode13
-    st = ps.mode_initial_state(mode, 1e-3)
-    sim = ps.SimConfig(dt=ps.cfl_dt(st, profile13, ps.SimConfig()), linear=linear)
-    accel = ps.linear_accel if linear else ps.nonlinear_accel
-    for _ in range(3):
-        fused = ps.step(st, profile13, sim, k1=accel(st, profile13))
-        plain = ps.step(st, profile13, sim)
-        assert fused.t == plain.t
-        assert np.array_equal(fused.zeta, plain.zeta)
-        assert np.array_equal(fused.zeta_t, plain.zeta_t)
-        st = plain
-
-
 def test_cfl_halving_keeps_growth_rate(profile13_512, mode13_512):
     _, mode = mode13_512
     prof = profile13_512
@@ -545,7 +530,7 @@ def _reference_geometry(discs):
     return g
 
 
-def _reference_nonlinear_accel_rows(zeta, discs, jm1=None):
+def _reference_nonlinear_accel_rows(zeta, discs):
     disc = _reference_geometry(discs)
     N = disc.N
     z = zeta
@@ -553,8 +538,7 @@ def _reference_nonlinear_accel_rows(zeta, discs, jm1=None):
     if np.fmin.reduce(xi, axis=None) <= 0.0:
         failed = (xi <= 0.0).reshape(-1, N + 1).any(axis=1)
         raise _row_collapse("1 + zeta <= 0: flow map interpenetrates", failed)
-    if jm1 is None:
-        jm1 = cell_jacobian_minus_one(z, disc)
+    jm1 = cell_jacobian_minus_one(z, disc)
     if np.fmin.reduce(jm1, axis=None) <= -1.0:
         raise _row_collapse("J <= 0: orientation lost", (jm1 <= -1.0).reshape(-1, N).any(axis=1))
     flux = np.log1p(jm1)
@@ -607,17 +591,6 @@ def _outcome(kernel, *args):
         return kernel(*args)
     except StatePastVacuumCollapse as exc:
         return str(exc), exc.rows
-
-
-def _assert_same_outcome(block, discs, jm1=None):
-    """The flat kernel and the reference give the same array, or raise the
-    same collapse."""
-    got = _outcome(nonlinear_accel_rows, block, FlatRows.build(discs), jm1)
-    want = _outcome(_reference_nonlinear_accel_rows, block, discs, jm1)
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        _assert_same_bits(got, want)
 
 
 def _blocks(profiles, z):
@@ -717,20 +690,6 @@ def test_flat_kernel_collapse_checks_next_to_a_row_join(profiles_256):
             assert _outcome(nonlinear_accel_rows, block, FlatRows.build(discs)) == want
             messages.add(want[0])
     assert len(messages) == 3
-
-
-def test_flat_kernel_reads_a_given_jm1(profiles_256, rng):
-    n = profiles_256[0].n_nodes
-    x = profiles_256[1].grid
-    for B in (1, 3):
-        for block, discs in _blocks(profiles_256, smooth_trials(rng, x, B, amplitude=1e-2)):
-            jm1 = cell_jacobian_minus_one(block, _reference_geometry(discs))
-            before = jm1.copy()
-            _assert_same_outcome(block, discs, jm1)
-            assert np.array_equal(jm1, before)
-            # a given jm1 is checked as given
-            jm1[..., n // 2] = -2.0
-            _assert_same_outcome(block, discs, jm1)
 
 
 def test_flat_kernel_junk_raises_no_floating_point_error(profiles_256):

@@ -112,6 +112,12 @@ BAD_TYPED_CONFIGS = [
     {"polytrope": {"ode_abs_tol": -1}},
     {"polytrope": {"r_max": -5}},
     {"polytrope": {"r_max": 0}},
+    # a handover radius that is no positive finite radius
+    {"polytrope": {"series_radius": 0}},
+    {"polytrope": {"series_radius": -1}},
+    {"polytrope": {"series_radius": float("nan")}},
+    # numpy's generator takes no negative seed
+    {"experiment": {"seed": -1}},
 ]
 
 
@@ -254,7 +260,7 @@ def test_run_status_smallness_exceeded():
 
     tight = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, theta1=1e-5))
     profile = ps.build_profile(tight)
-    _, mode = ps.build_mode(profile, tight.eig.eig_tol)
+    mode = ps.build_mode(profile, tight.eig.eig_tol)
     rec = ps.evolve_run(
         profile,
         ps.mode_initial_state(mode, 1e-3),
@@ -271,7 +277,7 @@ def test_run_status_collapsed():
 
     loose = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, theta1=1e9))
     profile = ps.build_profile(loose)
-    _, mode = ps.build_mode(profile, loose.eig.eig_tol)
+    mode = ps.build_mode(profile, loose.eig.eig_tol)
     # strong inward velocity drives J through zero within a fraction of a
     # sound-crossing time; the run must stop with a structured status
     initial = ps.PerturbationState(
@@ -284,7 +290,7 @@ def test_run_status_collapsed():
 def test_run_status_max_steps():
     cfg = make_config(n_nodes=128, kind="evolve")
     profile = ps.build_profile(cfg)
-    _, mode = ps.build_mode(profile, cfg.eig.eig_tol)
+    mode = ps.build_mode(profile, cfg.eig.eig_tol)
     rec = ps.evolve_run(
         profile, ps.mode_initial_state(mode, 1e-3), cfg, mu0=mode.mu0, t_end=10.0, max_steps=5
     )
@@ -295,7 +301,7 @@ def test_run_status_max_steps():
 def test_run_status_nonfinite():
     cfg = make_config(n_nodes=128, kind="evolve")
     profile = ps.build_profile(cfg)
-    _, mode = ps.build_mode(profile, cfg.eig.eig_tol)
+    mode = ps.build_mode(profile, cfg.eig.eig_tol)
     initial = ps.mode_initial_state(mode, 1e-3)
     initial.zeta[profile.n_nodes // 2] = np.nan
     rec = ps.evolve_run(profile, initial, cfg, mu0=mode.mu0, t_end=1.0, dt=0.01)
@@ -368,7 +374,7 @@ def run128():
     cfg = make_config(n_nodes=128, kind="evolve")
     cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, snapshot_every=4))
     profile = ps.build_profile(cfg)
-    _, mode = ps.build_mode(profile, cfg.eig.eig_tol)
+    mode = ps.build_mode(profile, cfg.eig.eig_tol)
     return cfg, profile, mode
 
 
@@ -424,11 +430,11 @@ def _collapsing_rows(hit, accel=evolution.nonlinear_accel_rows):
     """nonlinear_accel_rows, raising a collapse of every row for which
     hit(row) holds."""
 
-    def collapsing(zeta, disc, jm1=None):
+    def collapsing(zeta, disc):
         rows = [b for b, row in enumerate(zeta.reshape(-1, zeta.shape[-1])) if hit(row)]
         if rows:
             raise StatePastVacuumCollapse("forced", rows=rows)
-        return accel(zeta, disc, jm1=jm1)
+        return accel(zeta, disc)
 
     return collapsing
 
@@ -511,7 +517,7 @@ def test_batched_sweep_members_equal_solo_runs():
     for gamma in (1.25, 1.30, 1.32):
         cfg = make_config(n_nodes=128, gamma=gamma, kind="sweep")
         profile = ps.build_profile(cfg)
-        _, mode = ps.build_mode(profile, cfg.eig.eig_tol)
+        mode = ps.build_mode(profile, cfg.eig.eig_tol)
         runs.append(ps.Member(profile, ps.mode_initial_state(mode, 1e-3), mode.mu0, 4e-3, t_end=6.0))
     records = ps.evolve_batch(runs, cfg)
     assert [rec.gamma for rec in records] == [1.25, 1.30, 1.32]
@@ -627,7 +633,8 @@ def test_check_radius_convergence_refines_the_ode_tolerance():
     R, R_fine = (ps.solve_lane_emden(p, 256).R for p in (pc, finer))
     assert entry["status"] == "pass"
     assert entry["value"] == abs(R_fine - R) > 0.0
-    assert entry["value"] <= 1e-10 * R
+    assert entry["threshold"] == 1e-10 * R
+    assert entry["value"] <= entry["threshold"]
 
     # a tenth of ode_rel_tol = 1e-13 is below 100 eps
     tight = dataclasses.replace(cfg, polytrope=dataclasses.replace(pc, ode_rel_tol=1e-13))
@@ -750,7 +757,7 @@ def test_cli_deterministic_outputs(tmp_path, monkeypatch):
     assert (out1 / "check.json").read_bytes() == (out2 / "check.json").read_bytes()
 
 
-def test_cli_exit_codes(tmp_path, monkeypatch):
+def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"mesh\": {\"n_nodes\": 4}}")
     code, _ = _run_cli(["profile", "--config", str(bad)], tmp_path, monkeypatch)
@@ -763,6 +770,12 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     # the flag overrides skip the JSON type checks but not the range checks
     code, _ = _run_cli(["evolve", "--nodes", "64", "--delta", "nan"], tmp_path, monkeypatch)
     assert code == 2
+    # a negative seed fails at load, named, before the profile solve
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "build_profile", None)
+        code, _ = _run_cli(["check", "--nodes", "64", "--seed", "-1"], tmp_path, monkeypatch)
+    assert code == 2
+    assert "experiment.seed" in capsys.readouterr().err
 
     # the config and the solver share MIN_NODES: a mesh the solver cannot
     # take fails at load for every command, check included

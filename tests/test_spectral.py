@@ -14,30 +14,33 @@ from conftest import smooth_trials
 
 
 def test_stiffness_exact_symmetry(mode13, rng):
-    pencil, _ = mode13
-    u = rng.standard_normal(pencil.n_interior)
-    v = rng.standard_normal(pencil.n_interior)
-    assert pencil.bilinear(u, v) - pencil.bilinear(v, u) == 0.0
-    S = ps.solve_lane_emden(ps.PolytropeConfig(gamma=1.3), 128)
-    small = ps.assemble_pencil(S).to_dense()
-    assert np.abs(small - small.T).max() == 0.0
+    disc, _ = mode13
+    u = rng.standard_normal(disc.N - 1)
+    v = rng.standard_normal(disc.N - 1)
+    assert disc.bilinear(u, v) - disc.bilinear(v, u) == 0.0
+    prof = ps.solve_lane_emden(ps.PolytropeConfig(gamma=1.3), 128)
+    small = ps.assemble_pencil(prof)
+    assert small is prof.discretization
+    off = small.stiffness_off
+    S = np.diag(small.stiffness_diag) + np.diag(off, 1) + np.diag(off, -1)
+    assert np.abs(S - S.T).max() == 0.0
 
 
 def test_marginal_index_kills_zeroth_order():
     prof = ps.solve_lane_emden(ps.PolytropeConfig(gamma=4 / 3), 256)
-    pencil = ps.assemble_pencil(prof)
-    ones = np.ones(pencil.n_interior)
+    disc = ps.assemble_pencil(prof)
+    ones = np.ones(disc.N - 1)
     # flux part annihilates constants; 4 - 3*(1+alpha)/alpha ~ eps at alpha = 3
-    q = ps.rayleigh_quotient(pencil, ones)
+    q = ps.rayleigh_quotient(disc, ones)
     assert abs(q) <= 1e-12
 
 
 def test_constant_trial_quadratic_form(profile13, mode13):
-    pencil, _ = mode13
+    disc, _ = mode13
     alpha = profile13.alpha
     gt = (1.0 + alpha) / alpha
-    ones = np.ones(pencil.n_interior)
-    q = ps.rayleigh_quotient(pencil, ones)
+    ones = np.ones(disc.N - 1)
+    q = ps.rayleigh_quotient(disc, ones)
     assert q > 0
 
     # after integration by parts: 3 (4-3gt) int w^(1+alpha) r^2 / int w^alpha r^4
@@ -58,19 +61,19 @@ def test_constant_trial_quadratic_form(profile13, mode13):
 
 
 def test_rayleigh_zero_vector(mode13):
-    pencil, _ = mode13
+    disc, _ = mode13
     with pytest.raises(ZeroVector):
-        ps.rayleigh_quotient(pencil, np.zeros(pencil.n_interior))
+        ps.rayleigh_quotient(disc, np.zeros(disc.N - 1))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(c=st.floats(min_value=-1e6, max_value=1e6).filter(lambda x: abs(x) > 1e-6))
 def test_rayleigh_scaling_invariance(c):
     prof = _cached_small_profile()
-    pencil = ps.assemble_pencil(prof)
-    phi = np.sin(np.linspace(0.1, 3.0, pencil.n_interior))
-    assert ps.rayleigh_quotient(pencil, c * phi) == pytest.approx(
-        ps.rayleigh_quotient(pencil, phi), rel=1e-12
+    disc = ps.assemble_pencil(prof)
+    phi = np.sin(np.linspace(0.1, 3.0, disc.N - 1))
+    assert ps.rayleigh_quotient(disc, c * phi) == pytest.approx(
+        ps.rayleigh_quotient(disc, phi), rel=1e-12
     )
 
 
@@ -108,12 +111,12 @@ def test_mu0_monotone_in_gamma():
 
 
 def test_variational_dominance(mode13, rng):
-    pencil, mode = mode13
-    trials = smooth_trials(rng, pencil.grid, 100)
-    quotients = [ps.rayleigh_quotient(pencil, t) for t in trials]
+    disc, mode = mode13
+    trials = smooth_trials(rng, disc.r[1:-1], 100)
+    quotients = [ps.rayleigh_quotient(disc, t) for t in trials]
     assert max(quotients) <= mode.mu0 + 1e-8
-    ones = np.ones(pencil.n_interior)
-    assert mode.mu0 >= ps.rayleigh_quotient(pencil, ones) - 1e-8
+    ones = np.ones(disc.N - 1)
+    assert mode.mu0 >= ps.rayleigh_quotient(disc, ones) - 1e-8
 
 
 def test_mode_normalization_and_sign(profile13, mode13):
