@@ -20,9 +20,9 @@ weighted norms, the energies and the linear dynamics read.
 
 The generalized problem  (-S) phi = mu M phi  with the diagonal mass
 M = w^alpha r^4 dr is reduced by the M^(-1/2) scaling to a standard
-symmetric tridiagonal problem; the algebraically largest eigenvalue is
-found by Sturm-sequence bisection plus inverse iteration (LAPACK
-stebz/stein via scipy), which is deterministic across runs.
+symmetric tridiagonal problem.  Its two largest eigenvalues come from
+Sturm sequences and the top eigenvector from inverse iteration, in the
+package's own solver (polystar._tridiag), deterministic across runs.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
+from ._tridiag import top_eigenpair
 from .energetics import _norm_X_rows, _norm_Y_rows, weighted_norm_X, weighted_norm_Y
 from .errors import ConvergenceFailure, ZeroVector
 from .polytrope import Discretization, LaneEmdenProfile
@@ -84,24 +84,16 @@ def largest_eigenpair(disc: Discretization, eig_tol: float = 1e-8) -> GrowingMod
     eigenvalues are requested so a near-degenerate pair can be flagged
     instead of silently trusted.
     """
-    scale = 1.0 / np.sqrt(disc.mass)
+    root = np.sqrt(disc.mass)
+    scale = 1.0 / root
     d = -disc.stiffness_diag * scale * scale
     e = -disc.stiffness_off * scale[:-1] * scale[1:]
-    n = d.size
-    # Two calls, not one with select_range=(n - 2, n - 1): the single call
-    # returns mu0 and phi0 that differ in the last bits, for every gamma
-    # (1.25-2) and N (128-2048) probed, which would move every output.
-    try:
-        top_vals = eigh_tridiagonal(
-            d, e, select="i", select_range=(n - 2, n - 1), eigvals_only=True
-        )
-        vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(n - 1, n - 1))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceFailure(str(exc)) from exc
-    mu0 = float(vals[0])
-    gap = float(top_vals[1] - top_vals[0])
+    # the trial modes phi = 1 and phi = r^2, scaled: their Ritz values
+    # start the searches for mu0 and mu1
+    mu0, mu1, vec = top_eigenpair(d, e, np.stack([root, root * disc.r[1:-1] ** 2]))
+    gap = mu0 - mu1
 
-    interior = vecs[:, 0] * scale
+    interior = vec * scale
     # endpoint values are a reporting convenience: both carry zero weight
     # in every norm
     phi0 = np.empty(disc.N + 1)

@@ -259,17 +259,17 @@ def test_profile_equals_a_solve_ivp_build(gamma, n_nodes, monkeypatch):
     assert np.array_equal(phi, phi_ref)
 
 
-def test_import_loads_no_scipy_integrate():
-    # the Lane-Emden solve is in-package; scipy.linalg serves the eigen
-    # solve, and scipy.interpolate and quad load lazily in the Hardy checks
+def test_profile_and_mode_load_no_scipy():
+    # the Lane-Emden solve and the eigen solve are in-package; scipy loads
+    # lazily only in check's Hardy families (scipy.interpolate) and in
+    # hardy_trace_check (quad)
     code = (
         "import sys\n"
         "import polystar\n"
         "from polystar import experiments\n"
         "from polystar.config import ExperimentConfig\n"
         "experiments.build_mode(experiments.build_profile(ExperimentConfig()), 1e-8)\n"
-        "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.special', 'scipy.sparse')\n"
-        "print([name for name in heavy if name in sys.modules])\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     src = os.path.dirname(os.path.dirname(ps.__file__))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import polystar as ps
+from polystar import _tridiag
 from polystar.errors import ZeroVector
 from polystar.spectral import mode_regularity_report
 
@@ -202,3 +203,103 @@ def test_marginal_gamma_mode_is_constant():
     variation = (interior.max() - interior.min()) / np.abs(interior).max()
     assert variation <= 1e-3
     assert abs(mode.mu0) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# The in-package tridiagonal solver
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _scaled_tridiagonal(disc):
+    """The M^(-1/2)-scaled (d, e) that largest_eigenpair hands the solver,
+    and ||T|| as the Gershgorin bound."""
+    scale = 1.0 / np.sqrt(disc.mass)
+    d = -disc.stiffness_diag * scale * scale
+    e = -disc.stiffness_off * scale[:-1] * scale[1:]
+    rows = np.abs(d)
+    rows[:-1] += np.abs(e)
+    rows[1:] += np.abs(e)
+    return d, e, float(rows.max())
+
+
+@pytest.mark.parametrize("n_nodes", [256, 1024, 2048])
+@pytest.mark.parametrize("gamma", [1.22, 1.3, 4 / 3, 1.7, 2.0])
+def test_largest_eigenpair_agrees_with_lapack(gamma, n_nodes):
+    # LAPACK's stebz/stein through scipy, the solver this package used
+    # before: both resolve eigenvalues to about eps ||T|| absolute
+    from scipy.linalg import eigh_tridiagonal
+
+    prof = ps.solve_lane_emden(ps.PolytropeConfig(gamma=gamma), n_nodes)
+    disc = ps.assemble_pencil(prof)
+    mode = ps.largest_eigenpair(disc, eig_tol=1e-8)
+    d, e, tnorm = _scaled_tridiagonal(disc)
+    n = d.size
+    top = eigh_tridiagonal(d, e, select="i", select_range=(n - 2, n - 1), eigvals_only=True)
+    assert abs(mode.mu0 - top[1]) <= 2.0 * EPS * tnorm
+    assert abs(mode.gap - (top[1] - top[0])) <= 2.0 * EPS * tnorm
+
+    _, vecs = eigh_tridiagonal(d, e, select="i", select_range=(n - 1, n - 1))
+    ref = np.empty(disc.N + 1)
+    ref[1:-1] = vecs[:, 0] / np.sqrt(disc.mass)
+    disc.extrapolate_endpoints(ref)
+    ref *= np.sign(ref[0])
+    nx, ny = ps.weighted_norm_X(ref, prof, prof.alpha), ps.weighted_norm_Y(ref, prof, prof.alpha)
+    ref /= np.sqrt((1.0 + top[1]) * nx**2 + ny**2)
+    assert np.abs(mode.phi0 - ref).max() <= 1e-9
+
+    interior = mode.phi0[1:-1]
+    res_scale = (disc.mass / disc.dr_interior).max() * np.abs(interior).max() * (1.0 + abs(mode.mu0))
+    assert mode.residual <= 1e-8 * res_scale
+
+
+def test_top_eigenpair_of_the_second_difference_matrix():
+    # d = 2, e = -1: eigenvalues 2 - 2 cos(k pi/(n+1)), k = 1..n, and the
+    # top eigenvector sin(j n pi/(n+1)), j = 1..n
+    n = 100
+    d = np.full(n, 2.0)
+    e = np.full(n - 1, -1.0)
+    j = np.arange(1, n + 1)
+    trials = np.stack([np.ones(n), j / n])
+    tnorm = 4.0
+    mu0, mu1, vec = _tridiag.top_eigenpair(d, e, trials)
+    assert abs(mu0 - (2.0 - 2.0 * np.cos(n * np.pi / (n + 1)))) <= 2.0 * EPS * tnorm
+    assert abs(mu1 - (2.0 - 2.0 * np.cos((n - 1) * np.pi / (n + 1)))) <= 2.0 * EPS * tnorm
+    exact = np.sin(j * n * np.pi / (n + 1))
+    exact /= np.linalg.norm(exact)
+    assert np.abs(vec * np.sign(vec[0]) - exact).max() <= 1e-10
+
+    again = _tridiag.top_eigenpair(d, e, trials)
+    assert again[0] == mu0 and again[1] == mu1
+    assert np.array_equal(again[2], vec)
+
+
+def test_top_eigenpair_takes_few_sturm_passes(mode13, monkeypatch):
+    # Laguerre steps from the Ritz values: 2 passes for mu0 and 5 for mu1
+    # at gamma 1.3, where bisection alone would take about 40 each
+    disc, mode = mode13
+    calls = []
+    sturm = _tridiag._sturm
+
+    def counted(*args):
+        calls.append(args[2])
+        return sturm(*args)
+
+    monkeypatch.setattr(_tridiag, "_sturm", counted)
+    assert ps.largest_eigenpair(disc).mu0 == mode.mu0
+    assert len(calls) <= 10
+
+
+def test_mode_converges_at_8192_nodes(tmp_path, monkeypatch):
+    # LAPACK's eigenvector missed the eigen residual gate here (3.75e-8
+    # against 1e-8 * scale 1.19), and `mode` exited 3 (ConvergenceFailure)
+    import json
+
+    from polystar.cli import main
+
+    monkeypatch.setenv("POLYSTAR_OUT", str(tmp_path))
+    assert main(["mode", "--nodes", "8192"]) == 0
+    mode = json.loads((tmp_path / "mode.json").read_text())
+    assert mode["mu0"] == pytest.approx(0.0318259, rel=1e-5)
+    assert mode["residual"] <= 1e-8
