@@ -259,7 +259,7 @@ def test_profile_equals_a_solve_ivp_build(gamma, n_nodes, monkeypatch):
     assert np.array_equal(phi, phi_ref)
 
 
-def test_profile_and_mode_load_no_scipy():
+def test_import_loads_no_scipy_integrate():
     # the Lane-Emden solve and the eigen solve are in-package; scipy loads
     # lazily only in check's Hardy families (scipy.interpolate) and in
     # hardy_trace_check (quad)
