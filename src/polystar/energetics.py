@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._spline import NotAKnot, integrals
 from .errors import ExponentOutOfRange, UnsupportedOrder, WindowTooSmall
 from .evolution import (
     PerturbationState,
@@ -407,13 +408,6 @@ class HardyReport:
         return self.lhs / self.rhs
 
 
-def _spline_integral(x: np.ndarray, y: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Integral over [a, b] of the cubic splines through the rows of y."""
-    from scipy.interpolate import CubicSpline
-
-    return CubicSpline(x, y, axis=-1).integrate(a, b)
-
-
 def _hardy_reports(v: np.ndarray, lhs: np.ndarray, rhs: np.ndarray):
     """One HardyReport per row of v, (0, 0) for a zero row; a single
     report for a 1-D v."""
@@ -431,19 +425,21 @@ def hardy_check_origin(
 
         int_0^c r^2 v^2  <=  C ( int_0^2c r^4 v_r^2 + int_c^2c r^4 v^2 ).
 
-    Reports both sides; v_r defaults to a spline derivative of v.  A
+    Reports both sides.  Each integral is that of the not-a-knot cubic
+    through the integrand's samples on the profile grid (polystar._spline),
+    and v_r defaults to that cubic's derivative of v at the nodes.  A
     (K, N+1) block v gives one report per row, each the one-row report.
     """
-    from scipy.interpolate import CubicSpline
-
     r = profile.grid
     v = np.asarray(v, dtype=float)
     rows = np.atleast_2d(v)
-    v_r = CubicSpline(r, rows, axis=-1)(r, 1) if v_r is None else np.atleast_2d(v_r)
+    spline = NotAKnot(r)
+    v_r = spline.slopes(rows) if v_r is None else np.atleast_2d(v_r)
     c = profile.R / 4.0
-    lhs = _spline_integral(r, r**2 * rows * rows, 0.0, c)
-    rhs = _spline_integral(r, r**4 * v_r * v_r, 0.0, 2 * c) + _spline_integral(
-        r, r**4 * rows * rows, c, 2 * c
+    lhs = integrals(r**2 * rows * rows, spline.weights(0.0, c))
+    rhs = np.add(
+        integrals(r**4 * v_r * v_r, spline.weights(0.0, 2 * c)),
+        integrals(r**4 * rows * rows, spline.weights(c, 2 * c)),
     )
     return _hardy_reports(v, lhs, rhs)
 
@@ -471,27 +467,27 @@ def hardy_check_boundary(
 
         int w^(a-2) (psi v)^2  <=  C ( int w^a (psi v_r)^2 + int w^a (psi v)^2 )
 
-    with the cutoff psi supported in [R-2c, R], c = R/8.  Quadrature is
-    truncated at the last strictly positive enthalpy node, the same
-    resolution cut for every mesh built from one grading.  v is one row
-    or a block of rows, as in hardy_check_origin."""
-    from scipy.interpolate import CubicSpline
-
+    with the cutoff psi supported in [R-2c, R], c = R/8.  v_r defaults to
+    the derivative at the nodes of the not-a-knot cubic through v on the
+    whole grid.  The integrals stop at the last node with w > 0, since
+    w^(a-2) is singular at R where a < 2: each is that of the not-a-knot
+    cubic through the integrand's samples on the nodes up to that one,
+    over [R-2c, that node], the same resolution cut for every mesh built
+    from one grading.  v is one row or a block of rows, as in
+    hardy_check_origin."""
     if a <= 1.0:
         raise ExponentOutOfRange("boundary variant requires exponent a > 1")
     r = profile.grid
     v = np.asarray(v, dtype=float)
     rows = np.atleast_2d(v)
-    v_r = CubicSpline(r, rows, axis=-1)(r, 1) if v_r is None else np.atleast_2d(v_r)
+    v_r = NotAKnot(r).slopes(rows) if v_r is None else np.atleast_2d(v_r)
     c = profile.R / 8.0
     pos = profile.w > 0.0
     r, w, rows, v_r = r[pos], profile.w[pos], rows[:, pos], v_r[:, pos]
     psi = _smooth_step((r - (profile.R - 2 * c)) / c)
-    lo, hi = profile.R - 2 * c, r[-1]
-    lhs = _spline_integral(r, w ** (a - 2.0) * (psi * rows) ** 2, lo, hi)
-    rhs = _spline_integral(r, w**a * (psi * v_r) ** 2, lo, hi) + _spline_integral(
-        r, w**a * (psi * rows) ** 2, lo, hi
-    )
+    q = NotAKnot(r).weights(profile.R - 2 * c, r[-1])
+    lhs = integrals(w ** (a - 2.0) * (psi * rows) ** 2, q)
+    rhs = np.add(integrals(w**a * (psi * v_r) ** 2, q), integrals(w**a * (psi * rows) ** 2, q))
     return _hardy_reports(v, lhs, rhs)
 
 

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 
 import polystar as ps
 from polystar import energetics, evolution
+from polystar._spline import NotAKnot, integrals
 from polystar.energetics import (
     EnergyGapReport,
     energy_gap_report,
@@ -435,6 +436,54 @@ def test_hardy_families_on_a_block_equal_one_row_calls(profile13, with_derivativ
         assert boundary[i] == one
     assert (origin[2].lhs, origin[2].rhs) == (boundary[2].lhs, boundary[2].rhs) == (0.0, 0.0)
     assert origin[0].ratio > 0.0 and boundary[0].ratio > 0.0
+
+
+def _spline_grids(profile13):
+    x = np.sort(np.random.default_rng(5).uniform(0.0, 2.0, 300))
+    return {"profile13": profile13.grid, "random": np.concatenate([[0.0], x, [2.0]])}
+
+
+@pytest.mark.parametrize("grid", ["profile13", "random"])
+def test_not_a_knot_cubic_agrees_with_cubic_spline(profile13, grid):
+    from scipy.interpolate import CubicSpline
+
+    x = _spline_grids(profile13)[grid]
+    y = np.random.default_rng(9).standard_normal((5, x.size))
+    y[1] = np.sin(3.0 * x)
+    spline, ref = NotAKnot(x), CubicSpline(x, y, axis=-1)
+    slopes = spline.slopes(y)
+    assert np.abs(slopes - ref(x, 1)).max() <= 1e-13 * np.abs(slopes).max()
+    n = x.size - 1
+    inside = (0.3 * x[37] + 0.7 * x[38], 0.5 * (x[n - 40] + x[n - 39]))
+    ends = [
+        (x[0], x[-1]),  # the whole grid
+        (x[10], x[n - 10]),  # on knots
+        inside,  # inside cells
+        (x[0], inside[0]),
+        (inside[1], x[-1]),
+        (x[12], inside[1]),
+        (inside[0], inside[0] + 0.3 * (x[39] - x[38])),  # within one cell
+    ]
+    for a, b in ends:
+        want = ref.integrate(a, b)
+        got = np.array(integrals(y, spline.weights(a, b)))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (a, b)
+    assert integrals(y, spline.weights(inside[0], inside[0])) == [0.0] * len(y)
+
+
+def test_not_a_knot_cubic_reproduces_cubics(profile13):
+    # not-a-knot interpolation of a cubic is the cubic itself; the slopes
+    # carry the rounding eps |y| / h of the divided differences
+    for x in _spline_grids(profile13).values():
+        p = np.polynomial.Polynomial([0.3, -1.2, 0.8, 0.45])
+        spline, prim = NotAKnot(x), p.integ()
+        rounding = np.finfo(float).eps * np.abs(p(x)).max() / np.diff(x).min()
+        assert np.abs(spline.slopes(p(x)) - p.deriv()(x)).max() <= 4 * rounding
+        a, b = 0.31 * x[-1], 0.87 * x[-1]
+        assert spline.weights(a, b) @ p(x) == pytest.approx(prim(b) - prim(a), rel=1e-14)
+        assert spline.weights(x[0], x[-1]) @ p(x) == pytest.approx(
+            prim(x[-1]) - prim(x[0]), rel=1e-14
+        )
 
 
 def test_hardy_trace_polynomial_case():

@@ -261,8 +261,8 @@ def test_profile_equals_a_solve_ivp_build(gamma, n_nodes, monkeypatch):
 
 def test_import_loads_no_scipy_integrate():
     # the Lane-Emden solve and the eigen solve are in-package; scipy loads
-    # lazily only in check's Hardy families (scipy.interpolate) and in
-    # hardy_trace_check (quad)
+    # lazily only in hardy_trace_check (quad, CubicSpline), which only the
+    # tests call
     code = (
         "import sys\n"
         "import polystar\n"
@@ -278,6 +278,24 @@ def test_import_loads_no_scipy_integrate():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert out.stdout.strip() == "[]", out.stdout + out.stderr
+
+
+def test_check_loads_no_scipy(tmp_path):
+    # the Hardy families integrate on the in-package not-a-knot cubic
+    code = (
+        "import sys\n"
+        "from polystar import cli\n"
+        f"rc = cli.main(['check', '--nodes', '256', '--out', {str(tmp_path)!r}])\n"
+        "print(rc, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(ps.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout.strip().splitlines()[-1] == "0 []", out.stdout + out.stderr
+    assert (tmp_path / "hardy.csv").exists()
 
 
 def test_nonmonotone_detection(profile13):
