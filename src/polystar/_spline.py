@@ -27,7 +27,7 @@ import numpy as np
 
 
 class NotAKnot:
-    """The not-a-knot slope system on the knots x (increasing, >= 4)."""
+    """The not-a-knot slope system on increasing knots x, at least 4."""
 
     def __init__(self, x: np.ndarray):
         self.x = np.asarray(x, dtype=float)
@@ -103,6 +103,6 @@ class NotAKnot:
         return q
 
 
-def integrals(y: np.ndarray, q: np.ndarray) -> list:
+def integrals(y: np.ndarray, q: np.ndarray) -> np.ndarray:
     """q.row for each row of y, one dot product per contiguous row."""
-    return [float(row @ q) for row in np.ascontiguousarray(np.atleast_2d(y))]
+    return np.array([row @ q for row in np.ascontiguousarray(np.atleast_2d(y))])

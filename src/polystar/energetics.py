@@ -437,9 +437,8 @@ def hardy_check_origin(
     v_r = spline.slopes(rows) if v_r is None else np.atleast_2d(v_r)
     c = profile.R / 4.0
     lhs = integrals(r**2 * rows * rows, spline.weights(0.0, c))
-    rhs = np.add(
-        integrals(r**4 * v_r * v_r, spline.weights(0.0, 2 * c)),
-        integrals(r**4 * rows * rows, spline.weights(c, 2 * c)),
+    rhs = integrals(r**4 * v_r * v_r, spline.weights(0.0, 2 * c)) + integrals(
+        r**4 * rows * rows, spline.weights(c, 2 * c)
     )
     return _hardy_reports(v, lhs, rhs)
 
@@ -487,7 +486,7 @@ def hardy_check_boundary(
     psi = _smooth_step((r - (profile.R - 2 * c)) / c)
     q = NotAKnot(r).weights(profile.R - 2 * c, r[-1])
     lhs = integrals(w ** (a - 2.0) * (psi * rows) ** 2, q)
-    rhs = np.add(integrals(w**a * (psi * v_r) ** 2, q), integrals(w**a * (psi * rows) ** 2, q))
+    rhs = integrals(w**a * (psi * v_r) ** 2, q) + integrals(w**a * (psi * rows) ** 2, q)
     return _hardy_reports(v, lhs, rhs)
 
 

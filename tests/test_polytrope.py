@@ -259,6 +259,20 @@ def test_profile_equals_a_solve_ivp_build(gamma, n_nodes, monkeypatch):
     assert np.array_equal(phi, phi_ref)
 
 
+def _run_fresh(code: str):
+    """`code` run in a fresh interpreter that imports this polystar."""
+    src = os.path.dirname(os.path.dirname(ps.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return out
+
+
+_PRINT_SCIPY = "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+
+
 def test_import_loads_no_scipy_integrate():
     # the Lane-Emden solve and the eigen solve are in-package; scipy loads
     # lazily only in hardy_trace_check (quad, CubicSpline), which only the
@@ -269,14 +283,8 @@ def test_import_loads_no_scipy_integrate():
         "from polystar import experiments\n"
         "from polystar.config import ExperimentConfig\n"
         "experiments.build_mode(experiments.build_profile(ExperimentConfig()), 1e-8)\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-    )
-    src = os.path.dirname(os.path.dirname(ps.__file__))
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    ) + _PRINT_SCIPY
+    out = _run_fresh(code)
     assert out.stdout.strip() == "[]", out.stdout + out.stderr
 
 
@@ -285,16 +293,10 @@ def test_check_loads_no_scipy(tmp_path):
     code = (
         "import sys\n"
         "from polystar import cli\n"
-        f"rc = cli.main(['check', '--nodes', '256', '--out', {str(tmp_path)!r}])\n"
-        "print(rc, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-    )
-    src = os.path.dirname(os.path.dirname(ps.__file__))
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert out.stdout.strip().splitlines()[-1] == "0 []", out.stdout + out.stderr
+        f"print(cli.main(['check', '--nodes', '256', '--out', {str(tmp_path)!r}]))\n"
+    ) + _PRINT_SCIPY
+    out = _run_fresh(code)
+    assert out.stdout.strip().splitlines()[-2:] == ["0", "[]"], out.stdout + out.stderr
     assert (tmp_path / "hardy.csv").exists()
 
 
