@@ -4,10 +4,9 @@
 
 For B = 1, 2 and 3 rows, it runs evolution.nonlinear_accel_rows and one
 evolution.step_rows on it (four accelerations and the RK4 sums), the two
-batched kernels, as the batched time loop calls them: one row is a 1-D
-array on its profile's one-row FlatRows with a float dt; B rows are a
-(B, N+1) block on the FlatRows of the gammas 1.25, 1.3 and 1.32, with dt
-as a (B, N+1) block.  The state is
+batched kernels, as the batched time loop calls them: B rows are a
+(B, N+1) block on the FlatRows of the first B of the gammas 1.25, 1.3 and
+1.32, with dt as a (B, N+1) block, one row included.  The state is
 wrapped in an ndarray subclass whose __array_ufunc__ and
 __array_function__ count, and every array the kernels derive from it or
 allocate with np.empty or np.zeros stays in that subclass.  It prints,
@@ -138,11 +137,8 @@ def measure(n_nodes: int) -> list:
     for B in (1, 2, 3):
         r = profiles[0].grid / profiles[0].R
         block = np.stack([1e-4 * (b + 1) * (1.0 - r * r) for b in range(B)])
-        if B == 1:
-            flat, block, dt = profiles[0].discretization.flat, block[0], 1e-3
-        else:
-            flat = polytrope.FlatRows.build([p.discretization for p in profiles[:B]])
-            dt = np.full(block.shape, 1e-3)
+        flat = polytrope.FlatRows.build([p.discretization for p in profiles[:B]])
+        dt = np.full(block.shape, 1e-3)
         zeta, zeta_t = block.view(Counted), (0.5 * block).view(Counted)
 
         def nonlinear(z, flat=flat):

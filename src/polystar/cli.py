@@ -19,6 +19,15 @@ from .energetics import instant_energy as energetics_report
 from .errors import ConfigError, PolystarError
 
 
+# Flag -> (config section, field, type), applied in this order.
+_OVERRIDES = {
+    "gamma": ("polytrope", "gamma", float),
+    "delta": ("experiment", "delta", float),
+    "nodes": ("mesh", "n_nodes", int),
+    "seed": ("experiment", "seed", int),
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="polystar",
@@ -28,28 +37,17 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=["profile", "mode", "evolve", "instability", "sweep", "check"])
     ap.add_argument("--config", help="JSON configuration file")
     ap.add_argument("--out", help="output directory (default: $POLYSTAR_OUT or ./out)")
-    ap.add_argument("--gamma", type=float, help="override polytrope.gamma")
-    ap.add_argument("--delta", type=float, help="override experiment.delta")
-    ap.add_argument("--nodes", type=int, help="override mesh.n_nodes")
-    ap.add_argument("--seed", type=int, help="override experiment.seed")
+    for flag, (section, name, kind) in _OVERRIDES.items():
+        ap.add_argument(f"--{flag}", type=kind, help=f"override {section}.{name}")
     return ap
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if args.gamma is not None:
-        cfg = dataclasses.replace(
-            cfg, polytrope=dataclasses.replace(cfg.polytrope, gamma=args.gamma)
-        )
-    if args.delta is not None:
-        cfg = dataclasses.replace(
-            cfg, experiment=dataclasses.replace(cfg.experiment, delta=args.delta)
-        )
-    if args.nodes is not None:
-        cfg = dataclasses.replace(cfg, mesh=dataclasses.replace(cfg.mesh, n_nodes=args.nodes))
-    if args.seed is not None:
-        cfg = dataclasses.replace(
-            cfg, experiment=dataclasses.replace(cfg.experiment, seed=args.seed)
-        )
+    for flag, (section, name, _) in _OVERRIDES.items():
+        value = getattr(args, flag)
+        if value is not None:
+            part = dataclasses.replace(getattr(cfg, section), **{name: value})
+            cfg = dataclasses.replace(cfg, **{section: part})
     out_dir = args.out or os.environ.get("POLYSTAR_OUT") or cfg.output_dir
     return dataclasses.replace(cfg, output_dir=out_dir)
 

@@ -13,10 +13,14 @@ Jacobian
     J_{j+1/2} = 1 + 3 [r^3 u]_j^{j+1} / [r^3]_j^{j+1},
     u = zeta + zeta^2 + zeta^3/3,
 
-which is exact for spatially constant zeta, cancellation-free at small
-amplitude, and makes the semi-discrete system conserve a discrete energy
-exactly (the only leak is through the last half-node flux, whose weight
-w^(1+alpha) is far below machine precision on any practical mesh).
+which is exact for spatially constant zeta and cancellation-free at small
+amplitude.  The semi-discrete system does not conserve the discrete
+energy H (conserved_energy) exactly.  check's conservation_drift does
+not depend on dt: 2.99910e-8 at sim.dt_cfl 0.4 and at 0.1 (gamma 1.3,
+N 1024), and 5.7e-6 at gamma 2, N 256.  Two defects cause it: H's
+internal energy takes a 4-term series below |J - 1| = 1e-2 where the
+force uses expm1/log1p, and the vacuum node moves by its limit equation
+although zeta_N enters H through the last cell (ROADMAP open item 1).
 The equilibrium zeta == 0 gives exactly zero acceleration.
 
 Endpoints carry no mass weight.  The origin node is slaved to an even
@@ -378,11 +382,12 @@ def conserved_energy(state: PerturbationState, profile: LaneEmdenProfile) -> flo
           + int w^(1+alpha) [alpha r^2 (J^(-1/alpha)-1) + (r^3 u)_r] dr
           + int w^alpha r^4 Phi G(zeta) dr,    u = zeta + zeta^2 + zeta^3/3,
 
-    evaluated with the same half-node quantities the dynamics uses, which
-    makes dH/dt vanish identically along semi-discrete solutions (up to
-    the sub-machine boundary flux).  For growing-mode initial data H is
-    itself third order in the amplitude: the mode is the zero-energy
-    direction.
+    evaluated with the same half-node quantities the dynamics uses.  dH/dt
+    does not vanish along semi-discrete solutions: the series cut-off of
+    the internal energy and the vacuum node leave a drift that does not
+    depend on dt (module docstring; ROADMAP open item 1).  For
+    growing-mode initial data H is itself third order in the amplitude:
+    the mode is the zero-energy direction.
     """
     return float(energy_rows(state.zeta, state.zeta_t, profile.discretization))
 

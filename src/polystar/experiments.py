@@ -68,6 +68,18 @@ SERIES_HEADER = [
     "exceeded",
 ]
 
+# The columns of sweep.csv, which are also the keys of a sweep() row.
+SWEEP_HEADER = [
+    "gamma",
+    "mu0",
+    "sqrt_mu0",
+    "fitted_rate",
+    "escape_time",
+    "predicted_escape",
+    "escape_ratio",
+    "status",
+]
+
 
 def build_profile(cfg: ExperimentConfig, gamma: float | None = None):
     pc = cfg.polytrope if gamma is None else replace(cfg.polytrope, gamma=gamma)
@@ -254,18 +266,20 @@ class _Run:
 class _Batch:
     """The runs still marching in evolve_batch: their rows of zeta, zeta_t
     and k1, dt, chunk buffers (row b holds run b's samples) and geometry,
-    one FlatRows of the runs' grids.  Rows are (B, N+1) blocks, and dt is a (B, N+1)
-    block too, each row filled with its run's step, so that no product
-    broadcasts a column; a lone run keeps 1-D rows and a float dt, the
-    unbatched case of the same kernels, which costs less per call."""
+    one FlatRows of the runs' grids.  Rows are (B, N+1) blocks, a lone
+    run's too, and dt is a (B, N+1) block as well, each row filled with
+    its run's step, so that no product broadcasts a column.  A former 1-D
+    path for a lone run was no faster: 0.299 s against 0.296 s for a
+    lone evolve_run at N = 256 (README, "Leaving the batch")."""
 
     def __init__(self, runs: list):
         self.runs = runs
-        zeta = np.stack([run.initial.zeta for run in runs])
-        zeta_t = np.stack([run.initial.zeta_t for run in runs])
-        self.buffers = np.empty((3, len(runs), RECORD_CHUNK, zeta.shape[1]))
+        self.z = np.stack([run.initial.zeta for run in runs])
+        self.zt = np.stack([run.initial.zeta_t for run in runs])
+        self.k1 = None
+        self.buffers = np.empty((3, len(runs), RECORD_CHUNK, self.z.shape[1]))
         self.n = 0  # samples buffered per run
-        self._select(list(range(len(runs))), zeta, zeta_t, None)
+        self._layout()
 
     def accel(self, zeta: np.ndarray) -> np.ndarray:
         """The runs' acceleration of a block of zeta rows."""
@@ -280,12 +294,7 @@ class _Batch:
                 self.k1 = self.accel(self.z)
                 break
             except StatePastVacuumCollapse as exc:
-                if first:
-                    for b in exc.rows:
-                        self.runs[b].finish(exc)
-                    self.remove(exc.rows)
-                else:
-                    self.stop(exc.rows, lambda run: "collapsed")
+                self.stop(exc.rows, lambda run: exc if first else "collapsed")
         if not self.runs:
             return
         self.buffers[0, :, self.n] = self.z
@@ -321,19 +330,16 @@ class _Batch:
             return
         self.runs = [self.runs[b] for b in keep]
         self.buffers = self.buffers[:, keep]
+        self.z, self.zt = self.z[keep], self.zt[keep]
+        self.k1 = None if self.k1 is None else self.k1[keep]
         if keep:
-            blocks = (None if a is None else np.atleast_2d(a) for a in (self.z, self.zt, self.k1))
-            self._select(keep, *blocks)
+            self._layout()
 
-    def _select(self, keep, zeta, zeta_t, k1):
-        """Keep rows keep of the (B, N+1) blocks; a lone row becomes 1-D."""
-        index = keep if len(keep) > 1 else keep[0]
-        self.z, self.zt = zeta[index], zeta_t[index]
-        self.k1 = None if k1 is None else k1[index]
+    def _layout(self) -> None:
+        """The runs' dt block and FlatRows."""
         dts = [run.sim.dt for run in self.runs]
-        self.dt = np.repeat(dts, zeta.shape[1]).reshape(len(dts), -1) if len(dts) > 1 else dts[0]
-        discs = [run.rec.profile.discretization for run in self.runs]
-        self.flat = discs[0].flat if len(discs) == 1 else polytrope.FlatRows.build(discs)
+        self.dt = np.repeat(dts, self.z.shape[1]).reshape(len(dts), -1)
+        self.flat = polytrope.FlatRows.build([run.rec.profile.discretization for run in self.runs])
 
 
 def run_instability_experiment(cfg: ExperimentConfig, delta: float | None = None) -> dict:
@@ -397,16 +403,7 @@ def sweep(cfg: ExperimentConfig) -> list:
     rows = []
     unstable = []  # (row, member)
     for gamma in sorted(cfg.experiment.gammas):
-        row = {
-            "gamma": gamma,
-            "mu0": float("nan"),
-            "sqrt_mu0": float("nan"),
-            "fitted_rate": float("nan"),
-            "escape_time": float("nan"),
-            "predicted_escape": float("nan"),
-            "escape_ratio": float("nan"),
-            "status": "ok",
-        }
+        row = dict.fromkeys(SWEEP_HEADER, math.nan) | {"gamma": gamma, "status": "ok"}
         try:
             profile = build_profile(cfg, gamma=gamma)
             mode = build_mode(profile, cfg.eig.eig_tol)
@@ -609,9 +606,9 @@ def check(cfg: ExperimentConfig) -> dict:
 
 def emit_check(report: dict, out_dir: str) -> None:
     payload = {k: v for k, v in report.items() if k != "hardy_families"}
-    write_json(os.path.join(out_dir, "check.json"), payload)
+    write_json(_path(out_dir, "check.json"), payload)
     write_csv(
-        os.path.join(out_dir, "hardy.csv"),
+        _path(out_dir, "hardy.csv"),
         ["family", "ratio_max", "ratio_mean", "n_samples"],
         report["hardy_families"],
     )
@@ -644,14 +641,23 @@ def _fixed_run(
 # ---------------------------------------------------------------------------
 
 
+def _path(out_dir: str, name: str, tag: str = "") -> str:
+    """out_dir/name, the name prefixed with tag_ when there is a tag."""
+    return os.path.join(out_dir, f"{tag}_{name}" if tag else name)
+
+
+def _write_document(path: str, chash: str, fields: dict) -> None:
+    """A JSON output: schema version 1, the run's config hash and fields."""
+    write_json(path, {"schema_version": 1, "config_hash": chash, **fields})
+
+
 def emit_profile(profile, cfg: ExperimentConfig, out_dir: str) -> None:
     rows = zip(*(x.tolist() for x in (profile.grid, profile.w, profile.w_r, profile.phi)))
-    write_csv(os.path.join(out_dir, "profile.csv"), ["r", "w", "w_r", "phi"], rows)
-    write_json(
-        os.path.join(out_dir, "profile.json"),
+    write_csv(_path(out_dir, "profile.csv"), ["r", "w", "w_r", "phi"], rows)
+    _write_document(
+        _path(out_dir, "profile.json"),
+        config_hash(cfg),
         {
-            "schema_version": 1,
-            "config_hash": config_hash(cfg),
             "gamma": profile.gamma,
             "alpha": profile.alpha,
             "K": profile.K,
@@ -665,15 +671,14 @@ def emit_profile(profile, cfg: ExperimentConfig, out_dir: str) -> None:
 
 def emit_mode(mode, profile, cfg: ExperimentConfig, out_dir: str) -> None:
     write_csv(
-        os.path.join(out_dir, "mode.csv"),
+        _path(out_dir, "mode.csv"),
         ["r", "phi0"],
         zip(profile.grid.tolist(), mode.phi0.tolist()),
     )
-    write_json(
-        os.path.join(out_dir, "mode.json"),
+    _write_document(
+        _path(out_dir, "mode.json"),
+        config_hash(cfg),
         {
-            "schema_version": 1,
-            "config_hash": config_hash(cfg),
             "gamma": profile.gamma,
             "mu0": mode.mu0,
             "rate": mode.rate,
@@ -685,22 +690,18 @@ def emit_mode(mode, profile, cfg: ExperimentConfig, out_dir: str) -> None:
 
 
 def emit_run(record: RunRecord, cfg: ExperimentConfig, out_dir: str, tag: str = "") -> None:
-    prefix = f"{tag}_" if tag else ""
-    write_csv(
-        os.path.join(out_dir, f"{prefix}series.csv"), SERIES_HEADER, record.series_rows()
-    )
+    write_csv(_path(out_dir, "series.csv", tag), SERIES_HEADER, record.series_rows())
     for i, (ts, (z, zt)) in enumerate(zip(record.snapshot_times, record.snapshots)):
         write_csv(
-            os.path.join(out_dir, f"{prefix}snapshot_{i:05d}.csv"),
+            _path(out_dir, f"snapshot_{i:05d}.csv", tag),
             ["r", "zeta", "zeta_t"],
             # Python floats format faster than numpy scalars, to the same text
             zip(record.profile.grid.tolist(), z.tolist(), zt.tolist()),
         )
-    write_json(
-        os.path.join(out_dir, f"{prefix}run.json"),
+    _write_document(
+        _path(out_dir, "run.json", tag),
+        record.config_hash,
         {
-            "schema_version": 1,
-            "config_hash": record.config_hash,
             "gamma": record.gamma,
             "n_nodes": record.n_nodes,
             "dt": record.dt,
@@ -714,12 +715,10 @@ def emit_run(record: RunRecord, cfg: ExperimentConfig, out_dir: str, tag: str = 
 
 
 def emit_fit(fit, cfg: ExperimentConfig, out_dir: str, tag: str = "") -> None:
-    prefix = f"{tag}_" if tag else ""
-    write_json(
-        os.path.join(out_dir, f"{prefix}fit.json"),
+    _write_document(
+        _path(out_dir, "fit.json", tag),
+        config_hash(cfg),
         {
-            "schema_version": 1,
-            "config_hash": config_hash(cfg),
             "rate": fit.rate,
             "window": list(fit.window),
             "r_squared": fit.r_squared,
@@ -731,11 +730,11 @@ def emit_fit(fit, cfg: ExperimentConfig, out_dir: str, tag: str = "") -> None:
 
 
 def emit_remainder(remainder: dict, out_dir: str, tag: str = "") -> None:
-    prefix = f"{tag}_" if tag else ""
+    columns = ["t", "remainder", "ratio"]
     write_csv(
-        os.path.join(out_dir, f"{prefix}remainder.csv"),
-        ["t", "remainder", "ratio"],
-        zip(*(remainder[k].tolist() for k in ("t", "remainder", "ratio"))),
+        _path(out_dir, "remainder.csv", tag),
+        columns,
+        zip(*(remainder[k].tolist() for k in columns)),
     )
 
 
@@ -771,11 +770,10 @@ def emit_instability_summary(results: list, cfg: ExperimentConfig, out_dir: str)
                     else None,
                 }
             )
-    write_json(
-        os.path.join(out_dir, "instability_summary.json"),
+    _write_document(
+        _path(out_dir, "instability_summary.json"),
+        config_hash(cfg),
         {
-            "schema_version": 1,
-            "config_hash": config_hash(cfg),
             "runs": entries,
             "escape_steps": steps,
         },
@@ -783,11 +781,10 @@ def emit_instability_summary(results: list, cfg: ExperimentConfig, out_dir: str)
 
 
 def emit_energy_report(report, cfg: ExperimentConfig, out_dir: str) -> None:
-    write_json(
-        os.path.join(out_dir, "energies.json"),
+    _write_document(
+        _path(out_dir, "energies.json"),
+        config_hash(cfg),
         {
-            "schema_version": 1,
-            "config_hash": config_hash(cfg),
             "E0": report.E0,
             "Ej": report.Ej,
             "Ejk": report.Ejk,
@@ -799,28 +796,5 @@ def emit_energy_report(report, cfg: ExperimentConfig, out_dir: str) -> None:
 
 def emit_sweep(rows: list, cfg: ExperimentConfig, out_dir: str) -> None:
     write_csv(
-        os.path.join(out_dir, "sweep.csv"),
-        [
-            "gamma",
-            "mu0",
-            "sqrt_mu0",
-            "fitted_rate",
-            "escape_time",
-            "predicted_escape",
-            "escape_ratio",
-            "status",
-        ],
-        (
-            (
-                row["gamma"],
-                row["mu0"],
-                row["sqrt_mu0"],
-                row["fitted_rate"],
-                row["escape_time"],
-                row["predicted_escape"],
-                row["escape_ratio"],
-                row["status"],
-            )
-            for row in rows
-        ),
+        _path(out_dir, "sweep.csv"), SWEEP_HEADER, ([row[k] for k in SWEEP_HEADER] for row in rows)
     )

@@ -174,19 +174,7 @@ class LaneEmdenProfile:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r < 0) or np.any(r > self.R * (1 + 1e-12)):
             raise OutOfDomain("radius outside [0, R]")
-        w = np.empty_like(r)
-        wr = np.empty_like(r)
-        near = r < self.series_radius
-        if near.any():
-            w[near] = np.polynomial.polynomial.polyval(r[near], self._series)
-            wr[near] = np.polynomial.polynomial.polyval(r[near], self._dseries)
-        far = ~near
-        if far.any():
-            t_hi = self._dense.t_max
-            vals = self._dense(np.minimum(r[far], t_hi))
-            w[far] = vals[0]
-            wr[far] = vals[1]
-        return w, wr
+        return _series_or_dense(r, self.series_radius, self._series, self._dseries, self._dense)
 
     def w_rr(self, r) -> np.ndarray:
         """Second derivative reconstructed from the equation itself,
@@ -415,6 +403,22 @@ def _composite_grid(R: float, n_nodes: int, grading: float) -> np.ndarray:
     return grid
 
 
+def _series_or_dense(r: np.ndarray, series_radius: float, coef, dcoef, dense):
+    """(w, w_r) at the radii r: the origin series (coefficients coef,
+    dcoef) below series_radius, the dense output, clipped at its last
+    step's end, from there on."""
+    w = np.empty_like(r)
+    w_r = np.empty_like(r)
+    near = r < series_radius
+    if near.any():
+        w[near] = np.polynomial.polynomial.polyval(r[near], coef)
+        w_r[near] = np.polynomial.polynomial.polyval(r[near], dcoef)
+    far = ~near
+    if far.any():
+        w[far], w_r[far] = dense(np.minimum(r[far], dense.t_max))
+    return w, w_r
+
+
 def solve_lane_emden(
     config: PolytropeConfig, n_nodes: int = 1024, grading: float = 0.1
 ) -> LaneEmdenProfile:
@@ -454,15 +458,7 @@ def solve_lane_emden(
     R = float(sol.root)
 
     grid = _composite_grid(R, n_nodes, grading)
-    w = np.empty_like(grid)
-    w_r = np.empty_like(grid)
-    near = grid < series_radius
-    w[near] = pv(grid[near], coef)
-    w_r[near] = pv(grid[near], dcoef)
-    far = ~near
-    vals = sol.sol(np.minimum(grid[far], sol.t[-1]))
-    w[far] = vals[0]
-    w_r[far] = vals[1]
+    w, w_r = _series_or_dense(grid, series_radius, coef, dcoef, sol.sol)
     w[0], w_r[0] = 1.0, 0.0
     w[-1] = max(w[-1], 0.0)
 

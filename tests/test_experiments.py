@@ -23,6 +23,7 @@ from polystar.config import (
     config_from_dict,
     config_hash,
     config_to_dict,
+    delta_tag,
 )
 from polystar.errors import ConfigError, RateUnavailable, StatePastVacuumCollapse
 from polystar.experiments import RECORD_CHUNK
@@ -232,6 +233,7 @@ def test_record_status_consistency(insta13):
 def test_sweep_marginal_and_stable_routing():
     cfg = make_config(n_nodes=256, kind="sweep", gammas=(4 / 3, 1.5))
     rows = ps.sweep(cfg)
+    assert all(list(row) == experiments.SWEEP_HEADER for row in rows)
     by_gamma = {round(r["gamma"], 6): r for r in rows}
     assert by_gamma[round(4 / 3, 6)]["status"] == "marginal"
     assert by_gamma[1.5]["status"] == "stable"
@@ -741,6 +743,15 @@ def test_cli_profile_and_mode_outputs(tmp_path, monkeypatch):
     for key in ("gamma", "mu0", "rate", "residual", "norm_X", "norm_Y"):
         assert key in mj
 
+    # each override flag lands in its own field
+    flags = ["--gamma", "1.25", "--delta", "2e-4", "--nodes", "128", "--seed", "7"]
+    code, out = _run_cli(["profile", *flags], tmp_path, monkeypatch, "flags")
+    assert code == 0
+    side = json.loads((out / "profile.json").read_text())
+    assert side["gamma"] == 1.25
+    assert len((out / "profile.csv").read_text().splitlines()) == 1 + 129  # header, nodes 0..128
+    assert side["config_hash"] == config_hash(make_config(128, 1.25, delta=2e-4, seed=7))
+
 
 def test_cli_float_format_roundtrips(tmp_path, monkeypatch):
     code, out = _run_cli(["profile", "--nodes", "256"], tmp_path, monkeypatch)
@@ -867,6 +878,19 @@ def test_cli_instability_emission(tmp_path, monkeypatch):
     assert (out / snap).read_text().splitlines()[0] == "r,zeta,zeta_t"
     summary = json.loads((out / "instability_summary.json").read_text())
     assert len(summary["runs"]) == 1
+    tag = delta_tag(1e-3)
+    names = ["instability_summary.json", f"{tag}_run.json", f"{tag}_fit.json"]
+    _assert_documents(out, names, make_config(256, delta=1e-3))
+
+
+def _assert_documents(out, names, cfg):
+    """The *.json files in out include names, and each has schema
+    version 1 and cfg's hash."""
+    documents = sorted(out.glob("*.json"))
+    assert set(names) <= {path.name for path in documents}
+    for path in documents:
+        doc = json.loads(path.read_text())
+        assert (doc["schema_version"], doc["config_hash"]) == (1, config_hash(cfg)), path.name
 
 
 def test_cli_instability_ladder_summary(tmp_path, monkeypatch):
@@ -941,6 +965,9 @@ def test_cli_evolve_energy_report(tmp_path, monkeypatch):
     for key in ("E0", "Ej", "Ejk", "frakE", "theta_measure"):
         assert key in rep
     assert len(rep["Ejk"]) == len(rep["Ej"])
+    cfg = make_config(256, delta=1e-3)
+    cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, t_end=2.0))
+    _assert_documents(out, ["run.json", "energies.json"], cfg)
 
 
 def test_cli_sweep_emission(tmp_path, monkeypatch):
