@@ -122,7 +122,7 @@ def main(argv=None) -> int:
 
         elif args.command == "check":
             report = experiments.check(cfg)
-            experiments.emit_check(report, out)
+            experiments.emit_check(report, cfg, out)
             for c in report["checks"]:
                 print(f"[{c['status']:>7}] {c['name']}")
             if not report["all_mandatory_pass"]:

@@ -18,7 +18,7 @@ import numpy as np
 from . import energetics, evolution, polytrope, spectral
 from .config import ExperimentConfig, config_hash
 from .errors import PolystarError, RateUnavailable, StatePastVacuumCollapse
-from .io_utils import write_csv, write_json
+from .io_utils import _atomic_write, write_csv, write_json
 
 
 @dataclass(eq=False)
@@ -97,7 +97,8 @@ RECORD_CHUNK = 32
 @dataclass(frozen=True, eq=False)
 class Member:
     """One run of a batch; the fields are evolve_run's arguments of the
-    same names."""
+    same names, and snapshot_every, when not None, replaces the config's
+    for this run alone."""
 
     profile: polytrope.LaneEmdenProfile
     initial: evolution.PerturbationState
@@ -105,6 +106,7 @@ class Member:
     stop_amplitude: float | None = None
     t_end: float | None = None
     dt: float | None = None
+    snapshot_every: int | None = None
 
 
 def evolve_run(
@@ -201,7 +203,8 @@ class _Run:
         if dt is None:
             dt = evolution.cfl_dt(member.initial, profile, cfg.sim)
         t_end = cfg.sim.t_end if member.t_end is None else member.t_end
-        self.sim = replace(cfg.sim, dt=dt, t_end=t_end)
+        snap = cfg.sim.snapshot_every if member.snapshot_every is None else member.snapshot_every
+        self.sim = replace(cfg.sim, dt=dt, t_end=t_end, snapshot_every=snap)
         self.initial = member.initial
         self.stop_amplitude = member.stop_amplitude
         self.t = member.initial.t
@@ -443,21 +446,30 @@ def sweep(cfg: ExperimentConfig) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _seeded_trials(rng, x: np.ndarray, n: int, degree: int = 6) -> np.ndarray:
-    """n smooth seeded trial functions as (n, x.size) rows: Chebyshev
-    series in x with decaying coefficients."""
-    decay = 0.5 ** np.arange(degree + 1)
-    coeffs = rng.standard_normal((n, degree + 1)) * decay
-    return np.polynomial.chebyshev.chebval(x, coeffs.T)
+def _seeded_coefficients(rng, n: int, degree: int = 6) -> np.ndarray:
+    """n seeded rows of degree + 1 series coefficients, standard normal
+    draws halved at each degree."""
+    return rng.standard_normal((n, degree + 1)) * 0.5 ** np.arange(degree + 1)
 
 
 def check(cfg: ExperimentConfig) -> dict:
-    """Run the full property battery and report measured values.
+    """Run the full property battery and report measured values: the
+    checks, the Hardy family rows and whether every check passed or was
+    skipped (emit_check adds the document header).
 
     Refinement-based checks are marked skipped below 256 nodes, where a
     doubled mesh would not be meaningfully finer.  radius_convergence
-    compares R with R at a tenth of the ODE tolerances, and is skipped
-    too where ode_rel_tol / 10 would fall below 100 eps.
+    compares R with polytrope.vacuum_radius at a tenth of the ODE
+    tolerances, from the profile's series radius, and is skipped too
+    where ode_rel_tol / 10 would fall below 100 eps.
+
+    The equilibrium and conservation runs march as one evolve_batch of
+    two members, each at its own CFL dt, recording every min(16, n)
+    steps, where n = max(1, round(3/dt)) is the conservation run's step
+    count.  The equilibrium run takes the smallest multiple of that
+    cadence at or above 200 steps and snapshots every sample, so its
+    last snapshot is its final state.  A collapse of either run's first
+    sample raises.
     """
     results = []
     rng = np.random.default_rng(cfg.experiment.seed)
@@ -510,7 +522,7 @@ def check(cfg: ExperimentConfig) -> dict:
         add("radius_convergence", "skipped", note="ode_rel_tol / 10 below 100 eps")
     else:
         finer = replace(pc, ode_rel_tol=pc.ode_rel_tol / 10, ode_abs_tol=pc.ode_abs_tol / 10)
-        dR = abs(build_profile(replace(cfg, polytrope=finer)).R - profile.R)
+        dR = abs(polytrope.vacuum_radius(finer, profile.series_radius) - profile.R)
         bound = 1e-10 * profile.R
         add("radius_convergence", "pass" if dR <= bound else "fail", dR, bound)
 
@@ -522,8 +534,15 @@ def check(cfg: ExperimentConfig) -> dict:
     add("pencil_symmetry", "pass" if sym == 0.0 else "fail", sym, 0.0)
 
     interior = disc.r[1:-1]
-    trials = _seeded_trials(rng, 2.0 * interior / interior[-1] - 1.0, 100)
-    worst = max(spectral.rayleigh_quotient(disc, trial) for trial in trials)
+    x = 2.0 * interior / interior[-1] - 1.0
+    # 100 Chebyshev trials in x, evaluated 10 rows at a time: each row
+    # gets the doubles of one (100, N-1) evaluation, without that block's
+    # peak memory
+    worst = max(
+        spectral.rayleigh_quotient(disc, trial)
+        for block in np.split(_seeded_coefficients(rng, 100), 10)
+        for trial in np.polynomial.chebyshev.chebval(x, block.T)
+    )
     dom = worst <= mode.mu0 + cfg.eig.eig_tol
     add("rayleigh_dominance", "pass" if dom else "fail", worst, mode.mu0)
 
@@ -542,23 +561,33 @@ def check(cfg: ExperimentConfig) -> dict:
         else:
             add(name, "fail", threshold=threshold, note=f"run ended {rec.status}")
 
-    # 200 steps from the equilibrium, one sample at the end
+    # one batch from t = 0, stopped by neither the document's theta1 nor
+    # its t_end: 3 time units from generic smooth data, H sampled every
+    # min(16, n) steps, so at least once after t = 0, and at least 200
+    # steps from the equilibrium, ending on a sample
     eq = evolution.equilibrium_state(profile)
-    rec = _fixed_run(profile, eq, cfg, mode.mu0, lambda dt: 200, record_every=200, snapshot_every=1)
-    z, zt = rec.snapshots[-1]
-    add_run("equilibrium_preservation", rec, float(np.abs(z).max() + np.abs(zt).max()), 0.0)
-
-    # 3 time units from generic smooth data, H sampled every 16 steps
     state = _conservation_state(profile, rng)
-    rec = _fixed_run(
-        profile, state, cfg, mode.mu0, lambda dt: int(round(3.0 / dt)), record_every=16
-    )
+    dt_eq, dt = (evolution.cfl_dt(st, profile, cfg.sim) for st in (eq, state))
+    n = max(1, round(3.0 / dt))
+    every = min(16, n)
+    n_eq = -(-200 // every) * every
+    members = [
+        Member(profile, eq, mode.mu0, t_end=(n_eq - 0.5) * dt_eq, dt=dt_eq, snapshot_every=1),
+        Member(profile, state, mode.mu0, t_end=(n - 0.5) * dt, dt=dt),
+    ]
+    sim = replace(cfg.sim, theta1=math.inf, record_every=every)
+    eq_rec, rec = evolve_batch(members, replace(cfg, sim=sim))
+    for r in (eq_rec, rec):
+        if isinstance(r, StatePastVacuumCollapse):
+            raise r
+    z, zt = eq_rec.snapshots[-1]
+    add_run("equilibrium_preservation", eq_rec, float(np.abs(z).max() + np.abs(zt).max()), 0.0)
     drift = max(abs(h - rec.H[0]) for h in rec.H) / abs(rec.H[0])
     add_run("conservation_drift", rec, drift, 1e-6)
 
     # 20 seeded polynomial rows, one block per family
     P = np.polynomial.polynomial
-    coeffs = rng.standard_normal((20, 9)) * 0.5 ** np.arange(9)
+    coeffs = _seeded_coefficients(rng, 20, degree=8)
     x = profile.grid / profile.R
     v = P.polyval(x, coeffs.T)
     v_r = P.polyval(x, P.polyder(coeffs.T)) / profile.R
@@ -593,20 +622,17 @@ def check(cfg: ExperimentConfig) -> dict:
     else:
         add("energy_equivalence_constant", "skipped", note="no growing mode at this gamma")
 
-    report = {
-        "schema_version": 1,
-        "config_hash": config_hash(cfg),
+    return {
         "n_nodes": n_nodes,
         "checks": results,
         "hardy_families": hardy_rows,
         "all_mandatory_pass": all(c["status"] in ("pass", "skipped") for c in results),
     }
-    return report
 
 
-def emit_check(report: dict, out_dir: str) -> None:
-    payload = {k: v for k, v in report.items() if k != "hardy_families"}
-    write_json(_path(out_dir, "check.json"), payload)
+def emit_check(report: dict, cfg: ExperimentConfig, out_dir: str) -> None:
+    fields = {k: v for k, v in report.items() if k != "hardy_families"}
+    _write_document(_path(out_dir, "check.json"), config_hash(cfg), fields)
     write_csv(
         _path(out_dir, "hardy.csv"),
         ["family", "ratio_max", "ratio_mean", "n_samples"],
@@ -619,21 +645,8 @@ def _conservation_state(profile, rng) -> evolution.PerturbationState:
     seeded trials in 2(r/R)^2 - 1, even at the origin like every state
     the scheme represents."""
     x = 2.0 * (profile.grid / profile.grid[-1]) ** 2 - 1.0
-    z0, zt0 = 1e-3 * _seeded_trials(rng, x, 2, degree=4)
+    z0, zt0 = 1e-3 * np.polynomial.chebyshev.chebval(x, _seeded_coefficients(rng, 2, degree=4).T)
     return evolution.PerturbationState(t=0.0, zeta=z0, zeta_t=zt0)
-
-
-def _fixed_run(
-    profile, initial, cfg: ExperimentConfig, mu0: float, steps, record_every: int, **sim
-) -> RunRecord:
-    """evolve_run of n = max(1, steps(dt)) steps at the initial state's CFL
-    dt, recording every min(record_every, n) steps, so that at least one
-    sample follows t = 0, with the further sim fields sim.  Neither the
-    document's theta1 nor its t_end stops it."""
-    dt = evolution.cfl_dt(initial, profile, cfg.sim)
-    n = max(1, steps(dt))
-    sim = replace(cfg.sim, theta1=math.inf, record_every=min(record_every, n), **sim)
-    return evolve_run(profile, initial, replace(cfg, sim=sim), mu0, t_end=(n - 0.5) * dt, dt=dt)
 
 
 # ---------------------------------------------------------------------------
@@ -691,13 +704,15 @@ def emit_mode(mode, profile, cfg: ExperimentConfig, out_dir: str) -> None:
 
 def emit_run(record: RunRecord, cfg: ExperimentConfig, out_dir: str, tag: str = "") -> None:
     write_csv(_path(out_dir, "series.csv", tag), SERIES_HEADER, record.series_rows())
-    for i, (ts, (z, zt)) in enumerate(zip(record.snapshot_times, record.snapshots)):
-        write_csv(
-            _path(out_dir, f"snapshot_{i:05d}.csv", tag),
-            ["r", "zeta", "zeta_t"],
-            # Python floats format faster than numpy scalars, to the same text
-            zip(record.profile.grid.tolist(), z.tolist(), zt.tolist()),
-        )
+    # write_csv's text: r formatted once per run into a line template that
+    # one % fills with each snapshot's interleaved zeta and zeta_t
+    template = "r,zeta,zeta_t\n" + "".join(
+        "%.17g,%%.17g,%%.17g\n" % r for r in record.profile.grid.tolist()
+    )
+    for i, (z, zt) in enumerate(record.snapshots):
+        # Python floats format faster than numpy scalars, to the same text
+        values = np.column_stack((z, zt)).ravel().tolist()
+        _atomic_write(_path(out_dir, f"snapshot_{i:05d}.csv", tag), template % tuple(values))
     _write_document(
         _path(out_dir, "run.json", tag),
         record.config_hash,

@@ -419,6 +419,47 @@ def _series_or_dense(r: np.ndarray, series_radius: float, coef, dcoef, dense):
     return w, w_r
 
 
+def _origin_series_pair(config: PolytropeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The origin series of w and of w_r, as polyval coefficients."""
+    coef = origin_series(config, _MAX_SERIES_ORDER)
+    return coef, np.polynomial.polynomial.polyder(coef)
+
+
+def _integrate(config: PolytropeConfig, series, r0: float, rtol: float, atol: float, dense: bool):
+    """One DOP853 pass from the origin series (coef, dcoef) at r0 to the
+    terminal event w = 0; raises NoVacuumRadius when w does not fall to
+    zero before r_max."""
+    alpha, c = config.alpha, config.c_frak
+    coef, dcoef = series
+    pv = np.polynomial.polynomial.polyval
+
+    def rhs(r, y):
+        w, wr = y
+        return (wr, -2.0 / r * wr - c * max(w, 0.0) ** alpha)
+
+    y0 = (pv(r0, coef), pv(r0, dcoef))
+    sol = _dop853.solve(rhs, r0, y0, config.r_max, rtol, atol, dense)
+    if sol.status != 1:
+        raise NoVacuumRadius(
+            f"w did not cross zero before r_max={config.r_max} (gamma={config.gamma})"
+        )
+    return sol
+
+
+def vacuum_radius(config: PolytropeConfig, series_radius: float) -> float:
+    """R alone: solve_lane_emden's production pass at config's tolerances
+    from series_radius, without the rough pass, dense output, grid or
+    phi.  At the series_radius that solve_lane_emden(config) picks (the
+    rough pass does not read config's tolerances, so a profile at other
+    tolerances picks the same one), this is solve_lane_emden(config).R
+    bit for bit."""
+    sol = _integrate(
+        config, _origin_series_pair(config), series_radius,
+        config.ode_rel_tol, config.ode_abs_tol, dense=False,
+    )
+    return float(sol.root)
+
+
 def solve_lane_emden(
     config: PolytropeConfig, n_nodes: int = 1024, grading: float = 0.1
 ) -> LaneEmdenProfile:
@@ -431,30 +472,14 @@ def solve_lane_emden(
     if n_nodes < MIN_NODES:
         raise ValueError(f"n_nodes must be at least {MIN_NODES}")
     alpha, c = config.alpha, config.c_frak
-    coef = origin_series(config, _MAX_SERIES_ORDER)
-    dcoef = np.polynomial.polynomial.polyder(coef)
-    pv = np.polynomial.polynomial.polyval
+    series = coef, dcoef = _origin_series_pair(config)
 
-    def rhs(r, y):
-        w, wr = y
-        return (wr, -2.0 / r * wr - c * max(w, 0.0) ** alpha)
-
-    def integrate(r0, rtol, atol, dense):
-        y0 = (pv(r0, coef), pv(r0, dcoef))
-        sol = _dop853.solve(rhs, r0, y0, config.r_max, rtol, atol, dense)
-        if sol.status != 1:
-            raise NoVacuumRadius(
-                f"w did not cross zero before r_max={config.r_max} (gamma={config.gamma})"
-            )
-        return sol
-
-    rough = integrate(1e-6, 1e-8, 1e-10, dense=False)
-    R_est = rough.root
+    R_est = _integrate(config, series, 1e-6, 1e-8, 1e-10, dense=False).root
     series_radius = 1e-3 * R_est if config.series_radius is None else config.series_radius
     if not 0 < series_radius < 0.1 * R_est:
         raise ValueError("series_radius must be small relative to R")
 
-    sol = integrate(series_radius, config.ode_rel_tol, config.ode_abs_tol, dense=True)
+    sol = _integrate(config, series, series_radius, config.ode_rel_tol, config.ode_abs_tol, dense=True)
     R = float(sol.root)
 
     grid = _composite_grid(R, n_nodes, grading)

@@ -481,12 +481,18 @@ def _check_members(members, records, cfg, max_steps=5_000_000):
     one-sample-at-a-time reference, bit for bit."""
     assert len(records) == len(members)
     for m, rec in zip(members, records):
+        # a member's own snapshot cadence is its lone run's config value
+        own = cfg
+        if m.snapshot_every is not None:
+            own = dataclasses.replace(
+                cfg, sim=dataclasses.replace(cfg.sim, snapshot_every=m.snapshot_every)
+            )
         solo = ps.evolve_run(
-            m.profile, m.initial, cfg, mu0=m.mu0,
+            m.profile, m.initial, own, mu0=m.mu0,
             stop_amplitude=m.stop_amplitude, t_end=m.t_end, dt=m.dt, max_steps=max_steps,
         )
         _assert_same_record(rec, solo)
-        sim = dataclasses.replace(cfg.sim, dt=solo.dt, t_end=m.t_end)
+        sim = dataclasses.replace(own.sim, dt=solo.dt, t_end=m.t_end)
         _assert_matches_reference(
             rec, _reference_run(m.profile, m.initial, sim, m.stop_amplitude, max_steps)
         )
@@ -511,6 +517,14 @@ def test_batched_ladder_members_equal_solo_runs(run128, ladder128):
     assert [rec.status for rec in records] == ["escaped", "escaped", "completed"]
     assert len({rec.dt for rec in records}) == 3
     _check_members(ladder128, records, cfg)
+
+    # members with their own snapshot cadence (None takes the config's 4)
+    members = [dataclasses.replace(m, snapshot_every=k) for m, k in zip(ladder128, (1, None, 7))]
+    records = ps.evolve_batch(members, cfg)
+    assert [len(rec.snapshots) for rec in records] == [
+        1 + (len(rec.times) - 1) // k for rec, k in zip(records, (1, 4, 7))
+    ]
+    _check_members(members, records, cfg)
 
 
 def test_batched_sweep_members_equal_solo_runs():
@@ -697,15 +711,38 @@ def test_check_conservation_data_are_even_at_the_origin(profile13):
         assert abs(z[1] + (z[2] - z[1]) * coef - z[0]) <= 1e-9 * np.abs(z).max()
 
 
+def test_check_does_each_piece_of_work_once(monkeypatch):
+    # one profile (radius_convergence integrates R alone) and one batch of
+    # the equilibrium and conservation runs
+    calls = {"solve_lane_emden": 0, "evolve_batch": []}
+    solve, batch = ps.polytrope.solve_lane_emden, experiments.evolve_batch
+
+    def counted_solve(*args, **kwargs):
+        calls["solve_lane_emden"] += 1
+        return solve(*args, **kwargs)
+
+    def counted_batch(members, *args, **kwargs):
+        calls["evolve_batch"].append(len(members))
+        return batch(members, *args, **kwargs)
+
+    monkeypatch.setattr(ps.polytrope, "solve_lane_emden", counted_solve)
+    monkeypatch.setattr(experiments, "evolve_batch", counted_batch)
+    report = ps.check(make_config(n_nodes=256, kind="check"))
+    assert report["all_mandatory_pass"]
+    assert _check_entry(report, "radius_convergence")["status"] == "pass"
+    assert calls == {"solve_lane_emden": 1, "evolve_batch": [2]}
+
+
 def test_check_fails_a_run_that_does_not_complete(monkeypatch):
-    real = experiments.evolve_run
+    real = experiments.evolve_batch
 
     def nonfinite(*args, **kwargs):
-        record = real(*args, **kwargs)
-        record.status = "nonfinite"
-        return record
+        records = real(*args, **kwargs)
+        for record in records:
+            record.status = "nonfinite"
+        return records
 
-    monkeypatch.setattr(experiments, "evolve_run", nonfinite)
+    monkeypatch.setattr(experiments, "evolve_batch", nonfinite)
     report = ps.check(make_config(n_nodes=64, kind="check"))
     for name in ("equilibrium_preservation", "conservation_drift"):
         entry = _check_entry(report, name)

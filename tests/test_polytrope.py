@@ -1,6 +1,7 @@
 """Equilibrium solver tests: closed form, series identities, boundary
 behavior, energy identity, and structural invariants."""
 
+import dataclasses
 import functools
 import math
 import os
@@ -108,6 +109,31 @@ def test_radius_mesh_convergence():
 def test_no_vacuum_radius_guard():
     with pytest.raises(NoVacuumRadius):
         ps.solve_lane_emden(ps.PolytropeConfig(gamma=1.25, r_max=5.0), 256)
+
+
+@pytest.mark.parametrize("series_radius", [None, 2e-3], ids=["default", "explicit"])
+@pytest.mark.parametrize("gamma", [1.22, 1.3, 5.0 / 3.0, 2.0])
+def test_vacuum_radius_is_the_profiles_r(gamma, series_radius):
+    # the production pass alone, from the series radius of a profile at
+    # other tolerances, finds the R of a whole profile at these
+    pc = ps.PolytropeConfig(gamma=gamma, series_radius=series_radius)
+    base = ps.solve_lane_emden(pc, 64)
+    finer = dataclasses.replace(pc, ode_rel_tol=pc.ode_rel_tol / 10, ode_abs_tol=pc.ode_abs_tol / 10)
+    assert ps.vacuum_radius(finer, base.series_radius) == ps.solve_lane_emden(finer, 64).R
+    assert ps.vacuum_radius(pc, base.series_radius) == base.R
+
+
+@pytest.mark.parametrize("gamma, r_max", [(1.25, 5.0), (1.3, 1e-3), (2.0, 3.0)])
+def test_vacuum_radius_raises_where_the_profile_does(gamma, r_max):
+    # r_max below R, and at gamma 1.3 below the series radius too
+    pc = ps.PolytropeConfig(gamma=gamma, r_max=r_max)
+    msg = rf"w did not cross zero before r_max={r_max} \(gamma={gamma}\)"
+    with pytest.raises(NoVacuumRadius, match=msg):
+        ps.solve_lane_emden(pc, 64)
+    R = ps.solve_lane_emden(dataclasses.replace(pc, r_max=500.0), 64).R
+    assert r_max < R
+    with pytest.raises(NoVacuumRadius, match=msg):
+        ps.vacuum_radius(pc, 1e-3 * R)
 
 
 def test_r_max_at_or_below_the_start_radius_is_no_vacuum_radius():
