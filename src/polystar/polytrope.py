@@ -479,7 +479,9 @@ def solve_lane_emden(
     if not 0 < series_radius < 0.1 * R_est:
         raise ValueError("series_radius must be small relative to R")
 
-    sol = _integrate(config, series, series_radius, config.ode_rel_tol, config.ode_abs_tol, dense=True)
+    sol = _integrate(
+        config, series, series_radius, config.ode_rel_tol, config.ode_abs_tol, dense=True
+    )
     R = float(sol.root)
 
     grid = _composite_grid(R, n_nodes, grading)
