@@ -68,7 +68,6 @@ from .polytrope import (
     solve_lane_emden,
     substitution_residual,
     vacuum_exponent,
-    vacuum_radius,
 )
 from .spectral import (
     GrowingMode,

@@ -18,7 +18,7 @@ import numpy as np
 from . import energetics, evolution, polytrope, spectral
 from .config import ExperimentConfig, config_hash
 from .errors import PolystarError, RateUnavailable, StatePastVacuumCollapse
-from .io_utils import _atomic_write, write_csv, write_json
+from .io_utils import write_csv, write_json
 
 
 @dataclass(eq=False)
@@ -97,8 +97,7 @@ RECORD_CHUNK = 32
 @dataclass(frozen=True, eq=False)
 class Member:
     """One run of a batch; the fields are evolve_run's arguments of the
-    same names, and snapshot_every, when not None, replaces the config's
-    for this run alone."""
+    same names."""
 
     profile: polytrope.LaneEmdenProfile
     initial: evolution.PerturbationState
@@ -106,7 +105,6 @@ class Member:
     stop_amplitude: float | None = None
     t_end: float | None = None
     dt: float | None = None
-    snapshot_every: int | None = None
 
 
 def evolve_run(
@@ -203,8 +201,7 @@ class _Run:
         if dt is None:
             dt = evolution.cfl_dt(member.initial, profile, cfg.sim)
         t_end = cfg.sim.t_end if member.t_end is None else member.t_end
-        snap = cfg.sim.snapshot_every if member.snapshot_every is None else member.snapshot_every
-        self.sim = replace(cfg.sim, dt=dt, t_end=t_end, snapshot_every=snap)
+        self.sim = replace(cfg.sim, dt=dt, t_end=t_end)
         self.initial = member.initial
         self.stop_amplitude = member.stop_amplitude
         self.t = member.initial.t
@@ -467,9 +464,10 @@ def check(cfg: ExperimentConfig) -> dict:
     two members, each at its own CFL dt, recording every min(16, n)
     steps, where n = max(1, round(3/dt)) is the conservation run's step
     count.  The equilibrium run takes the smallest multiple of that
-    cadence at or above 200 steps and snapshots every sample, so its
-    last snapshot is its final state.  A collapse of either run's first
-    sample raises.
+    cadence at or above 200 steps, so its last sample is its final state,
+    and the batch snapshots every n_eq / every samples, n_eq being those
+    steps, so that last sample is a snapshot.  A collapse of either run's
+    first sample raises.
     """
     results = []
     rng = np.random.default_rng(cfg.experiment.seed)
@@ -564,7 +562,7 @@ def check(cfg: ExperimentConfig) -> dict:
     # one batch from t = 0, stopped by neither the document's theta1 nor
     # its t_end: 3 time units from generic smooth data, H sampled every
     # min(16, n) steps, so at least once after t = 0, and at least 200
-    # steps from the equilibrium, ending on a sample
+    # steps from the equilibrium, ending on a snapshot
     eq = evolution.equilibrium_state(profile)
     state = _conservation_state(profile, rng)
     dt_eq, dt = (evolution.cfl_dt(st, profile, cfg.sim) for st in (eq, state))
@@ -572,10 +570,10 @@ def check(cfg: ExperimentConfig) -> dict:
     every = min(16, n)
     n_eq = -(-200 // every) * every
     members = [
-        Member(profile, eq, mode.mu0, t_end=(n_eq - 0.5) * dt_eq, dt=dt_eq, snapshot_every=1),
+        Member(profile, eq, mode.mu0, t_end=(n_eq - 0.5) * dt_eq, dt=dt_eq),
         Member(profile, state, mode.mu0, t_end=(n - 0.5) * dt, dt=dt),
     ]
-    sim = replace(cfg.sim, theta1=math.inf, record_every=every)
+    sim = replace(cfg.sim, theta1=math.inf, record_every=every, snapshot_every=n_eq // every)
     eq_rec, rec = evolve_batch(members, replace(cfg, sim=sim))
     for r in (eq_rec, rec):
         if isinstance(r, StatePastVacuumCollapse):
@@ -704,15 +702,13 @@ def emit_mode(mode, profile, cfg: ExperimentConfig, out_dir: str) -> None:
 
 def emit_run(record: RunRecord, cfg: ExperimentConfig, out_dir: str, tag: str = "") -> None:
     write_csv(_path(out_dir, "series.csv", tag), SERIES_HEADER, record.series_rows())
-    # write_csv's text: r formatted once per run into a line template that
-    # one % fills with each snapshot's interleaved zeta and zeta_t
-    template = "r,zeta,zeta_t\n" + "".join(
-        "%.17g,%%.17g,%%.17g\n" % r for r in record.profile.grid.tolist()
-    )
-    for i, (z, zt) in enumerate(record.snapshots):
-        # Python floats format faster than numpy scalars, to the same text
-        values = np.column_stack((z, zt)).ravel().tolist()
-        _atomic_write(_path(out_dir, f"snapshot_{i:05d}.csv", tag), template % tuple(values))
+    for i, (ts, (z, zt)) in enumerate(zip(record.snapshot_times, record.snapshots)):
+        write_csv(
+            _path(out_dir, f"snapshot_{i:05d}.csv", tag),
+            ["r", "zeta", "zeta_t"],
+            # Python floats format faster than numpy scalars, to the same text
+            zip(record.profile.grid.tolist(), z.tolist(), zt.tolist()),
+        )
     _write_document(
         _path(out_dir, "run.json", tag),
         record.config_hash,

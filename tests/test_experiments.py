@@ -481,18 +481,12 @@ def _check_members(members, records, cfg, max_steps=5_000_000):
     one-sample-at-a-time reference, bit for bit."""
     assert len(records) == len(members)
     for m, rec in zip(members, records):
-        # a member's own snapshot cadence is its lone run's config value
-        own = cfg
-        if m.snapshot_every is not None:
-            own = dataclasses.replace(
-                cfg, sim=dataclasses.replace(cfg.sim, snapshot_every=m.snapshot_every)
-            )
         solo = ps.evolve_run(
-            m.profile, m.initial, own, mu0=m.mu0,
+            m.profile, m.initial, cfg, mu0=m.mu0,
             stop_amplitude=m.stop_amplitude, t_end=m.t_end, dt=m.dt, max_steps=max_steps,
         )
         _assert_same_record(rec, solo)
-        sim = dataclasses.replace(own.sim, dt=solo.dt, t_end=m.t_end)
+        sim = dataclasses.replace(cfg.sim, dt=solo.dt, t_end=m.t_end)
         _assert_matches_reference(
             rec, _reference_run(m.profile, m.initial, sim, m.stop_amplitude, max_steps)
         )
@@ -517,14 +511,6 @@ def test_batched_ladder_members_equal_solo_runs(run128, ladder128):
     assert [rec.status for rec in records] == ["escaped", "escaped", "completed"]
     assert len({rec.dt for rec in records}) == 3
     _check_members(ladder128, records, cfg)
-
-    # members with their own snapshot cadence (None takes the config's 4)
-    members = [dataclasses.replace(m, snapshot_every=k) for m, k in zip(ladder128, (1, None, 7))]
-    records = ps.evolve_batch(members, cfg)
-    assert [len(rec.snapshots) for rec in records] == [
-        1 + (len(rec.times) - 1) // k for rec, k in zip(records, (1, 4, 7))
-    ]
-    _check_members(members, records, cfg)
 
 
 def test_batched_sweep_members_equal_solo_runs():
@@ -713,9 +699,11 @@ def test_check_conservation_data_are_even_at_the_origin(profile13):
 
 def test_check_does_each_piece_of_work_once(monkeypatch):
     # one profile (radius_convergence integrates R alone) and one batch of
-    # the equilibrium and conservation runs
+    # the equilibrium and conservation runs, whose equilibrium member ends
+    # on a snapshot of its final state
     calls = {"solve_lane_emden": 0, "evolve_batch": []}
     solve, batch = ps.polytrope.solve_lane_emden, experiments.evolve_batch
+    records = []
 
     def counted_solve(*args, **kwargs):
         calls["solve_lane_emden"] += 1
@@ -723,7 +711,8 @@ def test_check_does_each_piece_of_work_once(monkeypatch):
 
     def counted_batch(members, *args, **kwargs):
         calls["evolve_batch"].append(len(members))
-        return batch(members, *args, **kwargs)
+        records.extend(batch(members, *args, **kwargs))
+        return records
 
     monkeypatch.setattr(ps.polytrope, "solve_lane_emden", counted_solve)
     monkeypatch.setattr(experiments, "evolve_batch", counted_batch)
@@ -731,6 +720,10 @@ def test_check_does_each_piece_of_work_once(monkeypatch):
     assert report["all_mandatory_pass"]
     assert _check_entry(report, "radius_convergence")["status"] == "pass"
     assert calls == {"solve_lane_emden": 1, "evolve_batch": [2]}
+    eq_rec = records[0]
+    assert eq_rec.status == "completed"
+    assert len(eq_rec.times) - 1 == 208 // 16
+    assert eq_rec.snapshot_times == [eq_rec.times[0], eq_rec.times[-1]]
 
 
 def test_check_fails_a_run_that_does_not_complete(monkeypatch):

@@ -119,8 +119,8 @@ def test_vacuum_radius_is_the_profiles_r(gamma, series_radius):
     pc = ps.PolytropeConfig(gamma=gamma, series_radius=series_radius)
     base = ps.solve_lane_emden(pc, 64)
     finer = dataclasses.replace(pc, ode_rel_tol=pc.ode_rel_tol / 10, ode_abs_tol=pc.ode_abs_tol / 10)
-    assert ps.vacuum_radius(finer, base.series_radius) == ps.solve_lane_emden(finer, 64).R
-    assert ps.vacuum_radius(pc, base.series_radius) == base.R
+    assert ps.polytrope.vacuum_radius(finer, base.series_radius) == ps.solve_lane_emden(finer, 64).R
+    assert ps.polytrope.vacuum_radius(pc, base.series_radius) == base.R
 
 
 @pytest.mark.parametrize("gamma, r_max", [(1.25, 5.0), (1.3, 1e-3), (2.0, 3.0)])
@@ -133,7 +133,7 @@ def test_vacuum_radius_raises_where_the_profile_does(gamma, r_max):
     R = ps.solve_lane_emden(dataclasses.replace(pc, r_max=500.0), 64).R
     assert r_max < R
     with pytest.raises(NoVacuumRadius, match=msg):
-        ps.vacuum_radius(pc, 1e-3 * R)
+        ps.polytrope.vacuum_radius(pc, 1e-3 * R)
 
 
 def test_r_max_at_or_below_the_start_radius_is_no_vacuum_radius():
