@@ -118,7 +118,9 @@ def test_vacuum_radius_is_the_profiles_r(gamma, series_radius):
     # other tolerances, finds the R of a whole profile at these
     pc = ps.PolytropeConfig(gamma=gamma, series_radius=series_radius)
     base = ps.solve_lane_emden(pc, 64)
-    finer = dataclasses.replace(pc, ode_rel_tol=pc.ode_rel_tol / 10, ode_abs_tol=pc.ode_abs_tol / 10)
+    finer = dataclasses.replace(
+        pc, ode_rel_tol=pc.ode_rel_tol / 10, ode_abs_tol=pc.ode_abs_tol / 10
+    )
     assert ps.polytrope.vacuum_radius(finer, base.series_radius) == ps.solve_lane_emden(finer, 64).R
     assert ps.polytrope.vacuum_radius(pc, base.series_radius) == base.R
 
