@@ -1,6 +1,7 @@
 """Count the numpy calls inside the time loop's acceleration and step kernels.
 
     PYTHONPATH=src python3 scripts/count_kernel_calls.py [--nodes N]
+    PYTHONPATH=src python3 scripts/count_kernel_calls.py --workloads [--seed S]
 
 For B = 1, 2 and 3 rows, it runs evolution.nonlinear_accel_rows and one
 evolution.step_rows on it (four accelerations and the RK4 sums), the two
@@ -20,8 +21,22 @@ per kernel and B:
 
 Indexing, item access and assignment into slices are not counted.  The
 perfbench tracer times named Python functions and cannot see inside a
-kernel; this is the layer below it.  Run it against two source trees
-(PYTHONPATH picks the tree) and compare the tables.
+kernel; this is the layer below it.
+
+--workloads runs the perfbench ladder, sweep and check workloads once
+each at --seed (perfbench/workloads.py: its config, the CLI in-process
+and its gate), with evolution.step_rows and
+evolution.nonlinear_accel_rows wrapped by module attribute, and prints,
+per workload:
+
+    steps        step_rows calls (RK4 steps of the whole block)
+    row_steps    rows those calls stepped, one per member and step
+    accel_calls  nonlinear_accel_rows calls
+    accel_rows   rows those calls evaluated
+    failed       operations the workload's gate failed
+
+These counts do not depend on the host.  Run either mode against two
+source trees (PYTHONPATH picks the tree) and compare the tables.
 """
 
 from __future__ import annotations
@@ -29,11 +44,16 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import os
 import sys
+import tempfile
 
 import numpy as np
 
 GAMMAS = (1.25, 1.3, 1.32)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOAD_NAMES = ("ladder", "sweep", "check")
+WORKLOAD_COLUMNS = ("steps", "row_steps", "accel_calls", "accel_rows", "failed")
 
 
 class Counted(np.ndarray):
@@ -155,10 +175,67 @@ def measure(n_nodes: int) -> list:
     return rows
 
 
+def _rows(zeta) -> int:
+    return 1 if zeta.ndim == 1 else len(zeta)
+
+
+@contextlib.contextmanager
+def counting_kernels():
+    """Count into a fresh Counter the calls and rows of the two batched
+    kernels, wrapped as attributes of polystar.evolution, where the time
+    loop looks them up."""
+    from polystar import evolution
+
+    real_step, real_accel = evolution.step_rows, evolution.nonlinear_accel_rows
+    counts = collections.Counter()
+
+    def step_rows(zeta, *args, **kwargs):
+        counts["steps"] += 1
+        counts["row_steps"] += _rows(zeta)
+        return real_step(zeta, *args, **kwargs)
+
+    def nonlinear_accel_rows(zeta, flat):
+        counts["accel_calls"] += 1
+        counts["accel_rows"] += _rows(zeta)
+        return real_accel(zeta, flat)
+
+    evolution.step_rows, evolution.nonlinear_accel_rows = step_rows, nonlinear_accel_rows
+    try:
+        yield counts
+    finally:
+        evolution.step_rows, evolution.nonlinear_accel_rows = real_step, real_accel
+
+
+def measure_workloads(seed: int = 0, names=WORKLOAD_NAMES) -> dict:
+    """workload name -> Counter of steps, row_steps, accel_calls,
+    accel_rows and failed, from one gated repeat of each workload."""
+    if ROOT not in sys.path:
+        sys.path.insert(0, ROOT)
+    from perfbench import workloads
+
+    out = {}
+    for name in names:
+        workload = workloads.WORKLOADS[name]
+        with tempfile.TemporaryDirectory() as work_dir, counting_kernels() as counts:
+            outcome = workloads.run_repeat(workload, workload.make_config(seed), work_dir)
+        counts["failed"] = outcome.failed
+        out[name] = counts
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--nodes", type=int, default=256, help="mesh.n_nodes (default 256)")
+    ap.add_argument(
+        "--workloads", action="store_true", help="count the kernels of the perfbench workloads"
+    )
+    ap.add_argument("--seed", type=int, default=0, help="perfbench workload seed (default 0)")
     args = ap.parse_args(argv)
+    if args.workloads:
+        print(f"{'workload':<10}" + "".join(f"{c:>13}" for c in WORKLOAD_COLUMNS))
+        for name, counts in measure_workloads(args.seed).items():
+            print(f"{name:<10}" + "".join(f"{counts[c]:>13}" for c in WORKLOAD_COLUMNS))
+        return 0
     print(f"{'kernel':<22}{'B':>3}{'calls':>7}{'new':>6}{'strided':>9}")
     for name, B, calls, new, strided in measure(args.nodes):
         print(f"{name:<22}{B:>3}{calls:>7}{new:>6}{strided:>9}")

@@ -33,6 +33,8 @@ from .evolution import (
 from .polytrope import Discretization, LaneEmdenProfile, trapezoid_weights
 
 MAX_ENERGY_ORDER = 2
+# Samples growth_fit needs in its window [3 delta, theta0/3].
+MIN_FIT_SAMPLES = 32
 
 
 def weighted_norm_X(f: np.ndarray, profile: LaneEmdenProfile, a: float) -> float:
@@ -343,7 +345,7 @@ def growth_fit(record, delta: float, theta0: float) -> GrowthFit:
     t = np.asarray(record.times, dtype=float)
     amp = np.sqrt(np.asarray(record.E0, dtype=float))
     mask = (amp > 3.0 * delta) & (amp < theta0 / 3.0)
-    if mask.sum() < 32:
+    if mask.sum() < MIN_FIT_SAMPLES:
         raise WindowTooSmall(
             f"only {int(mask.sum())} samples in the fit window [3 delta, theta0/3]"
         )

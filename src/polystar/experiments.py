@@ -1,9 +1,13 @@
 """Experiment orchestration: single runs, delta sweeps, gamma sweeps,
 and the property-check battery behind the `check` subcommand.
 
-A run freezes its time step at t = 0 (the state stays small up to the
-escape threshold, so the CFL bound at equilibrium keeps its margin) and
-records the energy series every record_every steps.
+A run freezes its time step at t = 0 and records the energy series every
+record_every steps.  The frozen dt is the CFL dt of the initial data
+(evolution.cfl_dt at sim.dt_cfl): the state stays small up to the escape
+threshold, so the CFL bound at equilibrium keeps its margin.  A
+growing-mode run of the ladder or the sweep (growing_mode_member) lowers
+it, by at most a factor of 2, until growth_fit's window holds
+FIT_WINDOW_SAMPLES samples.
 """
 
 from __future__ import annotations
@@ -342,6 +346,28 @@ class _Batch:
         self.flat = polytrope.FlatRows.build([run.rec.profile.discretization for run in self.runs])
 
 
+# Samples a growing-mode run aims to put in growth_fit's window, 25 % over
+# the fit's minimum.
+FIT_WINDOW_SAMPLES = 1.25 * energetics.MIN_FIT_SAMPLES
+
+
+def growing_mode_member(profile, mode, delta: float, cfg: ExperimentConfig) -> Member:
+    """The run from delta times the growing mode that stops at 2 theta0.
+
+    Its dt is the CFL dt of its initial data, capped so that growth_fit's
+    window [3 delta, theta0/3], which lasts about ln(theta0 / (9 delta)) /
+    rate, holds FIT_WINDOW_SAMPLES samples.  The cap never lowers dt by
+    more than a factor of 2, and a delta whose window is empty (delta at
+    or above theta0/9) keeps the CFL dt."""
+    theta0 = cfg.experiment.theta0
+    initial = evolution.mode_initial_state(mode, delta)
+    dt = evolution.cfl_dt(initial, profile, cfg.sim)
+    window = math.log(theta0 / (9.0 * delta)) / mode.rate
+    if window > 0.0:
+        dt = max(0.5 * dt, min(dt, window / (FIT_WINDOW_SAMPLES * cfg.sim.record_every)))
+    return Member(profile, initial, mode.mu0, 2.0 * theta0, dt=dt)
+
+
 def run_instability_experiment(cfg: ExperimentConfig, delta: float | None = None) -> dict:
     """Growing-mode seeded nonlinear run with growth fit; optionally the
     remainder against the linear approximate solution (duhamel_remainder).
@@ -381,10 +407,7 @@ def instability_ladder(cfg: ExperimentConfig, deltas=None) -> Iterator[dict]:
     if mode.mu0 <= 0:
         raise RateUnavailable(f"largest eigenvalue {mode.mu0} is not positive")
 
-    members = [
-        Member(profile, evolution.mode_initial_state(mode, delta), mode.mu0, 2.0 * theta0)
-        for delta in deltas
-    ]
+    members = [growing_mode_member(profile, mode, delta, cfg) for delta in deltas]
     for delta, record in zip(deltas, evolve_batch(members, cfg)):
         if not isinstance(record, RunRecord):
             raise record
@@ -411,9 +434,8 @@ def sweep(cfg: ExperimentConfig) -> list:
             marginal = abs(mode.mu0) <= 10.0 * profile.n_nodes ** -2.0
             if mode.mu0 > 0 and not marginal:
                 row["sqrt_mu0"] = mode.rate
-                initial = evolution.mode_initial_state(mode, cfg.experiment.delta)
-                stop = 2.0 * cfg.experiment.theta0
-                unstable.append((row, Member(profile, initial, mode.mu0, stop)))
+                member = growing_mode_member(profile, mode, cfg.experiment.delta, cfg)
+                unstable.append((row, member))
             elif marginal:
                 row["status"] = "marginal"
             else:

@@ -30,3 +30,28 @@ def test_flat_kernels_make_the_same_contiguous_calls_at_every_batch_size(capsys)
     assert not isinstance(count_kernel_calls.np.zeros(3), count_kernel_calls.Counted)
     assert count_kernel_calls.main(["--nodes", "64"]) == 0
     assert "nonlinear_accel_rows" in capsys.readouterr().out
+
+
+def test_workload_counts_see_the_batched_time_loop(capsys):
+    from polystar import evolution
+
+    kernels = (evolution.step_rows, evolution.nonlinear_accel_rows)
+    counts = count_kernel_calls.measure_workloads(names=("ladder", "check"))
+    assert list(counts) == ["ladder", "check"]
+    for name, c in counts.items():
+        assert c["failed"] == 0, name
+        # the ladder's two deltas and check's two runs march as one block
+        assert 0 < c["steps"] < c["row_steps"], name
+        # three stages per step, and at most one more stage and a sample
+        assert 3 * c["steps"] < c["accel_calls"] <= 5 * c["steps"], name
+        assert 3 * c["row_steps"] < c["accel_rows"] <= 5 * c["row_steps"], name
+    # the ladder records every step, and each sample's acceleration is the
+    # next step's k1: four accelerations a step, and the first sample's
+    ladder = counts["ladder"]
+    assert ladder["accel_calls"] == 4 * ladder["steps"] + 1
+    assert ladder["accel_rows"] == 4 * ladder["row_steps"] + 2
+    assert (evolution.step_rows, evolution.nonlinear_accel_rows) == kernels
+    assert count_kernel_calls.main(["--workloads"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split() == ["workload", *count_kernel_calls.WORKLOAD_COLUMNS]
+    assert [line.split()[0] for line in out[1:]] == list(count_kernel_calls.WORKLOAD_NAMES)

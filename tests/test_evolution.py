@@ -259,6 +259,22 @@ def test_cfl_dt_uses_the_cell_jacobian(profile13, mode13):
         assert dt != ps.cfl_dt(eq, profile13, sim)
 
 
+@pytest.mark.parametrize("n_nodes", [256, 1024])
+@pytest.mark.parametrize("gamma", [1.22, 1.3, 1.7, 2.0])
+def test_default_cfl_dt_keeps_rk4_stability_margin(gamma, n_nodes):
+    # RK4 is stable on the imaginary axis up to |omega dt| = 2 sqrt(2).
+    # omega_max^2 is the largest eigenvalue of the dense symmetrised pencil
+    # M^(-1/2) S M^(-1/2), S = -L; the default dt_cfl puts omega_max times
+    # the CFL dt at the equilibrium near 1.43
+    prof = ps.solve_lane_emden(ps.PolytropeConfig(gamma=gamma), n_nodes)
+    disc = prof.discretization
+    scale = 1.0 / np.sqrt(disc.mass)
+    dense = disc.apply_stiffness(np.eye(disc.N - 1)) * scale[:, None] * scale[None, :]
+    omega_max = math.sqrt(np.linalg.eigvalsh(dense)[-1])
+    dt = ps.cfl_dt(ps.equilibrium_state(prof), prof, ps.SimConfig())
+    assert omega_max * dt < 2.0 * math.sqrt(2.0)
+
+
 def test_radial_derivative_even_at_origin(profile13, mode13):
     _, mode = mode13
     zeta = ps.mode_initial_state(mode, 1e-3).zeta

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polystar as ps
-from polystar import evolution, experiments
+from polystar import energetics, evolution, experiments
 from polystar.cli import main as cli_main
 from polystar.config import (
     ExperimentConfig,
@@ -42,7 +42,7 @@ def test_config_defaults_roundtrip():
 def test_config_identity_pinned():
     # every output file embeds this hash; it must not move with refactors
     cfg = ExperimentConfig()
-    assert config_hash(cfg) == "c5d671567548b588"
+    assert config_hash(cfg) == "feb150eec73310ec"
     doc = json.loads(canonical_json(cfg))
     assert sorted(doc["sim"]) == [
         "dt_cfl",
@@ -372,9 +372,10 @@ def _assert_matches_reference(rec, reference):
 
 @pytest.fixture(scope="module")
 def run128():
-    """(cfg, profile, growing mode) at N = 128."""
+    """(cfg, profile, growing mode) at N = 128.  The chunk-boundary tests
+    place their stops on the sample grid of dt_cfl 0.4."""
     cfg = make_config(n_nodes=128, kind="evolve")
-    cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, snapshot_every=4))
+    cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, dt_cfl=0.4, snapshot_every=4))
     profile = ps.build_profile(cfg)
     mode = ps.build_mode(profile, cfg.eig.eig_tol)
     return cfg, profile, mode
@@ -606,6 +607,70 @@ def test_instability_ladder_equals_solo_runs():
         for key in ("t", "remainder", "ratio"):
             assert np.array_equal(out["remainder"][key], solo["remainder"][key])
         assert out["remainder"]["rate"] == solo["remainder"]["rate"]
+
+
+@pytest.fixture(scope="module")
+def ladder256():
+    """(cfg, profile, growing mode) of the default ladder at N = 256."""
+    cfg = make_config(n_nodes=256, kind="instability")
+    profile = ps.build_profile(cfg)
+    return cfg, profile, ps.build_mode(profile, cfg.eig.eig_tol)
+
+
+def _cfl_dt_of(member, cfg):
+    return evolution.cfl_dt(member.initial, member.profile, cfg.sim)
+
+
+def test_fit_window_cap_stays_within_a_factor_of_two_of_the_cfl_dt(ladder256):
+    cfg, profile, mode = ladder256
+    theta0 = cfg.experiment.theta0
+    for delta in (1e-8, 1e-5, 1e-3, 0.99 * theta0 / 9, theta0 / 9, 0.5 * theta0, 0.99 * theta0):
+        member = experiments.growing_mode_member(profile, mode, delta, cfg)
+        cfl = _cfl_dt_of(member, cfg)
+        assert 0.5 * cfl <= member.dt <= cfl, delta
+        assert member.stop_amplitude == 2.0 * theta0
+        if delta >= theta0 / 9:
+            # an empty window: no cap
+            assert member.dt == cfl
+    # the cap binds at the default ladder's first delta
+    member = experiments.growing_mode_member(profile, mode, 1e-3, cfg)
+    assert member.dt < _cfl_dt_of(member, cfg)
+
+
+def test_fit_window_holds_min_fit_samples_at_the_default_dt_cfl(ladder256):
+    # delta 1e-3 at N = 256 puts 29 samples in its window at the CFL dt of
+    # dt_cfl 0.6, fewer than growth_fit takes; the capped run holds more
+    cfg, profile, mode = ladder256
+    assert cfg.sim.dt_cfl == ps.SimConfig().dt_cfl == 0.6
+    delta, theta0 = 1e-3, cfg.experiment.theta0
+    (rec,) = ps.evolve_batch([experiments.growing_mode_member(profile, mode, delta, cfg)], cfg)
+    assert rec.status == "escaped"
+    amp = np.sqrt(rec.E0)
+    in_window = int(np.sum((amp > 3.0 * delta) & (amp < theta0 / 3.0)))
+    assert in_window >= energetics.MIN_FIT_SAMPLES
+    assert energetics.growth_fit(rec, delta, theta0).rate > 0.0
+
+
+def test_fit_window_cap_below_theta0_over_9_marches_at_most_twice_the_steps(ladder256):
+    # a window of almost no time asks for a tiny dt; the cap's floor keeps
+    # the run at half the CFL dt
+    cfg, profile, mode = ladder256
+    delta = cfg.experiment.theta0 / 9 * (1.0 - 1e-9)
+    capped = experiments.growing_mode_member(profile, mode, delta, cfg)
+    assert capped.dt == 0.5 * _cfl_dt_of(capped, cfg)
+    free = dataclasses.replace(capped, dt=None)
+    records = ps.evolve_batch([capped, free], cfg)
+    assert [rec.status for rec in records] == ["escaped", "escaped"]
+    n_capped, n_free = (len(rec.times) for rec in records)
+    assert n_free < n_capped <= 2 * n_free + 1
+
+
+def test_delta_with_an_empty_fit_window_keeps_its_exit_code(tmp_path, monkeypatch, capsys):
+    # theta0/9 <= delta < theta0: the run keeps the CFL dt and escapes, the
+    # fit finds no window, and the CLI reports a numerical failure (exit 3)
+    code, _ = _run_cli(["instability", "--nodes", "256", "--delta", "2e-3"], tmp_path, monkeypatch)
+    assert code == 3
+    assert "WindowTooSmall" in capsys.readouterr().err
 
 
 def test_check_battery_passes():
