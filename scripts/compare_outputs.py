@@ -8,7 +8,10 @@ Prints the files found in one tree only, then one block per file whose
 bytes differ:
 
     CSV    the largest relative change of each numeric column, and how
-           many cells of each other column changed;
+           many cells of each other column changed, over the rows of
+           equal sample time when the file has a t column (the times
+           found on one side only are listed, with their count and
+           range), else over the rows of equal index;
     JSON   the largest relative change of each numeric leaf (a number,
            or a list of numbers of unchanged length), and every other
            leaf that changed, with its two values.
@@ -57,9 +60,30 @@ def _floats(cells: list):
         return None
 
 
+def _pair_on_t(body_a: list, body_b: list, k: int):
+    """The rows of both bodies at each sample time (column k) present on
+    both sides, in the parent's order, and a note on the times present on
+    one side only; None when a time does not parse as a number."""
+    ta, tb = _floats([row[k] for row in body_a]), _floats([row[k] for row in body_b])
+    if ta is None or tb is None:
+        return None
+    by_b = dict(zip(tb, body_b))
+    pairs = [(row, by_b[t]) for t, row in zip(ta, body_a) if t in by_b]
+    notes = {}
+    for side, times, other in (("parent", ta, set(tb)), ("change", tb, set(ta))):
+        only = [t for t in times if t not in other]
+        if only:
+            notes[f"rows only in {side}"] = (
+                f"{len(only)} of {len(times)}, t {min(only):.6g} to {max(only):.6g}"
+            )
+    return pairs, notes
+
+
 def compare_csv(pa: str, pb: str) -> dict:
     """column -> largest relative change (numeric) or changed-cell count
-    (text), plus 'rows' when the row counts differ."""
+    (text).  Rows pair on the sample time when there is a t column (the
+    times present on one side only are listed first), else by index, with
+    'rows' when the row counts differ."""
     with open(pa, newline="") as fh:
         ra = list(csv.reader(fh))
     with open(pb, newline="") as fh:
@@ -68,13 +92,20 @@ def compare_csv(pa: str, pb: str) -> dict:
     if ra[:1] != rb[:1]:
         out["header"] = f"{ra[:1]} -> {rb[:1]}"
         return out
+    header = ra[0] if ra else []
     body_a, body_b = ra[1:], rb[1:]
-    if len(body_a) != len(body_b):
-        out["rows"] = f"{len(body_a)} -> {len(body_b)}"
-    n = min(len(body_a), len(body_b))
-    for k, name in enumerate(ra[0] if ra else []):
-        ca = [row[k] for row in body_a[:n]]
-        cb = [row[k] for row in body_b[:n]]
+    paired = _pair_on_t(body_a, body_b, header.index("t")) if "t" in header else None
+    if paired is None:
+        if len(body_a) != len(body_b):
+            out["rows"] = f"{len(body_a)} -> {len(body_b)}"
+        pairs = list(zip(body_a, body_b))
+    else:
+        pairs, notes = paired
+        out.update(notes)
+    n = len(pairs)
+    for k, name in enumerate(header):
+        ca = [a[k] for a, _ in pairs]
+        cb = [b[k] for _, b in pairs]
         fa, fb = _floats(ca), _floats(cb)
         if fa is not None and fb is not None:
             out[name] = rel_change(fa, fb)

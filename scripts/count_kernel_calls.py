@@ -3,13 +3,17 @@
     PYTHONPATH=src python3 scripts/count_kernel_calls.py [--nodes N]
     PYTHONPATH=src python3 scripts/count_kernel_calls.py --workloads [--seed S]
 
-For B = 1, 2 and 3 rows, it runs evolution.nonlinear_accel_rows and one
-evolution.step_rows on it (four accelerations and the RK4 sums), the two
-batched kernels, as the batched time loop calls them: B rows are a
-(B, N+1) block on the FlatRows of the first B of the gammas 1.25, 1.3 and
-1.32, with dt as a (B, N+1) block, one row included.  The state is
-wrapped in an ndarray subclass whose __array_ufunc__ and
-__array_function__ count, and every array the kernels derive from it or
+For B = 1, 2 and 3 rows, it counts the two batched kernels as the
+batched time loop (experiments.evolve_batch) calls them, on its own
+buffers: B rows are a (3, B, N+1) state block [zeta, zeta_t, k1] on the
+FlatRows of the first B of the gammas 1.25, 1.3 and 1.32, stepped with an
+evolution.Stages of a (B, N+1) dt block, one row included.  The
+nonlinear_accel_rows row is one acceleration of the zeta rows into the
+k1 rows; the step_rows row is one RK4 step with four accelerations: k1
+into the state block, then evolution.step_rows in place.  The state, and
+the FlatRows scratch and Stages buffers (built while counting, and not
+counted), are wrapped in an ndarray subclass whose __array_ufunc__ and
+__array_function__ count, and every array the kernels derive from them or
 allocate with np.empty or np.zeros stays in that subclass.  It prints,
 per kernel and B:
 
@@ -157,16 +161,21 @@ def measure(n_nodes: int) -> list:
     for B in (1, 2, 3):
         r = profiles[0].grid / profiles[0].R
         block = np.stack([1e-4 * (b + 1) * (1.0 - r * r) for b in range(B)])
-        flat = polytrope.FlatRows.build([p.discretization for p in profiles[:B]])
-        dt = np.full(block.shape, 1e-3)
-        zeta, zeta_t = block.view(Counted), (0.5 * block).view(Counted)
+        state = np.stack([block, 0.5 * block, block]).view(Counted)
+        with counting():
+            flat = polytrope.FlatRows.build([p.discretization for p in profiles[:B]])
+            stages = evolution.Stages(np.full(block.shape, 1e-3).view(Counted), block.shape)
 
-        def nonlinear(z, flat=flat):
-            return evolution.nonlinear_accel_rows(z, flat)
+        def accel(z, out, flat=flat):
+            evolution.nonlinear_accel_rows(z, flat, out)
+
+        def step(state=state, stages=stages, accel=accel):
+            accel(state[0], state[2])
+            evolution.step_rows(state, stages, accel, state[:2])
 
         kernels = (
-            ("nonlinear_accel_rows", lambda: nonlinear(zeta)),
-            ("step_rows", lambda: evolution.step_rows(zeta, zeta_t, dt, nonlinear)),
+            ("nonlinear_accel_rows", lambda: accel(state[0], state[2])),
+            ("step_rows", step),
         )
         for name, run in kernels:
             with counting() as counts:
@@ -189,15 +198,15 @@ def counting_kernels():
     real_step, real_accel = evolution.step_rows, evolution.nonlinear_accel_rows
     counts = collections.Counter()
 
-    def step_rows(zeta, *args, **kwargs):
+    def step_rows(state, *args, **kwargs):
         counts["steps"] += 1
-        counts["row_steps"] += _rows(zeta)
-        return real_step(zeta, *args, **kwargs)
+        counts["row_steps"] += _rows(state[0])
+        return real_step(state, *args, **kwargs)
 
-    def nonlinear_accel_rows(zeta, flat):
+    def nonlinear_accel_rows(zeta, *args, **kwargs):
         counts["accel_calls"] += 1
         counts["accel_rows"] += _rows(zeta)
-        return real_accel(zeta, flat)
+        return real_accel(zeta, *args, **kwargs)
 
     evolution.step_rows, evolution.nonlinear_accel_rows = step_rows, nonlinear_accel_rows
     try:

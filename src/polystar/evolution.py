@@ -110,19 +110,25 @@ def _radial_derivative(z: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def cell_jacobian_minus_one(
-    zeta: np.ndarray, disc: Discretization | FlatRows, out: np.ndarray | None = None
+    zeta: np.ndarray,
+    disc: Discretization | FlatRows,
+    out: np.ndarray | None = None,
+    r3u: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Conservative J - 1 at half nodes, exact for constant zeta; over the
-    trailing axis, so a (K, N+1) block gives K rows.  With disc a
-    FlatRows, zeta is a flat block and the result its flat cells.  The
-    result goes into out when given."""
-    # u = zeta + zeta^2 + zeta^3/3 with one square, in that order
-    z2 = zeta * zeta
-    u = zeta + z2
-    z2 *= zeta
-    z2 /= 3.0
-    u += z2
-    return disc.conservative_derivative(u, out)
+    """Conservative J - 1 = 3 [r^3 u] / [r^3] at half nodes, exact for
+    constant zeta; over the trailing axis, so a (K, N+1) block gives K
+    rows.  With disc a FlatRows, zeta is a flat block and the result its
+    flat cells.  The result goes into out when given; r3u, when given, is
+    an array of zeta's shape that holds r^3 u meanwhile."""
+    # r^3 u = ((r^3/3 zeta + r^3) zeta + r^3) zeta, u = zeta + zeta^2 + zeta^3/3
+    p = np.multiply(disc.r3_third, zeta, out=r3u)
+    p += disc.r3
+    p *= zeta
+    p += disc.r3
+    p *= zeta
+    out = np.subtract(p[..., 1:], p[..., :-1], out=out)
+    out *= disc.three_over_d3
+    return out
 
 
 def nonlinear_accel(state: PerturbationState, profile: LaneEmdenProfile) -> np.ndarray:
@@ -130,10 +136,17 @@ def nonlinear_accel(state: PerturbationState, profile: LaneEmdenProfile) -> np.n
     return nonlinear_accel_rows(state.zeta, profile.discretization.flat)
 
 
-def nonlinear_accel_rows(zeta: np.ndarray, flat: FlatRows) -> np.ndarray:
+def nonlinear_accel_rows(
+    zeta: np.ndarray, flat: FlatRows, out: np.ndarray | None = None
+) -> np.ndarray:
     """nonlinear_accel over the trailing axis: a (B, N+1) block gives B
     rows, each equal to the 1-D value bit for bit.  flat lays out the
     rows' grids, one row each (a 1-D zeta takes a one-row FlatRows).
+
+    The result goes into out, a C-contiguous array of zeta's shape that
+    shares no memory with zeta, when given; otherwise into a new array,
+    which no later call writes.  Between the two, the kernel allocates
+    nothing: it works in flat.scratch and in out.
 
     The block is one flat vector of B(N+1) nodes, so that each stencil
     operation is one contiguous call whatever B is; the entries across a
@@ -146,17 +159,22 @@ def nonlinear_accel_rows(zeta: np.ndarray, flat: FlatRows) -> np.ndarray:
     N = flat.N
     zf = zeta.reshape(-1)
     M = zf.size
-    # [zeta of every node | J - 1 of the M-1 flat cells | one spare slot]
-    buf = np.empty(2 * M)
+    a = np.empty(zeta.shape) if out is None else out
+    if not a.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    af = a.reshape(-1)
+    # [zeta of every node | J - 1 of the M-1 flat cells | one spare slot];
+    # af holds r^3 u until the interior overwrites it
+    buf = flat.scratch
     buf[:M] = zf
     cells = buf[M : 2 * M - 1]
-    cell_jacobian_minus_one(zf, flat, out=cells)
+    cell_jacobian_minus_one(zf, flat, out=cells, r3u=af)
     # zeta <= -1 exactly when 1 + zeta <= 0 (the sum is exact on [-2, -1/2]);
     # fmin skips NaN, which fails no check, and the junk cells are NaN
     if np.fmin.reduce(buf[: 2 * M - 1]) <= -1.0:
         _raise_collapse(zf, buf[M:].reshape(-1, N + 1)[:, :N], N)
-    # the interior source [(1+zeta)^(-4) - 1] Phi and the pressure flux
-    # w^(1+alpha) (J^(-gt) - 1), cancellation-free, in one pass over
+    # minus the interior source, -[(1+zeta)^(-4) - 1] Phi, and the pressure
+    # flux w^(1+alpha) (J^(-gt) - 1), cancellation-free, in one pass over
     # [zeta at nodes 1..M-1 | J - 1 of the cells]
     x = buf[1 : 2 * M - 1]
     np.log1p(x, out=x)
@@ -164,19 +182,15 @@ def nonlinear_accel_rows(zeta: np.ndarray, flat: FlatRows) -> np.ndarray:
     np.expm1(x, out=x)
     x *= flat.weight
     source, flux = buf[1 : M - 1], cells
-    # interior -(1+zeta)^2 (flux difference + source), each product and
-    # sum in the order of that formula, written into the flat interior of a
-    a = np.empty(zeta.shape)
-    af = a.reshape(-1)
+    # interior -(1+zeta)^2 (flux difference / (dr w^alpha r) + source),
+    # the sign in flux_coef and weight, written into the flat interior of a
     ai = af[1 : M - 1]
     np.subtract(flux[1:], flux[:-1], out=ai)
-    ai /= flat.dr
-    ai *= flat.inv_wr
+    ai *= flat.flux_coef
     ai += source
     xi2 = np.add(zf[1 : M - 1], 1.0, out=source)
     np.multiply(xi2, xi2, out=xi2)
     ai *= xi2
-    np.negative(ai, out=ai)
     collapsed = []
     k = 0
     for b, scalars in enumerate(flat.edges):
@@ -291,64 +305,70 @@ def step(
     accel = linear_accel if config.linear else nonlinear_accel
     dt = config.dt if config.dt is not None else cfl_dt(state, profile, config)
     t, zt = state.t, state.zeta_t
-    zeta, zeta_t = step_rows(
-        state.zeta, zt, dt, lambda z: accel(PerturbationState(t, z, zt), profile)
-    )
-    return PerturbationState(t=t + dt, zeta=zeta, zeta_t=zeta_t)
+
+    def rows(z, out):
+        out[...] = accel(PerturbationState(t, z, zt), profile)
+
+    block = np.stack([state.zeta, zt, accel(state, profile)])
+    step_rows(block, Stages(dt, zt.shape), rows, block[:2])
+    return PerturbationState(t=t + dt, zeta=block[0], zeta_t=block[1])
 
 
-def step_rows(
-    zeta: np.ndarray,
-    zeta_t: np.ndarray,
-    dt,
-    accel,
-    k1: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """step over the trailing axis: (zeta, zeta_t) after one RK4 step of
-    every row.  dt is a float, or one step per row as an array that
-    broadcasts against the rows (a full array of their shape costs least);
-    accel maps a block of zeta rows to its acceleration; k1, when given,
-    is accel(zeta).
+class Stages:
+    """step_rows' buffers and step coefficients for zeta rows of one
+    shape: y, the three stage blocks [y_zeta, y_zeta_t, acceleration],
+    each 3 x shape, and half, dt and sixth of the step.  dt is a float, or
+    an array of shape that holds each row's step along the row; the
+    coefficients are then full (2, *shape) blocks, so that no product
+    broadcasts.  A caller that steps one block many times builds one
+    Stages for it (evolve_batch: one per block layout)."""
 
-    The stage inputs and the sums go into buffers allocated here; zeta,
-    zeta_t, k1 and the arrays accel returns are only read, never written
-    (k1 may be a caller's buffer, and accel's result may be k1).  Each sum
-    keeps the order of the classical form: zt + half*k1v is half*k1v,
-    then += zt."""
-    z, zt = zeta, zeta_t
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    # accelerations read zeta alone, so the stages need no zeta_t
-    k1v = accel(z) if k1 is None else k1
-    kz = np.multiply(half, k1v)  # k2z = zt + half*k1v
-    kz += zt
-    y = np.multiply(half, zt)
-    y += z
-    k2v = accel(y)
-    zsum = np.multiply(2.0, kz)  # zt + 2 k2z + 2 k3z + k4z
-    zsum += zt
-    vsum = np.multiply(2.0, k2v)  # k1v + 2 k2v + 2 k3v + k4v
-    vsum += k1v
-    y = np.multiply(half, kz)
-    y += z
-    np.multiply(half, k2v, out=kz)  # k3z
-    kz += zt
-    k3v = accel(y)
-    twice = np.multiply(2.0, kz)
-    zsum += twice
-    np.multiply(2.0, k3v, out=twice)
-    vsum += twice
-    y = np.multiply(dt, kz)
-    y += z
-    np.multiply(dt, k3v, out=kz)  # k4z
-    kz += zt
-    vsum += accel(y)
-    zsum += kz
-    zsum *= sixth
-    zsum += z
-    vsum *= sixth
-    vsum += zt
-    return zsum, vsum
+    def __init__(self, dt, shape: tuple):
+        if np.ndim(dt):
+            dt = np.stack([dt, dt])
+        self.half, self.dt, self.sixth = 0.5 * dt, dt, dt / 6.0
+        self.y = np.empty((3, 3, *shape))
+
+
+def step_rows(state: np.ndarray, stages: Stages, accel, out: np.ndarray) -> None:
+    """step over the trailing axis: one classical RK4 step of every row of
+    state, a C-contiguous (3, ..., N+1) block [zeta, zeta_t, k1] with k1
+    the acceleration of zeta.  (zeta, zeta_t) after the step go into out,
+    a (2, ..., N+1) block, which may be state[:2].  stages holds the step
+    and the stage buffers; accel(y, a) writes the acceleration of the
+    zeta rows y into a, a stage buffer.
+
+    step_rows writes into stages.y and, by its last operation, into out,
+    and allocates nothing; until that operation it only reads state, so
+    an acceleration that raises leaves state as it was, even when out is
+    state[:2].
+
+    Stage i is the block [y_zeta, y_zeta_t, a(y_zeta)], whose slice [1:]
+    is the stage derivative K_i, as state[1:] is K1.  Each stage input
+    S + c K_i is one multiply and one add over the (2, ..., N+1) block
+    S = state[:2], and the sum runs over both components at once, in the
+    order of the classical form: (2 K2 + K1) + 2 K3 + K4, times sixth,
+    plus S."""
+    S, K1 = state[:2], state[1:]
+    y2, y3, y4 = stages.y
+    np.multiply(stages.half, K1, out=y2[:2])
+    y2[:2] += S
+    accel(y2[0], y2[2])
+    np.multiply(stages.half, y2[1:], out=y3[:2])
+    y3[:2] += S
+    accel(y3[0], y3[2])
+    np.multiply(stages.dt, y3[1:], out=y4[:2])
+    y4[:2] += S
+    accel(y4[0], y4[2])
+    # the sum goes into K2's place, 2 K3 into K3's
+    total, twice = y2[1:], y3[1:]
+    total *= 2.0
+    total += K1
+    twice *= 2.0
+    total += twice
+    total += y4[1:]
+    total *= stages.sixth
+    np.add(total, S, out=out)
 
 
 def _pressure_energy_density(x: np.ndarray, alpha: float) -> np.ndarray:

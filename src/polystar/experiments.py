@@ -22,7 +22,7 @@ import numpy as np
 from . import energetics, evolution, polytrope, spectral
 from .config import ExperimentConfig, config_hash
 from .errors import PolystarError, RateUnavailable, StatePastVacuumCollapse
-from .io_utils import write_csv, write_json
+from .io_utils import csv_template, write_csv, write_json
 
 
 @dataclass(eq=False)
@@ -178,12 +178,15 @@ def evolve_batch(members: list, cfg: ExperimentConfig, max_steps: int = 5_000_00
         if ended:
             batch.stop(ended, lambda run: "max_steps" if run.t < run.sim.t_end - 1e-12 else "completed")
             continue
+        state = batch.state
         try:
-            z, zt = evolution.step_rows(batch.z, batch.zt, batch.dt, batch.accel, batch.k1)
+            if not batch.has_k1:
+                batch.accel(state[0], state[2])
+            evolution.step_rows(state, batch.stages, batch.accel, state[:2])
         except StatePastVacuumCollapse as exc:
             batch.stop(exc.rows, lambda run: "collapsed")
             continue
-        batch.z, batch.zt, batch.k1 = z, zt, None
+        batch.has_k1 = False
         steps += 1
         for run in batch.runs:
             run.t += run.sim.dt
@@ -268,26 +271,33 @@ class _Run:
 
 
 class _Batch:
-    """The runs still marching in evolve_batch: their rows of zeta, zeta_t
-    and k1, dt, chunk buffers (row b holds run b's samples) and geometry,
-    one FlatRows of the runs' grids.  Rows are (B, N+1) blocks, a lone
-    run's too, and dt is a (B, N+1) block as well, each row filled with
-    its run's step, so that no product broadcasts a column.  A former 1-D
-    path for a lone run was no faster: 0.299 s against 0.296 s for a
-    lone evolve_run at N = 256 (README, "Leaving the batch")."""
+    """The runs still marching in evolve_batch: their state, one
+    C-contiguous (3, B, N+1) block [zeta, zeta_t, k1] (row b is run b's;
+    k1 is zeta's acceleration when has_k1 says so), chunk buffers
+    (3, B, RECORD_CHUNK, N+1) of the same three samples, and per block
+    layout one FlatRows of the runs' grids and one evolution.Stages.  A
+    lone run's rows are a block too, and each run's dt fills its rows of
+    the Stages coefficients, so that no product broadcasts a column.  A
+    former 1-D path for a lone run was no faster: 0.299 s against 0.296 s
+    for a lone evolve_run at N = 256 (README, "Leaving the batch").
+
+    step_rows steps the state in place and the accelerations write into
+    the state or the Stages buffers: the time loop allocates no array
+    until the block shrinks and its layout is rebuilt."""
 
     def __init__(self, runs: list):
         self.runs = runs
-        self.z = np.stack([run.initial.zeta for run in runs])
-        self.zt = np.stack([run.initial.zeta_t for run in runs])
-        self.k1 = None
-        self.buffers = np.empty((3, len(runs), RECORD_CHUNK, self.z.shape[1]))
+        zeta = np.stack([run.initial.zeta for run in runs])
+        # the k1 rows are filled by the first take
+        self.state = np.stack([zeta, np.stack([run.initial.zeta_t for run in runs]), zeta])
+        self.has_k1 = False
+        self.buffers = np.empty((3, len(runs), RECORD_CHUNK, zeta.shape[1]))
         self.n = 0  # samples buffered per run
         self._layout()
 
-    def accel(self, zeta: np.ndarray) -> np.ndarray:
-        """The runs' acceleration of a block of zeta rows."""
-        return evolution.nonlinear_accel_rows(zeta, self.flat)
+    def accel(self, zeta: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The runs' acceleration of a block of zeta rows, into out."""
+        return evolution.nonlinear_accel_rows(zeta, self.flat, out)
 
     def take(self, first: bool = False) -> None:
         """Buffer the current sample of every run with its acceleration,
@@ -295,15 +305,14 @@ class _Batch:
         first sample, with the error)."""
         while self.runs:
             try:
-                self.k1 = self.accel(self.z)
+                self.accel(self.state[0], self.state[2])
                 break
             except StatePastVacuumCollapse as exc:
                 self.stop(exc.rows, lambda run: exc if first else "collapsed")
         if not self.runs:
             return
-        self.buffers[0, :, self.n] = self.z
-        self.buffers[1, :, self.n] = self.zt
-        self.buffers[2, :, self.n] = self.k1
+        self.has_k1 = True
+        self.buffers[:, :, self.n] = self.state
         for run in self.runs:
             run.times.append(run.t)
         self.n += 1
@@ -334,15 +343,15 @@ class _Batch:
             return
         self.runs = [self.runs[b] for b in keep]
         self.buffers = self.buffers[:, keep]
-        self.z, self.zt = self.z[keep], self.zt[keep]
-        self.k1 = None if self.k1 is None else self.k1[keep]
+        self.state = self.state.take(keep, axis=1)  # C-contiguous, unlike [:, keep]
         if keep:
             self._layout()
 
     def _layout(self) -> None:
-        """The runs' dt block and FlatRows."""
-        dts = [run.sim.dt for run in self.runs]
-        self.dt = np.repeat(dts, self.z.shape[1]).reshape(len(dts), -1)
+        """The runs' FlatRows and Stages."""
+        B, n = self.state.shape[1:]
+        dt = np.repeat([run.sim.dt for run in self.runs], n).reshape(B, n)
+        self.stages = evolution.Stages(dt, (B, n))
         self.flat = polytrope.FlatRows.build([run.rec.profile.discretization for run in self.runs])
 
 
@@ -724,13 +733,13 @@ def emit_mode(mode, profile, cfg: ExperimentConfig, out_dir: str) -> None:
 
 def emit_run(record: RunRecord, cfg: ExperimentConfig, out_dir: str, tag: str = "") -> None:
     write_csv(_path(out_dir, "series.csv", tag), SERIES_HEADER, record.series_rows())
-    for i, (ts, (z, zt)) in enumerate(zip(record.snapshot_times, record.snapshots)):
-        write_csv(
-            _path(out_dir, f"snapshot_{i:05d}.csv", tag),
-            ["r", "zeta", "zeta_t"],
-            # Python floats format faster than numpy scalars, to the same text
-            zip(record.profile.grid.tolist(), z.tolist(), zt.tolist()),
-        )
+    # every snapshot shares its header and r column; Python floats format
+    # faster than numpy scalars, to the same text
+    header = ["r", "zeta", "zeta_t"]
+    template = csv_template(header, record.profile.grid.tolist())
+    for i, (z, zt) in enumerate(record.snapshots):
+        path = _path(out_dir, f"snapshot_{i:05d}.csv", tag)
+        write_csv(path, header, (z.tolist(), zt.tolist()), template=template)
     _write_document(
         _path(out_dir, "run.json", tag),
         record.config_hash,

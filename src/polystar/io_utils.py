@@ -37,7 +37,24 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def write_csv(path: str, header: list, rows) -> None:
+def csv_template(header: list, first: list) -> str:
+    """The text of the CSV files with header whose leading column is
+    first (floats) and whose other columns are floats: one %-template of
+    those columns' values by row, so that the files of a run that share
+    header and first format them once (write_csv's template).  The names
+    in header hold no %."""
+    rest = ",%.17g" * (len(header) - 1) + "\n"
+    return ",".join(header) + "\n" + "".join(fmt(x) + rest for x in first)
+
+
+def write_csv(path: str, header: list, rows, template: str | None = None) -> None:
+    """Write the header line and one line per row.  With template, the
+    csv_template(header, first) of a shared leading column first, rows
+    are the file's other columns (lists of floats), and the file has the
+    bytes of the rows zip(first, *rows)."""
+    if template is not None:
+        _atomic_write(path, template % tuple(chain.from_iterable(zip(*rows))))
+        return
     rows = list(rows)
     values = list(chain.from_iterable(rows))
     width = len(rows[0]) if rows else 0

@@ -225,12 +225,15 @@ class Discretization:
     w_half_1a: np.ndarray         # w_half^(1+alpha)
     phi: np.ndarray               # nodal potential coefficient
     r3: np.ndarray                # r^3
+    r3_third: np.ndarray          # r^3 / 3
     d3: np.ndarray                # [r^3] across each cell
+    three_over_d3: np.ndarray     # 3 / [r^3]
     quad_w: np.ndarray            # nodal trapezoid weights
     dr_interior: np.ndarray       # interior trapezoid weights
     xweight: np.ndarray           # w^alpha r^4 quad_w: the X-norm weights
     yweight: np.ndarray           # (w_half^(1+alpha) rm^4)[1:N-1]: the Y-norm cell weights
     inv_wr: np.ndarray            # interior 1 / (w^alpha r)
+    inv_dr_wr: np.ndarray         # interior 1 / (dr w^alpha r), dr the trapezoid weight
     dloc: np.ndarray              # nodal CFL lengths
     mass: np.ndarray              # interior w^alpha r^4 dr: the pencil's mass
     stiffness_diag: np.ndarray    # pencil diagonal, interior
@@ -248,6 +251,8 @@ class Discretization:
         w_half = np.clip(profile.enthalpy(rm)[0], 0.0, None)
         w_half_1a = w_half ** (1.0 + alpha)
         r3 = r**3
+        d3 = np.diff(r3)
+        wr = profile.w[1:N] ** alpha * r[1:N]
         w = np.clip(profile.w, 0.0, None)
         quad_w = trapezoid_weights(r)
         xweight = w**alpha * r**4 * quad_w
@@ -267,8 +272,9 @@ class Discretization:
         return cls(
             alpha=alpha, gt=gt, N=N, r=r, h=h, rm=rm, w=w,
             w_half=w_half, w_half_1a=w_half_1a, phi=profile.phi,
-            r3=r3, d3=np.diff(r3), quad_w=quad_w, dr_interior=quad_w[1:N],
-            xweight=xweight, yweight=yweight, inv_wr=1.0 / (profile.w[1:N] ** alpha * r[1:N]),
+            r3=r3, r3_third=r3 / 3.0, d3=d3, three_over_d3=3.0 / d3,
+            quad_w=quad_w, dr_interior=quad_w[1:N], xweight=xweight, yweight=yweight,
+            inv_wr=1.0 / wr, inv_dr_wr=1.0 / (quad_w[1:N] * wr),
             dloc=dloc, mass=mass, stiffness_diag=diag, stiffness_off=-flux,
             origin_coef=(0.0 - r[1] ** 2) / (r[2] ** 2 - r[1] ** 2),
         )
@@ -286,10 +292,14 @@ class Discretization:
         v[0] = v[1] + (v[2] - v[1]) * self.origin_coef
         v[-1] = v[-2] + (v[-2] - v[-3]) / h[-2] * h[-1]
 
-    def conservative_derivative(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def conservative_derivative(self, g: np.ndarray) -> np.ndarray:
         """(r^3 g)_r / r^2 at the half nodes as 3 [r^3 g] / [r^3], over the
-        trailing axis, into out when given."""
-        return _conservative_derivative(g, self.r3, self.d3, out)
+        trailing axis."""
+        p = self.r3 * g
+        out = p[..., 1:] - p[..., :-1]
+        out *= 3.0
+        out /= self.d3
+        return out
 
     def apply_stiffness(self, phi: np.ndarray) -> np.ndarray:
         """S phi on the interior nodes, over the trailing axis; S represents -L."""
@@ -314,27 +324,32 @@ class FlatRows:
     row b on its own Discretization (one profile's grid; every row has
     the same N), so that the kernel can treat a C-contiguous (B, N+1)
     block as one flat vector of M = B(N+1) nodes and run each stencil
-    operation as one contiguous call whatever B is.
+    operation as one contiguous call whatever B is.  Constant factors
+    are merged into one coefficient per operation, computed here once.
 
     Flat node k is node k mod (N+1) of row k // (N+1); flat cell k joins
     flat nodes k and k+1.  The B-1 cells that join one row's vacuum node
     to the next row's origin, and the row ends among the flat interior
     nodes 1..M-2, are junk: no real entry reads them, and the kernel
     overwrites the junk nodes with each row's endpoint values.  The pads
-    keep junk harmless: d3 is NaN across a join, so junk J - 1 is NaN
-    (never <= -1, skipped by fmin) and stays NaN downstream without a
-    floating-point warning; the weights and inv_wr are 0 at the row ends
-    and joins, and dr is 1.
+    keep junk harmless: three_over_d3 is NaN across a join, so junk
+    J - 1 is NaN (never <= -1, skipped by fmin) and stays NaN downstream
+    without a floating-point warning; the weights and flux_coef are 0 at
+    the row ends and joins.
+
+    scratch is the kernel's working vector, allocated once here: the
+    kernel reads nothing from it that the same call did not write.
     """
 
     N: int
     r3: np.ndarray           # (M,) r^3
-    d3: np.ndarray           # (M-1,) [r^3] across each flat cell
+    r3_third: np.ndarray     # (M,) r^3 / 3
+    three_over_d3: np.ndarray  # (M-1,) 3 / [r^3] across each flat cell
     exponent: np.ndarray     # (2M-2,) [-4 at nodes 1..M-1 | -gt at the cells]
-    weight: np.ndarray       # (2M-2,) [Phi at nodes 1..M-1 | w_half^(1+alpha) at the cells]
-    dr: np.ndarray           # (M-2,) interior trapezoid weights at flat nodes 1..M-2
-    inv_wr: np.ndarray       # (M-2,) 1 / (w^alpha r) at flat nodes 1..M-2
+    weight: np.ndarray       # (2M-2,) [-Phi at nodes 1..M-1 | w_half^(1+alpha) at the cells]
+    flux_coef: np.ndarray    # (M-2,) -1 / (dr w^alpha r) at flat nodes 1..M-2
     edges: list              # per row [origin_coef, gt, h_N, r_N, phi_N] as Python floats
+    scratch: np.ndarray      # (2M,) [zeta | J - 1 of the M-1 cells | one spare slot]
 
     @classmethod
     def build(cls, discs: list) -> FlatRows:
@@ -355,31 +370,19 @@ class FlatRows:
         return cls(
             N=N,
             r3=lay(lambda d: d.r3, 0, N + 1, 0.0),
-            d3=lay(lambda d: d.d3, 0, N, np.nan)[: M - 1],
+            r3_third=lay(lambda d: d.r3_third, 0, N + 1, 0.0),
+            three_over_d3=lay(lambda d: d.three_over_d3, 0, N, np.nan)[: M - 1],
             exponent=np.concatenate(
                 [np.full(M - 1, -4.0), lay(lambda d: -d.gt, 0, N, 0.0)[: M - 1]]
             ),
-            weight=np.concatenate([lay(lambda d: d.phi[1:N], 1, N - 1, 0.0)[1:], cells]),
-            dr=lay(lambda d: d.dr_interior, 1, N - 1, 1.0)[1 : M - 1],
-            inv_wr=lay(lambda d: d.inv_wr, 1, N - 1, 0.0)[1 : M - 1],
+            weight=np.concatenate([lay(lambda d: -d.phi[1:N], 1, N - 1, 0.0)[1:], cells]),
+            flux_coef=lay(lambda d: -d.inv_dr_wr, 1, N - 1, 0.0)[1 : M - 1],
             edges=[
                 [float(x) for x in (d.origin_coef, d.gt, d.h[-1], d.r[-1], d.phi[-1])]
                 for d in discs
             ],
+            scratch=np.empty(2 * M),
         )
-
-    def conservative_derivative(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Discretization.conservative_derivative of the flat nodes g on the
-        M-1 flat cells, into out when given."""
-        return _conservative_derivative(g, self.r3, self.d3, out)
-
-
-def _conservative_derivative(g, r3, d3, out=None) -> np.ndarray:
-    p = r3 * g
-    out = np.subtract(p[..., 1:], p[..., :-1], out=out)
-    out *= 3.0
-    out /= d3
-    return out
 
 
 def _composite_grid(R: float, n_nodes: int, grading: float) -> np.ndarray:

@@ -57,3 +57,34 @@ def test_compare_outputs_lists_files_and_largest_changes(tmp_path):
     # the two snapshots fold into one pattern, with the larger change
     block = lines[lines.index("pattern run/snapshot_*.csv  (2 differ)") + 1 :][:2]
     assert block == ["    r  0", "    zeta  0.5"]
+
+
+def test_compare_outputs_pairs_series_rows_on_t(tmp_path):
+    # a shifted sample grid: rows pair on equal t, the times found on one
+    # side only are listed, and a file without t still pairs by index
+    parent = _tree(
+        tmp_path / "parent",
+        {
+            "series.csv": "t,E0\n0,1\n0.5,2\n1,4\n1.5,8\n",
+            "snapshot_00000.csv": "r,zeta\n0,1\n1,2\n",
+        },
+    )
+    change = _tree(
+        tmp_path / "change",
+        {
+            "series.csv": "t,E0\n0,1\n1,4.4\n2,16\n3,32\n",
+            "snapshot_00000.csv": "r,zeta\n0,1\n1,2.5\n2,3\n",
+        },
+    )
+    out = io.StringIO()
+    assert compare_outputs.compare(parent, change, out=out) == 0
+    lines = out.getvalue().splitlines()
+    block = lines[lines.index("differs series.csv") + 1 :][:4]
+    assert block == [
+        "    rows only in parent  2 of 4, t 0.5 to 1.5",
+        "    rows only in change  2 of 4, t 2 to 3",
+        "    t  0",
+        "    E0  0.0909",
+    ]
+    block = lines[lines.index("differs snapshot_00000.csv") + 1 :][:3]
+    assert block == ["    rows  2 -> 3", "    r  0", "    zeta  0.2"]

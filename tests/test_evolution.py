@@ -12,11 +12,11 @@ from polystar.errors import StatePastVacuumCollapse
 from polystar.evolution import (
     _endpoint_values,
     _radial_derivative,
+    Stages,
     cell_jacobian_minus_one,
     nonlinear_accel_rows,
     step_rows,
 )
-from polystar import polytrope
 from polystar.polytrope import FlatRows
 
 from conftest import smooth_trials
@@ -343,16 +343,17 @@ def test_boundary_radius_diagnostic(profile13_512, mode13_512):
 
 
 def _scalar_endpoint_accel(z, disc):
-    """The 1-D nonlinear acceleration as written before the row kernel:
-    numpy-scalar arithmetic at the endpoints."""
+    """The 1-D nonlinear acceleration as written before the row kernel,
+    in the kernel's arithmetic (the sign in the flux and source
+    coefficients): numpy-scalar arithmetic at the endpoints."""
     N = disc.N
     flux = disc.w_half_1a * np.expm1(-disc.gt * np.log1p(cell_jacobian_minus_one(z, disc)))
     a = np.empty_like(z)
     zi = z[1:N]
-    a[1:N] = -((1.0 + zi) ** 2) * (
-        (flux[1:] - flux[:-1]) / disc.dr_interior * disc.inv_wr
-        + np.expm1(-4.0 * np.log1p(zi)) * disc.phi[1:N]
-    )
+    a[1:N] = (
+        (flux[1:] - flux[:-1]) * -disc.inv_dr_wr
+        + np.expm1(-4.0 * np.log1p(zi)) * -disc.phi[1:N]
+    ) * (1.0 + zi) ** 2
     a[0] = a[1] + (a[2] - a[1]) * disc.origin_coef
     zr_N = (z[N] - z[N - 1]) / disc.h[-1]
     JN = (1.0 + z[N]) ** 2 * (1.0 + z[N] + zr_N * disc.r[N])
@@ -461,7 +462,8 @@ def _growing_rows(profiles):
 def test_step_rows_match_the_allocating_form(profiles_256):
     # 30 steps of the unstable gammas stacked, with dt as (B, N+1) rows
     # and, in the allocating form, as the (B, 1) column it broadcast; and
-    # of one row with a float dt
+    # of one row with a float dt.  Each state block steps in place with
+    # one Stages, as evolve_batch's does
     profiles = [ps.solve_lane_emden(ps.PolytropeConfig(gamma=g), 256) for g in (1.25, 1.32)]
     profiles.insert(1, profiles_256[1])
     z, zt, dts = _growing_rows(profiles)
@@ -469,34 +471,73 @@ def test_step_rows_match_the_allocating_form(profiles_256):
     rows = np.repeat(dts, z.shape[1]).reshape(len(dts), -1)
     column = np.array(dts)[:, None]
     one = profiles[1].discretization.flat
-    new = (z, zt)
+    new, new1 = np.stack([z, zt, z]), np.stack([z[1], zt[1], z[1]])
+    stages, stages1 = Stages(rows, z.shape), Stages(dts[1], z[1].shape)
     old = (z, zt)
-    new1 = old1 = (z[1], zt[1])
+    old1 = (z[1], zt[1])
     for _ in range(30):
-        new = step_rows(*new, rows, lambda y: nonlinear_accel_rows(y, disc))
+        nonlinear_accel_rows(new[0], disc, new[2])
+        step_rows(new, stages, lambda y, a: nonlinear_accel_rows(y, disc, a), new[:2])
         old = _allocating_step_rows(*old, column, lambda y: nonlinear_accel_rows(y, disc))
-        assert all(np.array_equal(a, b) for a, b in zip(new, old))
-        k1 = nonlinear_accel_rows(new1[0], one)
-        new1 = step_rows(*new1, dts[1], lambda y: nonlinear_accel_rows(y, one), k1)
+        assert all(np.array_equal(a, b) for a, b in zip(new[:2], old))
+        k1 = nonlinear_accel_rows(new1[0], one, new1[2]).copy()
+        step_rows(new1, stages1, lambda y, a: nonlinear_accel_rows(y, one, a), new1[:2])
         old1 = _allocating_step_rows(*old1, dts[1], lambda y: nonlinear_accel_rows(y, one), k1)
-        assert all(np.array_equal(a, b) for a, b in zip(new1, old1))
-        assert all(np.array_equal(a, b[1]) for a, b in zip(new1, new))
+        assert all(np.array_equal(a, b) for a, b in zip(new1[:2], old1))
+        assert all(np.array_equal(a, b[1]) for a, b in zip(new1[:2], new[:2]))
 
 
 @pytest.mark.parametrize("batched", [False, True])
 def test_step_rows_writes_only_its_own_buffers(profiles_256, batched):
-    # accel hands back k1 itself on every call: a step that wrote into an
-    # acceleration would change the caller's k1
+    # step_rows hands each acceleration a stage buffer and writes the
+    # step into out: zeta, zeta_t, k1 and the step coefficients come back
+    # unchanged, and an in-place step (out = state[:2]) gives the same bits
     z, zt, dts = _growing_rows(profiles_256[:2])
     disc = FlatRows.build([p.discretization for p in profiles_256[:2]])
     dt = np.repeat(dts, z.shape[1]).reshape(2, -1)
     if not batched:
         z, zt, dt, disc = z[0], zt[0], dts[0], profiles_256[0].discretization.flat
-    k1 = nonlinear_accel_rows(z, disc)
-    before = [a.copy() for a in (z, zt, k1)]
-    step_rows(z, zt, dt, lambda y: k1, k1)
-    step_rows(z, zt, dt, lambda y: k1)
-    assert all(np.array_equal(a, b) for a, b in zip((z, zt, k1), before))
+    stages = Stages(dt, z.shape)
+    state = np.stack([z, zt, nonlinear_accel_rows(z, disc)])
+    before = [np.copy(a) for a in (state, stages.half, stages.dt, stages.sixth)]
+    buffers = []
+
+    def accel(y, a):
+        assert np.shares_memory(a, stages.y) and not np.shares_memory(a, y)
+        buffers.append(a)
+        nonlinear_accel_rows(y, disc, a)
+
+    out = np.full((2, *z.shape), np.nan)
+    step_rows(state, stages, accel, out)
+    assert len(buffers) == 3
+    after = (state, stages.half, stages.dt, stages.sixth)
+    assert all(np.array_equal(a, b) for a, b in zip(after, before))
+    assert np.isfinite(out).all()
+    step_rows(state, stages, accel, state[:2])
+    assert np.array_equal(state[:2], out)
+    assert np.array_equal(state[2], before[0][2])
+
+
+def test_acceleration_without_out_is_the_callers(profiles_256):
+    # without out the result is a new array that no later call writes,
+    # whatever the kernel's scratch and the out of other calls hold; with
+    # out the same bits go into out, which must be C-contiguous
+    z, _, _ = _growing_rows(profiles_256[:2])
+    prof = profiles_256[0]
+    disc = FlatRows.build([p.discretization for p in profiles_256[:2]])
+    first = nonlinear_accel_rows(z, disc)
+    single = ps.nonlinear_accel(ps.PerturbationState(0.0, z[0], z[0]), prof)
+    kept = first.copy(), single.copy()
+    out = np.empty_like(z)
+    assert nonlinear_accel_rows(z, disc, out) is out
+    assert np.array_equal(out, first)
+    nonlinear_accel_rows(2.0 * z, disc)
+    nonlinear_accel_rows(3.0 * z, disc, out)
+    ps.nonlinear_accel(ps.PerturbationState(0.0, 2.0 * z[0], z[0]), prof)
+    ps.step(ps.PerturbationState(0.0, z[0], z[0]), prof, ps.SimConfig(dt=1e-3))
+    assert np.array_equal(first, kept[0]) and np.array_equal(single, kept[1])
+    with pytest.raises(ValueError, match="C-contiguous"):
+        nonlinear_accel_rows(z, disc, np.empty((z.shape[1], 2)).T)
 
 
 def test_nonlinear_accel_rows_endpoint_overflow_as_numpy(profiles_256):
@@ -521,8 +562,9 @@ def test_nonlinear_accel_rows_endpoint_overflow_as_numpy(profiles_256):
 
 
 # The row kernels as written over the trailing axis of a (B, N+1) block,
-# before they treated the block as one flat vector: the references the
-# flat kernels must match bit for bit.
+# before they treated the block as one flat vector, in the flat kernel's
+# arithmetic (merged coefficients, the sign in the flux and source
+# coefficients): the references the flat kernels must match bit for bit.
 
 
 def _row_collapse(message, failed):
@@ -536,13 +578,12 @@ def _reference_geometry(discs):
     each broadcasting against the (B, N+1) block."""
     if all(d is discs[0] for d in discs):
         return discs[0]
-    names = ("r", "h", "phi", "w_half_1a", "r3", "d3", "dr_interior", "inv_wr")
+    names = ("r", "h", "phi", "w_half_1a", "r3", "r3_third", "three_over_d3", "inv_dr_wr")
     g = types.SimpleNamespace(N=discs[0].N)
     for k in names:
         setattr(g, k, np.stack([getattr(d, k) for d in discs]))
     g.gt = np.array([d.gt for d in discs])[:, None]
     g.origin_coef = np.array([d.origin_coef for d in discs])
-    g.conservative_derivative = lambda u, out=None: polytrope._conservative_derivative(u, g.r3, g.d3, out)
     return g
 
 
@@ -564,16 +605,14 @@ def _reference_nonlinear_accel_rows(zeta, discs):
     ai = np.log1p(z[..., 1:N])
     ai *= -4.0
     np.expm1(ai, out=ai)
-    ai *= disc.phi[..., 1:N]
+    ai *= -disc.phi[..., 1:N]
     dflux = flux[..., 1:] - flux[..., :-1]
-    dflux /= disc.dr_interior
-    dflux *= disc.inv_wr
+    dflux *= -disc.inv_dr_wr
     ai += dflux
     xi = xi[..., 1:N]
     np.multiply(xi, xi, out=dflux)
-    ai *= dflux
     a = np.empty_like(z)
-    np.negative(ai, out=a[..., 1:N])
+    np.multiply(ai, dflux, out=a[..., 1:N])
     rows = a.reshape(-1, N + 1)
     columns = (disc.origin_coef, disc.gt, disc.h[..., -1], disc.r[..., -1], disc.phi[..., -1])
     per_row = np.column_stack([np.ravel(c) for c in columns]).tolist()

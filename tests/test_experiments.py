@@ -433,11 +433,11 @@ def _collapsing_rows(hit, accel=evolution.nonlinear_accel_rows):
     """nonlinear_accel_rows, raising a collapse of every row for which
     hit(row) holds."""
 
-    def collapsing(zeta, disc):
+    def collapsing(zeta, disc, out=None):
         rows = [b for b, row in enumerate(zeta.reshape(-1, zeta.shape[-1])) if hit(row)]
         if rows:
             raise StatePastVacuumCollapse("forced", rows=rows)
-        return accel(zeta, disc)
+        return accel(zeta, disc, out)
 
     return collapsing
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from polystar.errors import NonFiniteOutput
-from polystar.io_utils import fmt, write_csv, write_json
+from polystar.io_utils import csv_template, fmt, write_csv, write_json
 
 EDGE_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e22, 1e16, 1e-5, 0.1,
@@ -45,6 +45,27 @@ def test_write_csv_bytes_are_the_fmt_join(tmp_path, case):
     path = tmp_path / "out.csv"
     write_csv(str(path), header, iter(rows))  # emitters pass iterators
     assert path.read_bytes() == _fmt_join(header, rows)
+
+
+def test_write_csv_template_bytes_are_the_generic_paths(tmp_path):
+    # one template for several files of a run: the shared leading column,
+    # formatted once, and each file's columns give the generic path's bytes
+    rng = np.random.default_rng(7)
+    n = 40
+    first = np.linspace(0.0, 3.0, n).tolist()
+    special = [-0.0, 0.0, 1e-300, -1e-300, 2.0, -7.0, 1e22, 0.1]
+    header = ["r", "zeta", "zeta_t"]
+    template = csv_template(header, first)
+    for k in range(3):
+        columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n) for _ in range(2)]
+        columns[k % 2][: len(special)] = special
+        columns[1 - k % 2][-3:] = [float(k), -float(k), k * 1e-300]
+        columns = [c.tolist() for c in columns]
+        write_csv(str(tmp_path / f"template_{k}.csv"), header, columns, template=template)
+        write_csv(str(tmp_path / f"generic_{k}.csv"), header, zip(first, *columns))
+        text = (tmp_path / f"template_{k}.csv").read_bytes()
+        assert text == (tmp_path / f"generic_{k}.csv").read_bytes()
+        assert text == _fmt_join(header, zip(first, *columns))
 
 
 @pytest.mark.parametrize(
