@@ -5,17 +5,18 @@
 
 For B = 1, 2 and 3 rows, it counts the two batched kernels as the
 batched time loop (experiments.evolve_batch) calls them, on its own
-buffers: B rows are a (3, B, N+1) state block [zeta, zeta_t, k1] on the
-FlatRows of the first B of the gammas 1.25, 1.3 and 1.32, stepped with an
-evolution.Stages of a (B, N+1) dt block, one row included.  The
+buffers: B rows are a (3, B, N+1) state block [zeta, zeta_t, a(zeta)]
+on the FlatRows of the first B of the gammas 1.25, 1.3 and 1.32, stepped
+with an evolution.Stages of a (B, N+1) dt block, one row included.  The
 nonlinear_accel_rows row is one acceleration of the zeta rows into the
-k1 rows; the step_rows row is one RK4 step with four accelerations: k1
-into the state block, then evolution.step_rows in place.  The state, and
-the FlatRows scratch and Stages buffers (built while counting, and not
-counted), are wrapped in an ndarray subclass whose __array_ufunc__ and
-__array_function__ count, and every array the kernels derive from them or
-allocate with np.empty or np.zeros stays in that subclass.  It prints,
-per kernel and B:
+acceleration rows; the step_rows row is one RK4 step with four
+accelerations: evolution.step_rows into a spare block of the state's
+shape, then the new zeta's acceleration into that block.  The state and
+spare blocks, and the FlatRows scratch and Stages buffers (built while
+counting, and not counted), are wrapped in an ndarray subclass whose
+__array_ufunc__ and __array_function__ count, and every array the
+kernels derive from them or allocate with np.empty or np.zeros stays in
+that subclass.  It prints, per kernel and B:
 
     calls    numpy ufunc calls (reductions included), array functions
              (np.empty_like, ...) and np.empty / np.zeros
@@ -162,6 +163,7 @@ def measure(n_nodes: int) -> list:
         r = profiles[0].grid / profiles[0].R
         block = np.stack([1e-4 * (b + 1) * (1.0 - r * r) for b in range(B)])
         state = np.stack([block, 0.5 * block, block]).view(Counted)
+        spare = np.empty_like(state)
         with counting():
             flat = polytrope.FlatRows.build([p.discretization for p in profiles[:B]])
             stages = evolution.Stages(np.full(block.shape, 1e-3).view(Counted), block.shape)
@@ -169,9 +171,9 @@ def measure(n_nodes: int) -> list:
         def accel(z, out, flat=flat):
             evolution.nonlinear_accel_rows(z, flat, out)
 
-        def step(state=state, stages=stages, accel=accel):
-            accel(state[0], state[2])
-            evolution.step_rows(state, stages, accel, state[:2])
+        def step(state=state, spare=spare, stages=stages, accel=accel):
+            evolution.step_rows(state, stages, accel, spare[:2])
+            accel(spare[0], spare[2])
 
         kernels = (
             ("nonlinear_accel_rows", lambda: accel(state[0], state[2])),

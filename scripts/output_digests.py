@@ -2,18 +2,22 @@
 
     PYTHONPATH=src python3 scripts/output_digests.py OUT_DIR [--seed N]
 
-Runs, in-process through `polystar.cli.main`, each command into its own
-subdirectory of OUT_DIR, which must be new or empty:
+Runs, in-process through `polystar.cli.main`, each of these commands
+into its own subdirectory of OUT_DIR (named as below), which must be new
+or empty:
 
-    profile        the default config
-    mode           the default config
-    check          the default battery
-    evolve         {"sim": {"t_end": 2.0}}
-    instability    the benchmark's ladder config (perfbench.workloads)
-    sweep          the benchmark's sweep config
+    profile        profile, the default config
+    mode           mode, the default config
+    check          check, the default battery
+    evolve         evolve, {"sim": {"t_end": 2.0}}
+    evolve_every3  evolve, {"sim": {"t_end": 2.0, "record_every": 3,
+                   "snapshot_every": 4}}: unrecorded steps between samples
+    instability    instability, the benchmark's ladder config
+                   (perfbench.workloads)
+    sweep          sweep, the benchmark's sweep config
 
 and prints one `sha256  path` line per emitted file (paths relative to
-OUT_DIR, sorted), after one `# exit CODE  COMMAND` line per command.
+OUT_DIR, sorted), after one `# exit CODE  NAME` line per command.
 Output files are byte-identical for a fixed config, so two source trees
 that should give the same numbers give the same listing: run the script
 against each (PYTHONPATH picks the tree) and `diff` the two listings.
@@ -37,21 +41,23 @@ from perfbench import workloads  # noqa: E402
 
 
 def commands(seed: int) -> list:
-    """(subcommand, config document or None) of every run."""
+    """(subdirectory, subcommand, config document or None) of every run."""
+    every3 = {"sim": {"t_end": 2.0, "record_every": 3, "snapshot_every": 4}}
     return [
-        ("profile", None),
-        ("mode", None),
-        ("check", None),
-        ("evolve", {"sim": {"t_end": 2.0}}),
-        ("instability", workloads.ladder_config(seed)),
-        ("sweep", workloads.sweep_config(seed)),
+        ("profile", "profile", None),
+        ("mode", "mode", None),
+        ("check", "check", None),
+        ("evolve", "evolve", {"sim": {"t_end": 2.0}}),
+        ("evolve_every3", "evolve", every3),
+        ("instability", "instability", workloads.ladder_config(seed)),
+        ("sweep", "sweep", workloads.sweep_config(seed)),
     ]
 
 
-def run(command: str, config: dict | None, out_dir: str) -> int:
+def run(name: str, command: str, config: dict | None, out_dir: str) -> int:
     from polystar.cli import main
 
-    argv = [command, "--out", os.path.join(out_dir, command)]
+    argv = [command, "--out", os.path.join(out_dir, name)]
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         if config is not None:
             path = os.path.join(tmp, "config.json")
@@ -80,8 +86,8 @@ def main(argv=None) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     if os.listdir(args.out_dir):
         ap.error(f"{args.out_dir} is not empty")
-    for command, config in commands(args.seed):
-        print(f"# exit {run(command, config, args.out_dir)}  {command}")
+    for name, command, config in commands(args.seed):
+        print(f"# exit {run(name, command, config, args.out_dir)}  {name}")
     print("\n".join(digests(args.out_dir)))
     return 0
 

@@ -24,8 +24,8 @@ SCHEMA_VERSION = 1
 
 _KINDS = ("profile", "mode", "evolve", "instability", "sweep", "check")
 
-# SimConfig fields that belong to one run, not to the document: a step
-# under linear_accel and the frozen step are set by the caller.
+# SimConfig fields that are not document keys: a step under linear_accel
+# and the step, which only the 1-D evolution.step reads, set by its caller.
 # No other section has fields of these names.
 RUN_ONLY_SIM_FIELDS = ("linear", "dt")
 

@@ -137,8 +137,6 @@ class EnergyReport:
     Ej: list
     Ejk: list
     frakE: list
-    xnorm: float
-    ynorm: float
     theta_measure: dict
 
 
@@ -167,12 +165,10 @@ def instant_energy(
     gt = (1.0 + a) / a
     fields = _time_ladder(state, profile, jmax)
 
-    xnorm = weighted_norm_X(state.zeta, profile, a)
-    ynorm = weighted_norm_Y(state.zeta, profile, a)
     E0 = (
         weighted_norm_X(state.zeta_t, profile, a) ** 2
-        + ynorm**2
-        + xnorm**2
+        + weighted_norm_Y(state.zeta, profile, a) ** 2
+        + weighted_norm_X(state.zeta, profile, a) ** 2
     )
     Ej = []
     Ejk = []
@@ -198,8 +194,6 @@ def instant_energy(
         Ej=[float(e) for e in Ej],
         Ejk=[[float(x) for x in row] for row in Ejk],
         frakE=[float(e) for e in frakE],
-        xnorm=float(xnorm),
-        ynorm=float(ynorm),
         theta_measure={
             "sup_zeta": theta.sup_zeta,
             "sup_zeta_r": theta.sup_zeta_r,

@@ -48,8 +48,10 @@ _EPS_FLOOR = 1e-14  # used only inside the dt formula
 class SimConfig:
     """Time-integration parameters.
 
-    linear (step under linear_accel) and dt (the frozen step) belong to
-    one run and are set by the caller, never by the configuration document.
+    linear (step under linear_accel) and dt (the step) are read only by
+    the 1-D step, whose caller sets them; they are never keys of the
+    configuration document.  The batched time loop keeps each run's
+    frozen dt itself.
 
     The default dt_cfl 0.6 puts omega_max dt, the pencil's largest
     frequency times the CFL dt at the equilibrium, at 1.41-1.43, half of

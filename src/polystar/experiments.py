@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -29,9 +29,6 @@ from .io_utils import csv_template, write_csv, write_json
 class RunRecord:
     """Time series and snapshots of one evolution run."""
 
-    config_hash: str
-    gamma: float
-    n_nodes: int
     dt: float
     mu0: float
     profile: polytrope.LaneEmdenProfile = field(repr=False)
@@ -149,47 +146,44 @@ def evolve_batch(members: list, cfg: ExperimentConfig, max_steps: int = 5_000_00
 
     Members share N and cfg.  Each steps on its own profile's grid (one
     FlatRows lays out the rows), with its own dt, which fills its row of a
-    (B, N+1) block, and its own time.  A collapse in one row
-    ends only that member; the others redo the step from their pre-step
-    rows.
+    (B, N+1) block, and its own time.
 
-    Each recorded sample computes its acceleration when it is taken:
-    that is where a collapse is raised, and it is the next step's k1.  The
-    samples' zeta, zeta_t and acceleration go into (RECORD_CHUNK, N+1)
-    buffers per member, whose E0, H and sup-norms are evaluated in one
-    pass over the rows when the buffers are full, when the member stops
-    and on a collapse.  The record ends at the first row that meets a
-    stop; the steps taken after it are discarded.
+    The block always holds each member's state with its acceleration
+    (_Batch): a step ends by evaluating the acceleration of the state it
+    reaches, which is the next step's k1 and, when the step is recorded,
+    the sample's.  A collapse, in a stage or in that state, ends only its
+    members, and the others redo the step from the block as it was.  So
+    the state a run ends on has been evaluated, recorded or not: a run
+    whose last state collapses ends collapsed.
+
+    A recorded sample's zeta, zeta_t and acceleration go into
+    (RECORD_CHUNK, N+1) buffers per member, whose E0, H and sup-norms are
+    evaluated in one pass over the rows when the buffers are full and when
+    the member stops.  The record ends at the first row that meets a stop;
+    the steps taken after it are discarded.
     """
     if not members:
         return []
-    chash = config_hash(cfg)
-    runs = [_Run(m, cfg, chash) for m in members]
+    runs = [_Run(m, cfg) for m in members]
     batch = _Batch(list(runs))
-    batch.take(first=True)
+    batch.take()
     batch.end_chunk()
     steps = 0
     while batch.runs:
-        ended = [
-            b
+        ended = {
+            b: "max_steps" if run.t < run.t_end - 1e-12 else "completed"
             for b, run in enumerate(batch.runs)
-            if steps >= max_steps or not run.t < run.sim.t_end - 1e-12
-        ]
+            if steps >= max_steps or not run.t < run.t_end - 1e-12
+        }
         if ended:
-            batch.stop(ended, lambda run: "max_steps" if run.t < run.sim.t_end - 1e-12 else "completed")
+            batch.stop(ended)
             continue
-        state = batch.state
         try:
-            if not batch.has_k1:
-                batch.accel(state[0], state[2])
-            evolution.step_rows(state, batch.stages, batch.accel, state[:2])
+            batch.step()
         except StatePastVacuumCollapse as exc:
-            batch.stop(exc.rows, lambda run: "collapsed")
+            batch.stop(dict.fromkeys(exc.rows, "collapsed"))
             continue
-        batch.has_k1 = False
         steps += 1
-        for run in batch.runs:
-            run.t += run.sim.dt
         if steps % cfg.sim.record_every:
             continue
         batch.take()
@@ -200,49 +194,34 @@ def evolve_batch(members: list, cfg: ExperimentConfig, max_steps: int = 5_000_00
 
 class _Run:
     """One member's progress in evolve_batch: its record, frozen step,
-    time, buffered sample times and result."""
+    end time, stops, time, buffered sample times and result."""
 
-    def __init__(self, member: Member, cfg: ExperimentConfig, chash: str):
-        profile = member.profile
-        dt = member.dt
-        if dt is None:
-            dt = evolution.cfl_dt(member.initial, profile, cfg.sim)
-        t_end = cfg.sim.t_end if member.t_end is None else member.t_end
-        self.sim = replace(cfg.sim, dt=dt, t_end=t_end)
+    def __init__(self, member: Member, cfg: ExperimentConfig):
+        self.dt = member.dt
+        if self.dt is None:
+            self.dt = evolution.cfl_dt(member.initial, member.profile, cfg.sim)
+        self.t_end = cfg.sim.t_end if member.t_end is None else member.t_end
+        self.theta1 = cfg.sim.theta1
+        self.snapshot_every = cfg.sim.snapshot_every
         self.initial = member.initial
         self.stop_amplitude = member.stop_amplitude
         self.t = member.initial.t
         self.times = []  # of the buffered samples
-        self.rec = RunRecord(
-            config_hash=chash,
-            gamma=profile.gamma,
-            n_nodes=profile.n_nodes,
-            dt=dt,
-            mu0=member.mu0,
-            profile=profile,
-        )
+        self.rec = RunRecord(dt=self.dt, mu0=member.mu0, profile=member.profile)
         self.result = None
 
-    def finish(self, stop) -> bool:
-        """End the run on stop (a status, or the first sample's collapse);
-        False, and nothing done, when stop is None."""
-        if stop is None:
-            return False
-        if isinstance(stop, str):
-            self.rec.status = stop
-            stop = self.rec
-        self.result = stop
-        return True
+    def end(self, status: str) -> None:
+        self.rec.status = status
+        self.result = self.rec
 
-    def record(self, z, zt, ztt):
+    def record(self, z, zt, ztt) -> bool:
         """Record the buffered samples (rows of z, zt, ztt) up to the first
-        that meets a stop, and return that stop's status (None if no row
-        meets one)."""
-        rec, sim = self.rec, self.sim
+        that meets a stop, which ends the run; True when one does."""
+        rec = self.rec
         disc = rec.profile.discretization
         E0 = [n**2 for n in energetics.zero_norm_rows(z, zt, disc)]
         H = evolution.energy_rows(z, zt, disc).tolist()
-        sups = evolution.smallness_rows(z, zt, ztt, disc, sim.theta1)
+        sups = evolution.smallness_rows(z, zt, ztt, disc, self.theta1)
         sup_zeta, sup_zeta_r, _, _, exceeded = (v.tolist() for v in sups)
         radius = ((1.0 + z[:, -1]) * rec.profile.R).tolist()
         status = None
@@ -255,7 +234,7 @@ class _Run:
             rec.sup_zeta_r.append(sup_zeta_r[k])
             rec.boundary_radius.append(radius[k])
             rec.exceeded.append(exceeded[k])
-            if i == 0 or (sim.snapshot_every and i % sim.snapshot_every == 0):
+            if i == 0 or (self.snapshot_every and i % self.snapshot_every == 0):
                 rec.snapshot_times.append(t)
                 rec.snapshots.append((z[k].copy(), zt[k].copy()))
             if not (math.isfinite(E0[k]) and math.isfinite(H[k])):
@@ -265,77 +244,85 @@ class _Run:
             elif i and self.stop_amplitude is not None and math.sqrt(E0[k]) >= self.stop_amplitude:
                 status = "escaped"
             if status:
+                self.end(status)
                 break
         self.times.clear()
-        return status
+        return status is not None
 
 
 class _Batch:
     """The runs still marching in evolve_batch: their state, one
-    C-contiguous (3, B, N+1) block [zeta, zeta_t, k1] (row b is run b's;
-    k1 is zeta's acceleration when has_k1 says so), chunk buffers
+    C-contiguous (3, B, N+1) block [zeta, zeta_t, a(zeta)] (row b is run
+    b's), a spare block of that shape, chunk buffers
     (3, B, RECORD_CHUNK, N+1) of the same three samples, and per block
     layout one FlatRows of the runs' grids and one evolution.Stages.  A
     lone run's rows are a block too, and each run's dt fills its rows of
-    the Stages coefficients, so that no product broadcasts a column.  A
-    former 1-D path for a lone run was no faster: 0.299 s against 0.296 s
-    for a lone evolve_run at N = 256 (README, "Leaving the batch").
+    the Stages coefficients, so that no product broadcasts a column.
 
-    step_rows steps the state in place and the accelerations write into
-    the state or the Stages buffers: the time loop allocates no array
-    until the block shrinks and its layout is rebuilt."""
+    The state block always holds the acceleration of its zeta: __init__
+    evaluates it for the first sample, where a collapse becomes that
+    run's result, and each step for the state it reaches.  The time loop
+    allocates no array until the block shrinks and its layout is
+    rebuilt."""
 
     def __init__(self, runs: list):
         self.runs = runs
         zeta = np.stack([run.initial.zeta for run in runs])
-        # the k1 rows are filled by the first take
+        # the acceleration rows are filled below
         self.state = np.stack([zeta, np.stack([run.initial.zeta_t for run in runs]), zeta])
-        self.has_k1 = False
         self.buffers = np.empty((3, len(runs), RECORD_CHUNK, zeta.shape[1]))
         self.n = 0  # samples buffered per run
         self._layout()
-
-    def accel(self, zeta: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The runs' acceleration of a block of zeta rows, into out."""
-        return evolution.nonlinear_accel_rows(zeta, self.flat, out)
-
-    def take(self, first: bool = False) -> None:
-        """Buffer the current sample of every run with its acceleration,
-        the next step's k1; a run whose sample collapses stops (on the
-        first sample, with the error)."""
         while self.runs:
             try:
                 self.accel(self.state[0], self.state[2])
                 break
             except StatePastVacuumCollapse as exc:
-                self.stop(exc.rows, lambda run: exc if first else "collapsed")
-        if not self.runs:
-            return
-        self.has_k1 = True
+                for b in exc.rows:
+                    self.runs[b].result = exc
+                self.remove(exc.rows)
+
+    def accel(self, zeta: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The runs' acceleration of a block of zeta rows, into out."""
+        return evolution.nonlinear_accel_rows(zeta, self.flat, out)
+
+    def step(self) -> None:
+        """One RK4 step of every run: step_rows and the new zeta's
+        acceleration go into the spare block, which then becomes the
+        state.  A collapse in either leaves the state as it was."""
+        new = self.spare
+        evolution.step_rows(self.state, self.stages, self.accel, new[:2])
+        self.accel(new[0], new[2])
+        self.state, self.spare = new, self.state
+        for run in self.runs:
+            run.t += run.dt
+
+    def take(self) -> None:
+        """Buffer the current sample of every run."""
         self.buffers[:, :, self.n] = self.state
         for run in self.runs:
             run.times.append(run.t)
         self.n += 1
 
-    def flush(self, b: int):
-        """Record run b's buffered samples; return its stop, if one is met."""
-        if not self.n:
-            return None
-        return self.runs[b].record(*self.buffers[:, b, : self.n])
+    def flush(self, b: int) -> bool:
+        """Record run b's buffered samples; True when one meets a stop,
+        which ends the run."""
+        return bool(self.n) and self.runs[b].record(*self.buffers[:, b, : self.n])
 
     def end_chunk(self) -> None:
         """Flush every run; the runs that meet a stop leave."""
-        stopped = [b for b in range(len(self.runs)) if self.runs[b].finish(self.flush(b))]
+        stopped = [b for b in range(len(self.runs)) if self.flush(b)]
         self.n = 0
         self.remove(stopped)
 
-    def stop(self, rows: list, status) -> None:
-        """Rows leave the batch, recording their buffered samples first; a
-        run that meets no stop there ends with status(run)."""
-        for b in rows:
-            run = self.runs[b]
-            run.finish(self.flush(b) or status(run))
-        self.remove(rows)
+    def stop(self, ends: dict) -> None:
+        """The rows of ends (row -> status) leave the batch, recording their
+        buffered samples first; a run that meets no stop there ends with
+        its status."""
+        for b, status in ends.items():
+            if not self.flush(b):
+                self.runs[b].end(status)
+        self.remove(list(ends))
 
     def remove(self, rows: list) -> None:
         keep = [b for b in range(len(self.runs)) if b not in rows]
@@ -348,11 +335,12 @@ class _Batch:
             self._layout()
 
     def _layout(self) -> None:
-        """The runs' FlatRows and Stages."""
+        """The runs' FlatRows and Stages, and the spare block."""
         B, n = self.state.shape[1:]
-        dt = np.repeat([run.sim.dt for run in self.runs], n).reshape(B, n)
+        dt = np.repeat([run.dt for run in self.runs], n).reshape(B, n)
         self.stages = evolution.Stages(dt, (B, n))
         self.flat = polytrope.FlatRows.build([run.rec.profile.discretization for run in self.runs])
+        self.spare = np.empty_like(self.state)
 
 
 # Samples a growing-mode run aims to put in growth_fit's window, 25 % over
@@ -742,10 +730,10 @@ def emit_run(record: RunRecord, cfg: ExperimentConfig, out_dir: str, tag: str = 
         write_csv(path, header, (z.tolist(), zt.tolist()), template=template)
     _write_document(
         _path(out_dir, "run.json", tag),
-        record.config_hash,
+        config_hash(cfg),
         {
-            "gamma": record.gamma,
-            "n_nodes": record.n_nodes,
+            "gamma": record.profile.gamma,
+            "n_nodes": record.profile.n_nodes,
             "dt": record.dt,
             "mu0": record.mu0,
             "linear": False,  # kept in the schema: every run is nonlinear
@@ -757,18 +745,7 @@ def emit_run(record: RunRecord, cfg: ExperimentConfig, out_dir: str, tag: str = 
 
 
 def emit_fit(fit, cfg: ExperimentConfig, out_dir: str, tag: str = "") -> None:
-    _write_document(
-        _path(out_dir, "fit.json", tag),
-        config_hash(cfg),
-        {
-            "rate": fit.rate,
-            "window": list(fit.window),
-            "r_squared": fit.r_squared,
-            "escape_time": fit.escape_time,
-            "escape_time_double": fit.escape_time_double,
-            "predicted_escape": fit.predicted_escape,
-        },
-    )
+    _write_document(_path(out_dir, "fit.json", tag), config_hash(cfg), asdict(fit))
 
 
 def emit_remainder(remainder: dict, out_dir: str, tag: str = "") -> None:
@@ -823,17 +800,7 @@ def emit_instability_summary(results: list, cfg: ExperimentConfig, out_dir: str)
 
 
 def emit_energy_report(report, cfg: ExperimentConfig, out_dir: str) -> None:
-    _write_document(
-        _path(out_dir, "energies.json"),
-        config_hash(cfg),
-        {
-            "E0": report.E0,
-            "Ej": report.Ej,
-            "Ejk": report.Ejk,
-            "frakE": report.frakE,
-            "theta_measure": report.theta_measure,
-        },
-    )
+    _write_document(_path(out_dir, "energies.json"), config_hash(cfg), asdict(report))
 
 
 def emit_sweep(rows: list, cfg: ExperimentConfig, out_dir: str) -> None:

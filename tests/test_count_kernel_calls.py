@@ -51,7 +51,7 @@ def test_workload_counts_see_the_batched_time_loop(capsys):
         # three stages per step, and at most one more stage and a sample
         assert 3 * c["steps"] < c["accel_calls"] <= 5 * c["steps"], name
         assert 3 * c["row_steps"] < c["accel_rows"] <= 5 * c["row_steps"], name
-    # the ladder records every step, and each sample's acceleration is the
+    # each step evaluates the acceleration of the state it reaches, the
     # next step's k1: four accelerations a step, and the first sample's
     ladder = counts["ladder"]
     assert ladder["accel_calls"] == 4 * ladder["steps"] + 1

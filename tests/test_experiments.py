@@ -289,6 +289,29 @@ def test_run_status_collapsed():
     assert rec.status == "collapsed"
 
 
+def test_run_whose_unrecorded_last_state_collapses_ends_collapsed():
+    # a compressing mode recorded every step collapses at sample n; a run
+    # of exactly n steps recorded every 3 ends on that state unrecorded,
+    # and must still not report completed
+    cfg = make_config(n_nodes=128, kind="evolve")
+    profile = ps.build_profile(cfg)
+    mode = ps.build_mode(profile, cfg.eig.eig_tol)
+    initial = ps.mode_initial_state(mode, -0.05)
+
+    def run(record_every, **kwargs):
+        sim = dataclasses.replace(cfg.sim, theta1=1e9, record_every=record_every)
+        loose = dataclasses.replace(cfg, sim=sim)
+        return ps.evolve_run(profile, initial, loose, mode.mu0, **kwargs)
+
+    every = run(1, t_end=1e3)
+    assert every.status == "collapsed"
+    n = len(every.times)
+    assert n % 3
+    rec = run(3, t_end=(n - 0.5) * every.dt, dt=every.dt)
+    assert rec.status == "collapsed"
+    assert rec.times == every.times[::3]
+
+
 def test_run_status_max_steps():
     cfg = make_config(n_nodes=128, kind="evolve")
     profile = ps.build_profile(cfg)
@@ -523,7 +546,7 @@ def test_batched_sweep_members_equal_solo_runs():
         mode = ps.build_mode(profile, cfg.eig.eig_tol)
         runs.append(ps.Member(profile, ps.mode_initial_state(mode, 1e-3), mode.mu0, 4e-3, t_end=6.0))
     records = ps.evolve_batch(runs, cfg)
-    assert [rec.gamma for rec in records] == [1.25, 1.30, 1.32]
+    assert [rec.profile.gamma for rec in records] == [1.25, 1.30, 1.32]
     assert records[0].status == "escaped" and records[2].status == "completed"
     _check_members(runs, records, cfg)
 

@@ -520,11 +520,3 @@ def test_mass_against_quadrature(profile13):
 
     oracle = 4.0 * math.pi / Ka * quad(integrand, 0.0, profile13.R, limit=200)[0]
     assert profile13.mass == pytest.approx(oracle, rel=1e-8)
-
-
-def test_w_rr_uses_equation(profile13):
-    assert profile13.w_rr(0.0)[0] == pytest.approx(-profile13.c_frak / 3.0, abs=1e-15)
-    rs = np.array([0.3, 0.6]) * profile13.R
-    w, wr = profile13.enthalpy(rs)
-    expected = -2.0 * wr / rs - profile13.c_frak * w**profile13.alpha
-    assert np.allclose(profile13.w_rr(rs), expected, rtol=1e-14)
