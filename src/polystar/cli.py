@@ -84,6 +84,8 @@ def main(argv=None) -> int:
                 profile, initial, cfg, mu0=mode.mu0, t_end=cfg.sim.t_end
             )
             experiments.emit_run(record, cfg, out)
+            # the energies of the last snapshot, which may lie before the
+            # run's end; energies.json names its time t
             if record.snapshots:
                 z, zt = record.snapshots[-1]
                 final = evolution.PerturbationState(

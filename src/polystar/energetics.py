@@ -125,7 +125,7 @@ def _staggered_X(
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Instant energies at one time.
+    """Instant energies at one time t, the state's.
 
     E0 = |zeta_t|_X^2 + |zeta|_Y^2 + |zeta|_X^2; Ej[j] for j >= 1 are the
     temporal energies |d_t^j zeta_t|_X^2 + |d_t^j zeta|_Y^2; Ejk[j][k]
@@ -138,6 +138,7 @@ class EnergyReport:
     Ejk: list
     frakE: list
     theta_measure: dict
+    t: float
 
 
 def _time_ladder(state: PerturbationState, profile: LaneEmdenProfile, jmax: int):
@@ -200,6 +201,7 @@ def instant_energy(
             "sup_zeta_t": theta.sup_zeta_t,
             "sup_w12_zeta_tt": theta.sup_w12_zeta_tt,
         },
+        t=state.t,
     )
 
 

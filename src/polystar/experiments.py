@@ -481,12 +481,12 @@ def check(cfg: ExperimentConfig) -> dict:
 
     The equilibrium and conservation runs march as one evolve_batch of
     two members, each at its own CFL dt, recording every min(16, n)
-    steps, where n = max(1, round(3/dt)) is the conservation run's step
-    count.  The equilibrium run takes the smallest multiple of that
-    cadence at or above 200 steps, so its last sample is its final state,
-    and the batch snapshots every n_eq / every samples, n_eq being those
-    steps, so that last sample is a snapshot.  A collapse of either run's
-    first sample raises.
+    steps, where n = max(1, round(3/dt)).  The conservation run takes n
+    steps rounded up to a multiple of that cadence, and the equilibrium
+    run the smallest multiple at or above 200 steps, so each run's last
+    sample is its final state.  The batch snapshots every n_eq / every
+    samples, n_eq being the equilibrium run's steps, so its last sample
+    is a snapshot.  A collapse of either run's first sample raises.
     """
     results = []
     rng = np.random.default_rng(cfg.experiment.seed)
@@ -579,14 +579,16 @@ def check(cfg: ExperimentConfig) -> dict:
             add(name, "fail", threshold=threshold, note=f"run ended {rec.status}")
 
     # one batch from t = 0, stopped by neither the document's theta1 nor
-    # its t_end: 3 time units from generic smooth data, H sampled every
-    # min(16, n) steps, so at least once after t = 0, and at least 200
-    # steps from the equilibrium, ending on a snapshot
+    # its t_end: about 3 time units from generic smooth data, H sampled
+    # every min(16, n) steps, so at least once after t = 0 and at its last
+    # step, and at least 200 steps from the equilibrium, ending on a
+    # snapshot
     eq = evolution.equilibrium_state(profile)
     state = _conservation_state(profile, rng)
     dt_eq, dt = (evolution.cfl_dt(st, profile, cfg.sim) for st in (eq, state))
     n = max(1, round(3.0 / dt))
     every = min(16, n)
+    n = -(-n // every) * every
     n_eq = -(-200 // every) * every
     members = [
         Member(profile, eq, mode.mu0, t_end=(n_eq - 0.5) * dt_eq, dt=dt_eq),

@@ -88,3 +88,35 @@ def test_compare_outputs_pairs_series_rows_on_t(tmp_path):
     ]
     block = lines[lines.index("differs snapshot_00000.csv") + 1 :][:3]
     assert block == ["    rows  2 -> 3", "    r  0", "    zeta  0.2"]
+
+
+def test_compare_outputs_pairs_snapshots_on_their_time(tmp_path):
+    # every other snapshot of the parent, renumbered: each pairs with the
+    # parent's file at its time, and the parent's other times are noted
+    times = [0.0, 0.5, 1.0, 1.5]
+    snap = [f"r,zeta\n0,{t}\n" for t in times]
+    parent = _tree(
+        tmp_path / "parent",
+        {
+            "ladder/d1_run.json": json.dumps({"snapshot_times": times}),
+            **{f"ladder/d1_snapshot_{i:05d}.csv": text for i, text in enumerate(snap)},
+        },
+    )
+    change = _tree(
+        tmp_path / "change",
+        {
+            "ladder/d1_run.json": json.dumps({"snapshot_times": times[::2]}),
+            **{f"ladder/d1_snapshot_{i:05d}.csv": text for i, text in enumerate(snap[::2])},
+        },
+    )
+    out = io.StringIO()
+    assert compare_outputs.compare(parent, change, out=out) == 0
+    change_of_times = "    snapshot_times  4 -> 2 values, 2 only in parent, 0 only in change"
+    assert out.getvalue().splitlines() == [
+        "snapshots only in parent  ladder/d1_snapshot_*.csv  2 of 4, t 0.5 to 1.5",
+        "differs ladder/d1_run.json",
+        change_of_times,
+        "# 3 common files: 2 identical, 1 differ; 2 missing, 0 extra",
+        "pattern ladder/d1_run.json  (1 differ)",
+        change_of_times,
+    ]

@@ -42,7 +42,7 @@ def test_config_defaults_roundtrip():
 def test_config_identity_pinned():
     # every output file embeds this hash; it must not move with refactors
     cfg = ExperimentConfig()
-    assert config_hash(cfg) == "feb150eec73310ec"
+    assert config_hash(cfg) == "32c59e9da0f7669a"
     doc = json.loads(canonical_json(cfg))
     assert sorted(doc["sim"]) == [
         "dt_cfl",
@@ -632,6 +632,25 @@ def test_instability_ladder_equals_solo_runs():
         assert out["remainder"]["rate"] == solo["remainder"]["rate"]
 
 
+def test_thinner_snapshots_are_every_kth_of_the_denser():
+    # snapshot_every 64 keeps every 4th snapshot of snapshot_every 16, bit
+    # for bit, and the remainder rows at those times; the series and the
+    # fit read every sample and do not move
+    cfg = make_config(n_nodes=256, kind="instability", deltas=(1e-3, 1e-4), pair_linear=True)
+    assert cfg.sim.snapshot_every == 64
+    dense = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, snapshot_every=16))
+    for thin, full in zip(ps.instability_ladder(cfg), ps.instability_ladder(dense)):
+        every4th = full["record"].snapshots[::4]
+        times = full["record"].snapshot_times[::4]
+        _assert_same_record(
+            thin["record"],
+            dataclasses.replace(full["record"], snapshots=every4th, snapshot_times=times),
+        )
+        assert thin["fit"] == full["fit"]
+        for key in ("t", "remainder", "ratio"):
+            assert np.array_equal(thin["remainder"][key], full["remainder"][key][::4])
+
+
 @pytest.fixture(scope="module")
 def ladder256():
     """(cfg, profile, growing mode) of the default ladder at N = 256."""
@@ -812,6 +831,27 @@ def test_check_does_each_piece_of_work_once(monkeypatch):
     assert eq_rec.status == "completed"
     assert len(eq_rec.times) - 1 == 208 // 16
     assert eq_rec.snapshot_times == [eq_rec.times[0], eq_rec.times[-1]]
+
+
+def test_check_conservation_run_ends_on_a_recorded_step(monkeypatch):
+    # at N 256 round(3/dt) is 143 steps, not a multiple of the 16 between
+    # samples of H: the run marches 144, and its last sample of H is its
+    # final state
+    batch = experiments.evolve_batch
+    runs = []
+
+    def captured(members, cfg, **kwargs):
+        records = batch(members, cfg, **kwargs)
+        runs.append((members[1], records[1], cfg.sim.record_every))
+        return records
+
+    monkeypatch.setattr(experiments, "evolve_batch", captured)
+    ps.check(make_config(n_nodes=256, kind="check"))
+    ((member, rec, every),) = runs
+    assert rec.status == "completed" and every == 16
+    assert len(rec.times) - 1 == 144 // 16
+    # the loop stops at the first state past t_end, so a sample there is the last state
+    assert rec.times[-1] >= member.t_end
 
 
 def test_check_fails_a_run_that_does_not_complete(monkeypatch):
@@ -1086,6 +1126,19 @@ def test_cli_evolve_energy_report(tmp_path, monkeypatch):
     cfg = make_config(256, delta=1e-3)
     cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, t_end=2.0))
     _assert_documents(out, ["run.json", "energies.json"], cfg)
+
+
+def test_cli_evolve_energies_name_the_time_of_their_state(tmp_path, monkeypatch):
+    # energies.json reports the last snapshot, at N 128 and t_end 6 sample
+    # 64 of 96, and says so with its time t
+    cfgfile = tmp_path / "evolve.json"
+    cfgfile.write_text(json.dumps({"mesh": {"n_nodes": 128}, "sim": {"t_end": 6.0}}))
+    code, out = _run_cli(["evolve", "--config", str(cfgfile)], tmp_path, monkeypatch)
+    assert code == 0
+    rep = json.loads((out / "energies.json").read_text())
+    run = json.loads((out / "run.json").read_text())
+    last_t = float((out / "series.csv").read_text().splitlines()[-1].split(",")[0])
+    assert rep["t"] == run["snapshot_times"][-1] < last_t
 
 
 def test_cli_sweep_emission(tmp_path, monkeypatch):
