@@ -12,6 +12,9 @@ or empty:
     evolve         evolve, {"sim": {"t_end": 2.0}}
     evolve_every3  evolve, {"sim": {"t_end": 2.0, "record_every": 3,
                    "snapshot_every": 4}}: unrecorded steps between samples
+    evolve_snap0   evolve, {"sim": {"t_end": 2.0, "snapshot_every": 0}}:
+                   no snapshot after t = 0, so energies.json shows that the
+                   report does not follow the snapshot cadence
     instability    instability, the benchmark's ladder config
                    (perfbench.workloads)
     sweep          sweep, the benchmark's sweep config
@@ -49,6 +52,7 @@ def commands(seed: int) -> list:
         ("check", "check", None),
         ("evolve", "evolve", {"sim": {"t_end": 2.0}}),
         ("evolve_every3", "evolve", every3),
+        ("evolve_snap0", "evolve", {"sim": {"t_end": 2.0, "snapshot_every": 0}}),
         ("instability", "instability", workloads.ladder_config(seed)),
         ("sweep", "sweep", workloads.sweep_config(seed)),
     ]

@@ -14,7 +14,6 @@ from .energetics import (
     hardy_check_origin,
     hardy_trace_check,
     instant_energy,
-    nonlinear_energy,
     weighted_norm_X,
     weighted_norm_Y,
     zero_norm,

@@ -17,6 +17,7 @@ from . import experiments
 from .config import ExperimentConfig, config_hash, delta_tag, load_config
 from .energetics import instant_energy as energetics_report
 from .errors import ConfigError, PolystarError
+from .evolution import mode_initial_state
 
 
 # Flag -> (config section, field, type), applied in this order.
@@ -75,25 +76,14 @@ def main(argv=None) -> int:
             print(f"mode gamma={profile.gamma} mu0={mode.mu0:.12g} rate={mode.rate:.12g} -> {out}")
 
         elif args.command == "evolve":
-            from . import evolution
-
             profile = experiments.build_profile(cfg)
             mode = experiments.build_mode(profile, cfg.eig.eig_tol)
-            initial = evolution.mode_initial_state(mode, cfg.experiment.delta)
-            record = experiments.evolve_run(
-                profile, initial, cfg, mu0=mode.mu0, t_end=cfg.sim.t_end
-            )
+            initial = mode_initial_state(mode, cfg.experiment.delta)
+            record = experiments.evolve_run(profile, initial, cfg, mu0=mode.mu0)
             experiments.emit_run(record, cfg, out)
-            # the energies of the last snapshot, which may lie before the
-            # run's end; energies.json names its time t
-            if record.snapshots:
-                z, zt = record.snapshots[-1]
-                final = evolution.PerturbationState(
-                    t=record.snapshot_times[-1], zeta=z, zeta_t=zt
-                )
-                experiments.emit_energy_report(
-                    energetics_report(final, profile, cfg.experiment.jmax), cfg, out
-                )
+            # the energies of the state the run ended on
+            report = energetics_report(record.final, profile, cfg.experiment.jmax)
+            experiments.emit_energy_report(report, cfg, out)
             print(f"evolve status={record.status} samples={len(record.times)} -> {out}")
 
         elif args.command == "instability":

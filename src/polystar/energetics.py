@@ -114,9 +114,8 @@ def _derivative_chain(values: np.ndarray, points: np.ndarray, k: int):
 def _staggered_X(
     f: np.ndarray, profile: LaneEmdenProfile, k: int, exponent: float
 ) -> float:
-    """int w^exponent r^4 (d_r^k f)^2 dr on the k-times staggered grid."""
-    if k == 0:
-        return weighted_norm_X(f, profile, exponent) ** 2
+    """int w^exponent r^4 (d_r^k f)^2 dr on the k-times staggered grid,
+    for k >= 1."""
     v, p = _derivative_chain(f, profile.grid, k)
     wv, _ = profile.enthalpy(np.clip(p, 0.0, profile.R))
     wv = np.clip(wv, 0.0, None)
@@ -205,10 +204,11 @@ def instant_energy(
     )
 
 
-def nonlinear_energy(
-    state: PerturbationState, profile: LaneEmdenProfile, imax: int = 1
+def _nonlinear_energy(
+    state: PerturbationState, profile: LaneEmdenProfile, fields: list, imax: int
 ) -> list:
-    """Nonlinear energies frakE^i for 1 <= i <= imax (<= 2), built on the
+    """Nonlinear energies frakE^i for 1 <= i <= imax (<= 2), from the time
+    ladder fields of state (at least imax + 2 of them), built on the
     momentum variable varphi = (1+zeta)^2 zeta_t:
 
         frakE^i = int w^alpha r^4 |d_t^(i-1) varphi_t|^2 / (1+zeta)^4 dr
@@ -218,18 +218,6 @@ def nonlinear_energy(
     The 1/r^2 factor is absorbed by the conservative derivative, which is
     regular at the origin by parity.
     """
-    if imax > MAX_ENERGY_ORDER:
-        raise UnsupportedOrder(f"imax={imax} above implemented ceiling {MAX_ENERGY_ORDER}")
-    if imax < 1:
-        return []
-    return _nonlinear_energy(state, profile, _time_ladder(state, profile, imax), imax)
-
-
-def _nonlinear_energy(
-    state: PerturbationState, profile: LaneEmdenProfile, fields: list, imax: int
-) -> list:
-    """nonlinear_energy from the time ladder fields of state (at least
-    imax + 2 of them), for 1 <= imax."""
     disc = profile.discretization
     a = disc.alpha
     z, zt = state.zeta, state.zeta_t

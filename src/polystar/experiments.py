@@ -27,7 +27,10 @@ from .io_utils import csv_template, write_csv, write_json
 
 @dataclass(eq=False)
 class RunRecord:
-    """Time series and snapshots of one evolution run."""
+    """Time series and snapshots of one evolution run, and final, the
+    state it ended on: the sample that met its stop when it ended
+    escaped, smallness_exceeded or nonfinite, else the last state whose
+    acceleration was evaluated, recorded or not."""
 
     dt: float
     mu0: float
@@ -42,6 +45,7 @@ class RunRecord:
     snapshot_times: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
     status: str = "running"
+    final: evolution.PerturbationState | None = field(default=None, repr=False)
 
     def series_rows(self):
         for i, t in enumerate(self.times):
@@ -154,7 +158,8 @@ def evolve_batch(members: list, cfg: ExperimentConfig, max_steps: int = 5_000_00
     the sample's.  A collapse, in a stage or in that state, ends only its
     members, and the others redo the step from the block as it was.  So
     the state a run ends on has been evaluated, recorded or not: a run
-    whose last state collapses ends collapsed.
+    whose last state collapses ends collapsed.  The record keeps a copy of
+    that state, or of the sample that met the stop, as its final.
 
     A recorded sample's zeta, zeta_t and acceleration go into
     (RECORD_CHUNK, N+1) buffers per member, whose E0, H and sup-norms are
@@ -165,7 +170,7 @@ def evolve_batch(members: list, cfg: ExperimentConfig, max_steps: int = 5_000_00
     if not members:
         return []
     runs = [_Run(m, cfg) for m in members]
-    batch = _Batch(list(runs))
+    batch = _Batch(list(runs), [m.initial for m in members], cfg.sim)
     batch.take()
     batch.end_chunk()
     steps = 0
@@ -194,34 +199,35 @@ def evolve_batch(members: list, cfg: ExperimentConfig, max_steps: int = 5_000_00
 
 class _Run:
     """One member's progress in evolve_batch: its record, frozen step,
-    end time, stops, time, buffered sample times and result."""
+    end time, stop amplitude, time, buffered sample times and result."""
 
     def __init__(self, member: Member, cfg: ExperimentConfig):
         self.dt = member.dt
         if self.dt is None:
             self.dt = evolution.cfl_dt(member.initial, member.profile, cfg.sim)
         self.t_end = cfg.sim.t_end if member.t_end is None else member.t_end
-        self.theta1 = cfg.sim.theta1
-        self.snapshot_every = cfg.sim.snapshot_every
-        self.initial = member.initial
         self.stop_amplitude = member.stop_amplitude
         self.t = member.initial.t
         self.times = []  # of the buffered samples
         self.rec = RunRecord(dt=self.dt, mu0=member.mu0, profile=member.profile)
         self.result = None
 
-    def end(self, status: str) -> None:
+    def end(self, status: str, t: float, zeta: np.ndarray, zeta_t: np.ndarray) -> None:
+        """End the run with status on the state (t, zeta, zeta_t), a copy
+        of which is the record's final."""
         self.rec.status = status
+        self.rec.final = evolution.PerturbationState(t, zeta.copy(), zeta_t.copy())
         self.result = self.rec
 
-    def record(self, z, zt, ztt) -> bool:
+    def record(self, z, zt, ztt, sim: evolution.SimConfig) -> bool:
         """Record the buffered samples (rows of z, zt, ztt) up to the first
-        that meets a stop, which ends the run; True when one does."""
+        that meets a stop, which ends the run on it; True when one does.
+        sim gives theta1 and snapshot_every."""
         rec = self.rec
         disc = rec.profile.discretization
         E0 = [n**2 for n in energetics.zero_norm_rows(z, zt, disc)]
         H = evolution.energy_rows(z, zt, disc).tolist()
-        sups = evolution.smallness_rows(z, zt, ztt, disc, self.theta1)
+        sups = evolution.smallness_rows(z, zt, ztt, disc, sim.theta1)
         sup_zeta, sup_zeta_r, _, _, exceeded = (v.tolist() for v in sups)
         radius = ((1.0 + z[:, -1]) * rec.profile.R).tolist()
         status = None
@@ -234,7 +240,7 @@ class _Run:
             rec.sup_zeta_r.append(sup_zeta_r[k])
             rec.boundary_radius.append(radius[k])
             rec.exceeded.append(exceeded[k])
-            if i == 0 or (self.snapshot_every and i % self.snapshot_every == 0):
+            if i == 0 or (sim.snapshot_every and i % sim.snapshot_every == 0):
                 rec.snapshot_times.append(t)
                 rec.snapshots.append((z[k].copy(), zt[k].copy()))
             if not (math.isfinite(E0[k]) and math.isfinite(H[k])):
@@ -244,7 +250,7 @@ class _Run:
             elif i and self.stop_amplitude is not None and math.sqrt(E0[k]) >= self.stop_amplitude:
                 status = "escaped"
             if status:
-                self.end(status)
+                self.end(status, t, z[k], zt[k])
                 break
         self.times.clear()
         return status is not None
@@ -258,6 +264,7 @@ class _Batch:
     layout one FlatRows of the runs' grids and one evolution.Stages.  A
     lone run's rows are a block too, and each run's dt fills its rows of
     the Stages coefficients, so that no product broadcasts a column.
+    sim, shared by the runs, gives what recording reads.
 
     The state block always holds the acceleration of its zeta: __init__
     evaluates it for the first sample, where a collapse becomes that
@@ -265,11 +272,12 @@ class _Batch:
     allocates no array until the block shrinks and its layout is
     rebuilt."""
 
-    def __init__(self, runs: list):
+    def __init__(self, runs: list, initial: list, sim: evolution.SimConfig):
         self.runs = runs
-        zeta = np.stack([run.initial.zeta for run in runs])
+        self.sim = sim
+        zeta = np.stack([state.zeta for state in initial])
         # the acceleration rows are filled below
-        self.state = np.stack([zeta, np.stack([run.initial.zeta_t for run in runs]), zeta])
+        self.state = np.stack([zeta, np.stack([state.zeta_t for state in initial]), zeta])
         self.buffers = np.empty((3, len(runs), RECORD_CHUNK, zeta.shape[1]))
         self.n = 0  # samples buffered per run
         self._layout()
@@ -307,7 +315,7 @@ class _Batch:
     def flush(self, b: int) -> bool:
         """Record run b's buffered samples; True when one meets a stop,
         which ends the run."""
-        return bool(self.n) and self.runs[b].record(*self.buffers[:, b, : self.n])
+        return bool(self.n) and self.runs[b].record(*self.buffers[:, b, : self.n], self.sim)
 
     def end_chunk(self) -> None:
         """Flush every run; the runs that meet a stop leave."""
@@ -318,10 +326,11 @@ class _Batch:
     def stop(self, ends: dict) -> None:
         """The rows of ends (row -> status) leave the batch, recording their
         buffered samples first; a run that meets no stop there ends with
-        its status."""
+        its status on its current state."""
         for b, status in ends.items():
             if not self.flush(b):
-                self.runs[b].end(status)
+                run = self.runs[b]
+                run.end(status, run.t, self.state[0, b], self.state[1, b])
         self.remove(list(ends))
 
     def remove(self, rows: list) -> None:
@@ -482,11 +491,10 @@ def check(cfg: ExperimentConfig) -> dict:
     The equilibrium and conservation runs march as one evolve_batch of
     two members, each at its own CFL dt, recording every min(16, n)
     steps, where n = max(1, round(3/dt)).  The conservation run takes n
-    steps rounded up to a multiple of that cadence, and the equilibrium
-    run the smallest multiple at or above 200 steps, so each run's last
-    sample is its final state.  The batch snapshots every n_eq / every
-    samples, n_eq being the equilibrium run's steps, so its last sample
-    is a snapshot.  A collapse of either run's first sample raises.
+    steps rounded up to a multiple of that cadence, so that its last
+    sample of H is its final state; the equilibrium run takes 200 steps
+    and is read at its record's final.  A collapse of either run's first
+    sample raises.
     """
     results = []
     rng = np.random.default_rng(cfg.experiment.seed)
@@ -579,28 +587,27 @@ def check(cfg: ExperimentConfig) -> dict:
             add(name, "fail", threshold=threshold, note=f"run ended {rec.status}")
 
     # one batch from t = 0, stopped by neither the document's theta1 nor
-    # its t_end: about 3 time units from generic smooth data, H sampled
-    # every min(16, n) steps, so at least once after t = 0 and at its last
-    # step, and at least 200 steps from the equilibrium, ending on a
-    # snapshot
+    # its t_end: 200 steps from the equilibrium, and about 3 time units
+    # from generic smooth data, H sampled every min(16, n) steps, so at
+    # least once after t = 0 and at its last step
     eq = evolution.equilibrium_state(profile)
     state = _conservation_state(profile, rng)
     dt_eq, dt = (evolution.cfl_dt(st, profile, cfg.sim) for st in (eq, state))
     n = max(1, round(3.0 / dt))
     every = min(16, n)
     n = -(-n // every) * every
-    n_eq = -(-200 // every) * every
     members = [
-        Member(profile, eq, mode.mu0, t_end=(n_eq - 0.5) * dt_eq, dt=dt_eq),
+        Member(profile, eq, mode.mu0, t_end=199.5 * dt_eq, dt=dt_eq),
         Member(profile, state, mode.mu0, t_end=(n - 0.5) * dt, dt=dt),
     ]
-    sim = replace(cfg.sim, theta1=math.inf, record_every=every, snapshot_every=n_eq // every)
+    sim = replace(cfg.sim, theta1=math.inf, record_every=every)
     eq_rec, rec = evolve_batch(members, replace(cfg, sim=sim))
     for r in (eq_rec, rec):
         if isinstance(r, StatePastVacuumCollapse):
             raise r
-    z, zt = eq_rec.snapshots[-1]
-    add_run("equilibrium_preservation", eq_rec, float(np.abs(z).max() + np.abs(zt).max()), 0.0)
+    final = eq_rec.final
+    moved = float(np.abs(final.zeta).max() + np.abs(final.zeta_t).max())
+    add_run("equilibrium_preservation", eq_rec, moved, 0.0)
     drift = max(abs(h - rec.H[0]) for h in rec.H) / abs(rec.H[0])
     add_run("conservation_drift", rec, drift, 1e-6)
 

@@ -179,7 +179,7 @@ def test_instant_energy_evaluates_the_time_ladder_once(profile13, mode13, monkey
     rep = ps.instant_energy(st, profile13, jmax=2)
     assert calls == {"accel_time_derivative": 1, "nonlinear_accel": 1}
     monkeypatch.undo()
-    assert rep.frakE == ps.nonlinear_energy(st, profile13, imax=2)
+    assert rep.frakE[:1] == ps.instant_energy(st, profile13, jmax=1).frakE
 
 
 def test_mode_data_E0_is_delta_squared(profile13, mode13):
@@ -216,21 +216,11 @@ def test_total_energy_term_inclusion(profile13, mode13):
     assert instant <= total
 
 
-def test_nonlinear_energy_below_first_order_is_empty(profile13, mode13):
-    # the orders run over 1 <= i <= imax, so imax < 1 names none of them
-    _, mode = mode13
-    st = ps.mode_initial_state(mode, 1e-3)
-    for imax in (0, -1):
-        assert ps.nonlinear_energy(st, profile13, imax=imax) == []
-
-
 def test_unsupported_order(profile13, mode13):
     _, mode = mode13
     st = ps.mode_initial_state(mode, 1e-3)
     with pytest.raises(UnsupportedOrder):
         ps.instant_energy(st, profile13, jmax=3)
-    with pytest.raises(UnsupportedOrder):
-        ps.nonlinear_energy(st, profile13, imax=3)
 
 
 def test_nonlinear_energy_gap_fitted_constant(profile13, mode13):

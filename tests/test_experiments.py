@@ -307,9 +307,14 @@ def test_run_whose_unrecorded_last_state_collapses_ends_collapsed():
     assert every.status == "collapsed"
     n = len(every.times)
     assert n % 3
+    assert every.final.t == every.times[-1]
     rec = run(3, t_end=(n - 0.5) * every.dt, dt=every.dt)
     assert rec.status == "collapsed"
     assert rec.times == every.times[::3]
+    # it ends on the last state whose acceleration was evaluated, sample
+    # n - 1, which it did not record
+    assert rec.final.t > rec.times[-1]
+    _assert_same_state(rec.final, every.final)
 
 
 def test_run_status_max_steps():
@@ -339,7 +344,9 @@ SERIES_FIELDS = ("times", "E0", "H", "sup_zeta", "sup_zeta_r", "boundary_radius"
 
 def _reference_run(profile, initial, sim, stop_amplitude=None, max_steps=5_000_000):
     """Step and record one sample at a time with the public functions,
-    stopping as evolve_run documents; returns (series, snapshots, status)."""
+    stopping as evolve_run documents; returns (series, snapshots, status,
+    final), final being the sample that met the stop or else the last
+    state whose acceleration was evaluated."""
     series = {name: [] for name in SERIES_FIELDS}
     snapshots = []
 
@@ -365,25 +372,34 @@ def _reference_run(profile, initial, sim, stop_amplitude=None, max_steps=5_000_0
             return "escaped"
         return None
 
-    state = initial
+    state = final = initial
     status = record(state)
     steps = 0
     try:
         while not status and steps < max_steps and state.t < sim.t_end - 1e-12:
             state = ps.step(state, profile, sim)
             steps += 1
+            ps.nonlinear_accel(state, profile)
+            final = state
             if steps % sim.record_every == 0:
                 status = record(state)
     except StatePastVacuumCollapse:
         status = "collapsed"
     if not status:
         status = "max_steps" if state.t < sim.t_end - 1e-12 else "completed"
-    return series, snapshots, status
+    return series, snapshots, status, final
+
+
+def _assert_same_state(state, other):
+    assert state.t == other.t
+    assert np.array_equal(state.zeta, other.zeta)
+    assert np.array_equal(state.zeta_t, other.zeta_t)
 
 
 def _assert_matches_reference(rec, reference):
-    series, snapshots, status = reference
+    series, snapshots, status, final = reference
     assert rec.status == status
+    _assert_same_state(rec.final, final)
     for name, values in series.items():
         assert getattr(rec, name) == values, name
     assert rec.snapshot_times == [t for t, _, _ in snapshots]
@@ -435,7 +451,7 @@ def test_evolve_run_matches_unfused_recomputation(run128, record_every):
 def test_evolve_run_escape_at_chunk_boundaries(run128, stop_index):
     # sample 0 is recorded alone, so chunk c holds samples
     # (c - 1) K + 1 .. c K; the stop must land on the same sample
-    _, (series, _, _) = _run_both(run128)
+    _, (series, *_) = _run_both(run128)
     amp = np.sqrt(series["E0"])
     assert amp[:stop_index].max() < amp[stop_index]
     rec, reference = _run_both(run128, stop_amplitude=float(amp[stop_index]))
@@ -475,7 +491,7 @@ def test_evolve_run_collapse_mid_chunk(run128, monkeypatch, escape_first, record
     # the growing amplitude.  A stop met by an earlier sample of the
     # collapse's chunk must still be reported, and the record must equal
     # the reference's
-    _, (series, _, _) = _run_both(run128, record_every=record_every)
+    _, (series, *_) = _run_both(run128, record_every=record_every)
     threshold = sum(series["sup_zeta"][RECORD_CHUNK + 9 : RECORD_CHUNK + 11]) / 2.0
     monkeypatch.setattr(
         evolution, "nonlinear_accel_rows", _collapsing_rows(lambda row: np.abs(row).max() > threshold)
@@ -492,6 +508,7 @@ def test_evolve_run_collapse_mid_chunk(run128, monkeypatch, escape_first, record
 def _assert_same_record(rec, solo):
     assert rec.status == solo.status
     assert rec.dt == solo.dt
+    _assert_same_state(rec.final, solo.final)
     for name in SERIES_FIELDS + ("snapshot_times",):
         assert getattr(rec, name) == getattr(solo, name), name
     assert len(rec.snapshots) == len(solo.snapshots)
@@ -806,8 +823,8 @@ def test_check_conservation_data_are_even_at_the_origin(profile13):
 
 def test_check_does_each_piece_of_work_once(monkeypatch):
     # one profile (radius_convergence integrates R alone) and one batch of
-    # the equilibrium and conservation runs, whose equilibrium member ends
-    # on a snapshot of its final state
+    # the equilibrium and conservation runs, whose equilibrium member
+    # marches 200 steps and is read at its final state, unrecorded
     calls = {"solve_lane_emden": 0, "evolve_batch": []}
     solve, batch = ps.polytrope.solve_lane_emden, experiments.evolve_batch
     records = []
@@ -829,8 +846,10 @@ def test_check_does_each_piece_of_work_once(monkeypatch):
     assert calls == {"solve_lane_emden": 1, "evolve_batch": [2]}
     eq_rec = records[0]
     assert eq_rec.status == "completed"
-    assert len(eq_rec.times) - 1 == 208 // 16
-    assert eq_rec.snapshot_times == [eq_rec.times[0], eq_rec.times[-1]]
+    assert len(eq_rec.times) - 1 == 200 // 16
+    assert eq_rec.snapshot_times == [eq_rec.times[0]]
+    assert eq_rec.final.t == pytest.approx(200 * eq_rec.dt, rel=1e-12)
+    assert not eq_rec.final.zeta.any() and not eq_rec.final.zeta_t.any()
 
 
 def test_check_conservation_run_ends_on_a_recorded_step(monkeypatch):
@@ -1128,17 +1147,50 @@ def test_cli_evolve_energy_report(tmp_path, monkeypatch):
     _assert_documents(out, ["run.json", "energies.json"], cfg)
 
 
-def test_cli_evolve_energies_name_the_time_of_their_state(tmp_path, monkeypatch):
-    # energies.json reports the last snapshot, at N 128 and t_end 6 sample
-    # 64 of 96, and says so with its time t
+@pytest.mark.parametrize("snapshot_every", [64, 0])
+def test_cli_evolve_energies_name_the_time_of_their_state(tmp_path, monkeypatch, snapshot_every):
+    # energies.json reports the state the run ended on, at N 128 and t_end
+    # 6 its last sample (96), whatever the snapshot cadence: not its last
+    # snapshot (64, or 0 with no snapshot after the first); it says so
+    # with its time t
     cfgfile = tmp_path / "evolve.json"
-    cfgfile.write_text(json.dumps({"mesh": {"n_nodes": 128}, "sim": {"t_end": 6.0}}))
+    sim = {"t_end": 6.0, "snapshot_every": snapshot_every}
+    cfgfile.write_text(json.dumps({"mesh": {"n_nodes": 128}, "sim": sim}))
     code, out = _run_cli(["evolve", "--config", str(cfgfile)], tmp_path, monkeypatch)
     assert code == 0
     rep = json.loads((out / "energies.json").read_text())
     run = json.loads((out / "run.json").read_text())
-    last_t = float((out / "series.csv").read_text().splitlines()[-1].split(",")[0])
-    assert rep["t"] == run["snapshot_times"][-1] < last_t
+    last = (out / "series.csv").read_text().splitlines()[-1].split(",")
+    last_t, last_E0 = float(last[0]), float(last[1])
+    assert run["status"] == "completed"
+    assert run["snapshot_times"][-1] < rep["t"] == last_t
+    assert rep["E0"] == pytest.approx(last_E0, rel=1e-12)
+
+
+def test_cli_evolve_nonfinite_run_exits_3_after_its_series(tmp_path, monkeypatch, capsys):
+    # every acceleration after the first sample's is NaN, so sample 1 is
+    # nonfinite: series.csv and run.json are written, and the energies of
+    # that final state are not JSON
+    accel = evolution.nonlinear_accel_rows
+    calls = []
+
+    def poisoned(zeta, flat, out=None):
+        out = accel(zeta, flat, out)
+        if calls:
+            out[...] = np.nan
+        calls.append(zeta.shape)
+        return out
+
+    monkeypatch.setattr(evolution, "nonlinear_accel_rows", poisoned)
+    cfgfile = tmp_path / "evolve.json"
+    cfgfile.write_text(json.dumps({"mesh": {"n_nodes": 64}, "sim": {"t_end": 1.0}}))
+    code, out = _run_cli(["evolve", "--config", str(cfgfile)], tmp_path, monkeypatch)
+    assert code == 3
+    assert "NonFiniteOutput: energies.json" in capsys.readouterr().err
+    run = json.loads((out / "run.json").read_text())
+    assert (run["status"], run["n_samples"]) == ("nonfinite", 2)
+    assert len((out / "series.csv").read_text().splitlines()) == 1 + 2
+    assert not (out / "energies.json").exists()
 
 
 def test_cli_sweep_emission(tmp_path, monkeypatch):
