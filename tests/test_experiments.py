@@ -1147,15 +1147,13 @@ def test_cli_evolve_energy_report(tmp_path, monkeypatch):
     _assert_documents(out, ["run.json", "energies.json"], cfg)
 
 
-@pytest.mark.parametrize("snapshot_every", [64, 0])
-def test_cli_evolve_energies_name_the_time_of_their_state(tmp_path, monkeypatch, snapshot_every):
+def _assert_evolve_energies_name_the_last_sample(tmp_path, monkeypatch, sim):
     # energies.json reports the state the run ended on, at N 128 and t_end
     # 6 its last sample (96), whatever the snapshot cadence: not its last
     # snapshot (64, or 0 with no snapshot after the first); it says so
     # with its time t
     cfgfile = tmp_path / "evolve.json"
-    sim = {"t_end": 6.0, "snapshot_every": snapshot_every}
-    cfgfile.write_text(json.dumps({"mesh": {"n_nodes": 128}, "sim": sim}))
+    cfgfile.write_text(json.dumps({"mesh": {"n_nodes": 128}, "sim": {"t_end": 6.0, **sim}}))
     code, out = _run_cli(["evolve", "--config", str(cfgfile)], tmp_path, monkeypatch)
     assert code == 0
     rep = json.loads((out / "energies.json").read_text())
@@ -1165,6 +1163,15 @@ def test_cli_evolve_energies_name_the_time_of_their_state(tmp_path, monkeypatch,
     assert run["status"] == "completed"
     assert run["snapshot_times"][-1] < rep["t"] == last_t
     assert rep["E0"] == pytest.approx(last_E0, rel=1e-12)
+
+
+def test_cli_evolve_energies_name_the_time_of_their_state(tmp_path, monkeypatch):
+    # the default cadence, sim.snapshot_every 64
+    _assert_evolve_energies_name_the_last_sample(tmp_path, monkeypatch, {})
+
+
+def test_cli_evolve_energies_without_snapshots_name_the_last_sample(tmp_path, monkeypatch):
+    _assert_evolve_energies_name_the_last_sample(tmp_path, monkeypatch, {"snapshot_every": 0})
 
 
 def test_cli_evolve_nonfinite_run_exits_3_after_its_series(tmp_path, monkeypatch, capsys):
