@@ -101,6 +101,9 @@ class ExperimentSection:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"experiment.kind must be one of {_KINDS}")
+        for name in ("deltas", "gammas"):
+            if not getattr(self, name):
+                raise ConfigError(f"experiment.{name} must not be empty")
         if not all(_positive(d) for d in self.deltas):
             raise ConfigError("deltas must be finite and strictly positive")
         if list(self.deltas) != sorted(self.deltas, reverse=True):

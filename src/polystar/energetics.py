@@ -30,11 +30,13 @@ from .evolution import (
     cell_jacobian_minus_one,
     smallness_monitor,
 )
-from .polytrope import Discretization, LaneEmdenProfile, trapezoid_weights
+from .polytrope import _GAUSS_U, _GAUSS_W, Discretization, LaneEmdenProfile, trapezoid_weights
 
 MAX_ENERGY_ORDER = 2
 # Samples growth_fit needs in its window [3 delta, theta0/3].
 MIN_FIT_SAMPLES = 32
+# Halving panels hardy_trace_check sums over: down to s = 2^-100.
+TRACE_PANELS = 100
 
 
 def weighted_norm_X(f: np.ndarray, profile: LaneEmdenProfile, a: float) -> float:
@@ -368,12 +370,10 @@ def duhamel_remainder(nonlinear, mode, delta: float) -> dict:
     rate = mode.rate
     ts = np.asarray(nonlinear.snapshot_times)
     amp = delta * np.exp(rate * ts)
-    rem = np.array(
-        [
-            zero_norm(zn - a * mode.phi0, vn - (a * rate) * mode.phi0, nonlinear.profile)
-            for a, (zn, vn) in zip(amp.tolist(), nonlinear.snapshots)
-        ]
-    )
+    z, zt = (np.array(rows) for rows in zip(*nonlinear.snapshots))
+    a = amp[:, None]
+    disc = nonlinear.profile.discretization
+    rem = np.array(zero_norm_rows(z - a * mode.phi0, zt - (a * rate) * mode.phi0, disc))
     return {"t": ts, "remainder": rem, "ratio": rem / amp**2, "rate": rate}
 
 
@@ -476,38 +476,25 @@ def hardy_check_boundary(
     return _hardy_reports(v, lhs, rhs)
 
 
-def hardy_trace_check(g, k: float, g_prime=None, n: int = 4097) -> HardyReport:
+def hardy_trace_check(g, k: float, g_prime) -> HardyReport:
     """Unit-interval variant for k < 1, where g has a trace at 0:
 
         int_0^1 s^(k-2) (g - g(0))^2 ds  <=  C int_0^1 s^k g'^2 ds.
 
-    g and g_prime may be callables or samples on a uniform grid; samples
-    are promoted to splines.  Adaptive quadrature never evaluates exactly
-    at s = 0, where the integrands have only integrable behavior.
+    g and g_prime are callables on Python floats.  Both sides are sums of
+    the 8-point Gauss-Legendre rule on the halving panels
+    [2^-(j+1), 2^-j], j < TRACE_PANELS, so no integrand is evaluated at
+    s = 0, where each has only integrable behaviour.  Cutting at
+    2^-TRACE_PANELS drops 2^(-TRACE_PANELS (b+1)) / (b+1) of an integrand
+    that behaves like s^b near 0.
     """
-    from scipy.integrate import quad
-    from scipy.interpolate import CubicSpline
-
     if k >= 1.0:
         raise ExponentOutOfRange("trace variant requires exponent k < 1")
-    if callable(g):
-        gf = g
-    else:
-        gf = CubicSpline(np.linspace(0.0, 1.0, len(g)), np.asarray(g, dtype=float))
-    if g_prime is None:
-        gpf = gf.derivative() if isinstance(gf, CubicSpline) else None
-        if gpf is None:
-            s = np.linspace(0.0, 1.0, n)
-            gpf = CubicSpline(s, gf(s)).derivative()
-    elif callable(g_prime):
-        gpf = g_prime
-    else:
-        gpf = CubicSpline(
-            np.linspace(0.0, 1.0, len(g_prime)), np.asarray(g_prime, dtype=float)
-        )
-    g0 = float(gf(0.0))
-    lhs, _ = quad(lambda s: s ** (k - 2.0) * (float(gf(s)) - g0) ** 2, 0.0, 1.0, limit=200)
-    rhs, _ = quad(lambda s: s**k * float(gpf(s)) ** 2, 0.0, 1.0, limit=200)
+    a = 0.5 ** np.arange(1.0, TRACE_PANELS + 1.0)[:, None]
+    nodes = list(zip((a + a * _GAUSS_U).ravel().tolist(), (a * _GAUSS_W).ravel().tolist()))
+    g0 = g(0.0)
+    lhs = math.fsum(wt * s ** (k - 2.0) * (g(s) - g0) ** 2 for s, wt in nodes)
+    rhs = math.fsum(wt * s**k * g_prime(s) ** 2 for s, wt in nodes)
     if abs(lhs) < 1e-300:
         return HardyReport(0.0, 0.0)
-    return HardyReport(float(lhs), float(rhs))
+    return HardyReport(lhs, rhs)

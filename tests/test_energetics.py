@@ -326,6 +326,19 @@ def test_duhamel_zero_at_t0(duhamel_pairs):
     assert rem["remainder"][0] == 0.0
 
 
+def test_duhamel_remainder_equals_the_per_snapshot_loop(duhamel_pairs):
+    # the one zero_norm_rows pass against zero_norm on each snapshot, bit for bit
+    for delta, out in duhamel_pairs.items():
+        record, mode, rem = out["record"], out["mode"], out["remainder"]
+        amp = delta * np.exp(mode.rate * rem["t"])
+        loop = [
+            ps.zero_norm(zn - a * mode.phi0, vn - (a * mode.rate) * mode.phi0, record.profile)
+            for a, (zn, vn) in zip(amp.tolist(), record.snapshots)
+        ]
+        assert len(loop) > 1
+        assert np.array_equal(rem["remainder"], loop)
+
+
 def test_duhamel_ratio_bounded(duhamel_pairs):
     for delta, out in duhamel_pairs.items():
         rem = out["remainder"]
@@ -484,9 +497,17 @@ def test_hardy_trace_polynomial_case():
     assert rep.ratio == pytest.approx(1.0, rel=1e-8)
 
 
+def test_hardy_trace_sqrt_closed_form():
+    # g = sqrt(s), k = 1/2: lhs = int s^(-1/2) = 2, rhs = int s^(1/2) / (4 s) = 1/2;
+    # math.sqrt takes only scalars
+    rep = hardy_trace_check(math.sqrt, 0.5, lambda s: 0.5 / math.sqrt(s))
+    assert rep.lhs == pytest.approx(2.0, rel=1e-12)
+    assert rep.rhs == pytest.approx(0.5, rel=1e-12)
+
+
 def test_hardy_trace_exponent_guard():
     with pytest.raises(ExponentOutOfRange):
-        hardy_trace_check(lambda s: s, k=1.5)
+        hardy_trace_check(lambda s: s, k=1.5, g_prime=lambda s: 1.0)
 
 
 def test_linear_run_energy_growth(profile13, mode13):

@@ -78,6 +78,9 @@ BAD_TYPED_CONFIGS = [
     {"mesh": {"n_nodes": 32}},
     {"mesh": {"n_nodes": 63}},
     {"experiment": {"deltas": 1e-3}},
+    # a ladder or sweep of no runs
+    {"experiment": {"deltas": []}},
+    {"experiment": {"gammas": []}},
     {"sim": {"record_every": 0}},
     {"polytrope": {"gamma": "1.3"}},
     {"sim": {"t_end": True}},

@@ -302,9 +302,7 @@ _PRINT_SCIPY = "print(sorted(m for m in sys.modules if m == 'scipy' or m.startsw
 
 
 def test_import_loads_no_scipy_integrate():
-    # the Lane-Emden solve and the eigen solve are in-package; scipy loads
-    # lazily only in hardy_trace_check (quad, CubicSpline), which only the
-    # tests call
+    # the Lane-Emden solve and the eigen solve are in-package
     code = (
         "import sys\n"
         "import polystar\n"
@@ -326,6 +324,37 @@ def test_check_loads_no_scipy(tmp_path):
     out = _run_fresh(code)
     assert out.stdout.strip().splitlines()[-2:] == ["0", "[]"], out.stdout + out.stderr
     assert (tmp_path / "hardy.csv").exists()
+
+
+def test_package_runs_without_scipy(tmp_path):
+    # an import of any scipy module raises ImportError in this interpreter
+    (tmp_path / "evolve.json").write_text('{"sim": {"t_end": 0.5}}')
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import math\n"
+        "from polystar import cli\n"
+        "from polystar.energetics import hardy_trace_check\n"
+        f"check = cli.main(['check', '--nodes', '256', '--out', {str(tmp_path / 'check')!r}])\n"
+        f"evolve = cli.main(['evolve', '--nodes', '256', '--config', {str(tmp_path / 'evolve.json')!r},"
+        f" '--out', {str(tmp_path / 'evolve')!r}])\n"
+        "rep = hardy_trace_check(math.sqrt, 0.5, lambda s: 0.5 / math.sqrt(s))\n"
+        "print(check, evolve, rep.lhs)\n"
+    )
+    out = _run_fresh(code)
+    check, evolve, lhs = out.stdout.strip().splitlines()[-1].split()
+    assert (check, evolve) == ("0", "0"), out.stdout + out.stderr
+    assert float(lhs) == pytest.approx(2.0, rel=1e-12)
+    assert (tmp_path / "evolve" / "energies.json").exists()
+
+
+def test_scipy_is_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert not [d for d in project["dependencies"] if d.startswith("scipy")]
+    assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])
 
 
 def test_nonmonotone_detection(profile13):
