@@ -17,6 +17,9 @@ or empty:
                    report does not follow the snapshot cadence
     instability    instability, the benchmark's ladder config
                    (perfbench.workloads)
+    instability_delta
+                   instability, the same config and --delta set to its
+                   last delta: the ladder of that delta alone
     sweep          sweep, the benchmark's sweep config
 
 and prints one `sha256  path` line per emitted file (paths relative to
@@ -44,24 +47,28 @@ from perfbench import workloads  # noqa: E402
 
 
 def commands(seed: int) -> list:
-    """(subdirectory, subcommand, config document or None) of every run."""
+    """(subdirectory, subcommand, config document or None, extra CLI
+    flags) of every run."""
     every3 = {"sim": {"t_end": 2.0, "record_every": 3, "snapshot_every": 4}}
+    ladder = workloads.ladder_config(seed)
+    last_delta = repr(ladder["experiment"]["deltas"][-1])
     return [
-        ("profile", "profile", None),
-        ("mode", "mode", None),
-        ("check", "check", None),
-        ("evolve", "evolve", {"sim": {"t_end": 2.0}}),
-        ("evolve_every3", "evolve", every3),
-        ("evolve_snap0", "evolve", {"sim": {"t_end": 2.0, "snapshot_every": 0}}),
-        ("instability", "instability", workloads.ladder_config(seed)),
-        ("sweep", "sweep", workloads.sweep_config(seed)),
+        ("profile", "profile", None, []),
+        ("mode", "mode", None, []),
+        ("check", "check", None, []),
+        ("evolve", "evolve", {"sim": {"t_end": 2.0}}, []),
+        ("evolve_every3", "evolve", every3, []),
+        ("evolve_snap0", "evolve", {"sim": {"t_end": 2.0, "snapshot_every": 0}}, []),
+        ("instability", "instability", ladder, []),
+        ("instability_delta", "instability", ladder, ["--delta", last_delta]),
+        ("sweep", "sweep", workloads.sweep_config(seed), []),
     ]
 
 
-def run(name: str, command: str, config: dict | None, out_dir: str) -> int:
+def run(name: str, command: str, config: dict | None, flags: list, out_dir: str) -> int:
     from polystar.cli import main
 
-    argv = [command, "--out", os.path.join(out_dir, name)]
+    argv = [command, "--out", os.path.join(out_dir, name), *flags]
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         if config is not None:
             path = os.path.join(tmp, "config.json")
@@ -90,8 +97,8 @@ def main(argv=None) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     if os.listdir(args.out_dir):
         ap.error(f"{args.out_dir} is not empty")
-    for name, command, config in commands(args.seed):
-        print(f"# exit {run(name, command, config, args.out_dir)}  {name}")
+    for name, command, config, flags in commands(args.seed):
+        print(f"# exit {run(name, command, config, flags, args.out_dir)}  {name}")
     print("\n".join(digests(args.out_dir)))
     return 0
 

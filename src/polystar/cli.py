@@ -49,6 +49,10 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         if value is not None:
             part = dataclasses.replace(getattr(cfg, section), **{name: value})
             cfg = dataclasses.replace(cfg, **{section: part})
+    # on instability, --delta D runs the ladder of D alone
+    if args.command == "instability" and args.delta is not None:
+        exp = dataclasses.replace(cfg.experiment, deltas=(args.delta,))
+        cfg = dataclasses.replace(cfg, experiment=exp)
     out_dir = args.out or os.environ.get("POLYSTAR_OUT") or cfg.output_dir
     return dataclasses.replace(cfg, output_dir=out_dir)
 
@@ -87,15 +91,13 @@ def main(argv=None) -> int:
             print(f"evolve status={record.status} samples={len(record.times)} -> {out}")
 
         elif args.command == "instability":
-            deltas = (args.delta,) if args.delta is not None else cfg.experiment.deltas
             results = []
-            for result in experiments.instability_ladder(cfg, deltas):
+            for result in experiments.instability_ladder(cfg):
                 delta = result["delta"]
                 tag = delta_tag(delta)
                 experiments.emit_run(result["record"], cfg, out, tag=tag)
                 experiments.emit_fit(result["fit"], cfg, out, tag=tag)
-                if "remainder" in result:
-                    experiments.emit_remainder(result["remainder"], out, tag=tag)
+                experiments.emit_remainder(result["remainder"], out, tag=tag)
                 results.append(result)
                 fit = result["fit"]
                 print(
@@ -121,7 +123,7 @@ def main(argv=None) -> int:
                 return 4
             print(f"all checks pass (config {config_hash(cfg)})")
 
-    except ValueError as exc:
+    except (ValueError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except PolystarError as exc:

@@ -96,7 +96,6 @@ class ExperimentSection:
     jmax: int = 2
     seed: int = 20240802
     delta: float = 1e-4
-    pair_linear: bool = True
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -145,7 +144,6 @@ _TYPE_CHECKS = {
     "float | None": lambda v: v is None or _is_number(v),
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
-    "bool": lambda v: isinstance(v, bool),
     "tuple": lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
 }
 

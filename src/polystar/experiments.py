@@ -21,7 +21,7 @@ import numpy as np
 
 from . import energetics, evolution, polytrope, spectral
 from .config import ExperimentConfig, config_hash
-from .errors import PolystarError, RateUnavailable, StatePastVacuumCollapse
+from .errors import ConfigError, PolystarError, RateUnavailable, StatePastVacuumCollapse
 from .io_utils import csv_template, write_csv, write_json
 
 
@@ -375,53 +375,59 @@ def growing_mode_member(profile, mode, delta: float, cfg: ExperimentConfig) -> M
 
 
 def run_instability_experiment(cfg: ExperimentConfig, delta: float | None = None) -> dict:
-    """Growing-mode seeded nonlinear run with growth fit; optionally the
-    remainder against the linear approximate solution (duhamel_remainder).
+    """Growing-mode seeded nonlinear run with growth fit and the remainder
+    against the linear approximate solution (duhamel_remainder): the one
+    result of the ladder of delta alone (default cfg.experiment.delta).
 
     The run continues past the theta0 crossing up to 2*theta0, where the
     linear-envelope prediction ln(2 theta0/delta)/sqrt(mu0) applies.
     """
     delta = cfg.experiment.delta if delta is None else delta
-    return next(instability_ladder(cfg, (delta,)))
+    one = replace(cfg, experiment=replace(cfg.experiment, deltas=(delta,)))
+    return next(instability_ladder(one))
 
 
-def instability_ladder(cfg: ExperimentConfig, deltas=None) -> Iterator[dict]:
-    """Yield run_instability_experiment(cfg, delta) for each delta (by
-    default cfg.experiment.deltas), in order, from one batch of the
-    nonlinear runs of every delta (evolve_batch; the deltas share one
-    profile).
+def instability_ladder(cfg: ExperimentConfig) -> Iterator[dict]:
+    """Yield the run, growth fit and remainder of each delta of
+    cfg.experiment.deltas, in order, from one batch of the nonlinear runs
+    of every delta (evolve_batch; the deltas share one profile).
 
-    The checks that do not depend on the run (gamma in the unstable range,
-    every delta below theta0, a positive mu0) raise before the first
-    result.  A delta whose run, fit or remainder fails raises when its
-    turn comes, after the earlier deltas' results were yielded.
+    The checks that do not depend on the run raise before the first
+    result: gamma outside the unstable range (RateUnavailable), a delta
+    at or above theta0 (ConfigError: its fit window is empty) and a mu0
+    that is not positive (RateUnavailable).  A delta whose run, fit or
+    remainder fails raises when its turn comes, after the earlier deltas'
+    results were yielded.
     """
     exp = cfg.experiment
-    deltas = exp.deltas if deltas is None else deltas
     theta0 = exp.theta0
     if cfg.polytrope.gamma >= 4.0 / 3.0:
         raise RateUnavailable(
             f"gamma={cfg.polytrope.gamma} outside the unstable range (6/5, 4/3)"
         )
-    for delta in deltas:
+    for delta in exp.deltas:
         if delta >= theta0:
-            raise PolystarError(
-                f"delta={delta} must be well below theta0={theta0} (linear window empty)"
+            raise ConfigError(
+                f"experiment.deltas: delta={delta} must be well below theta0={theta0} "
+                "(linear window empty)"
             )
     profile = build_profile(cfg)
     mode = build_mode(profile, cfg.eig.eig_tol)
     if mode.mu0 <= 0:
         raise RateUnavailable(f"largest eigenvalue {mode.mu0} is not positive")
 
-    members = [growing_mode_member(profile, mode, delta, cfg) for delta in deltas]
-    for delta, record in zip(deltas, evolve_batch(members, cfg)):
+    members = [growing_mode_member(profile, mode, delta, cfg) for delta in exp.deltas]
+    for delta, record in zip(exp.deltas, evolve_batch(members, cfg)):
         if not isinstance(record, RunRecord):
             raise record
-        fit = energetics.growth_fit(record, delta, theta0)
-        out = {"record": record, "fit": fit, "mode": mode, "profile": profile, "delta": delta}
-        if exp.pair_linear:
-            out["remainder"] = energetics.duhamel_remainder(record, mode, delta)
-        yield out
+        yield {
+            "record": record,
+            "fit": energetics.growth_fit(record, delta, theta0),
+            "remainder": energetics.duhamel_remainder(record, mode, delta),
+            "mode": mode,
+            "profile": profile,
+            "delta": delta,
+        }
 
 
 def sweep(cfg: ExperimentConfig) -> list:
@@ -793,9 +799,7 @@ def emit_instability_summary(results: list, cfg: ExperimentConfig, out_dir: str)
                     "delta_from": a["delta"],
                     "delta_to": b["delta"],
                     "escape_step": b["escape_time"] - a["escape_time"],
-                    "predicted_step": math.log(a["delta"] / b["delta"]) / rate
-                    if rate > 0
-                    else None,
+                    "predicted_step": math.log(a["delta"] / b["delta"]) / rate,
                 }
             )
     _write_document(

@@ -81,6 +81,14 @@ class PolytropeConfig:
         check_gamma(self.gamma)
         if self.K is not None and not self.K > 0:
             raise ConfigError("entropy constant K must be positive")
+        try:
+            c = self.c_frak
+        except (OverflowError, ZeroDivisionError):
+            c = math.nan
+        if not (math.isfinite(c) and c > 0):
+            raise ConfigError(
+                f"K={self.K} at gamma={self.gamma}: K^alpha leaves the float range"
+            )
         if not (math.isfinite(self.ode_rel_tol) and self.ode_rel_tol >= MIN_REL_TOL):
             raise ConfigError(f"ode_rel_tol must be finite and >= 100 eps = {MIN_REL_TOL:.3g}")
         if not (math.isfinite(self.ode_abs_tol) and self.ode_abs_tol >= 0):
@@ -384,7 +392,9 @@ def _composite_grid(R: float, n_nodes: int, grading: float) -> np.ndarray:
         raise ValueError("n_nodes too small for the composite mesh")
     body = np.linspace(0.0, 0.9 * R, n_u, endpoint=False)
     rho = grading ** (1.0 / (n_g - 1))
-    h0 = 0.1 * R * (1.0 - rho) / (1.0 - rho**n_g)
+    # rho 1 (grading 1, or one whose root rounds to 1): uniform cells, where
+    # the geometric sum below would divide 0 by 0
+    h0 = 0.1 * R / n_g if rho == 1.0 else 0.1 * R * (1.0 - rho) / (1.0 - rho**n_g)
     edge = 0.9 * R + np.concatenate([[0.0], np.cumsum(h0 * rho ** np.arange(n_g))])
     edge[-1] = R
     grid = np.concatenate([body, edge])

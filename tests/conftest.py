@@ -71,7 +71,7 @@ def insta13():
     import time
 
     t0 = time.perf_counter()
-    cfg = make_config(kind="instability", deltas=(1e-3, 1e-4, 1e-5), pair_linear=False)
+    cfg = make_config(kind="instability", deltas=(1e-3, 1e-4, 1e-5))
     out = {res["delta"]: res for res in ps.instability_ladder(cfg)}
     out["elapsed"] = time.perf_counter() - t0
     return out
@@ -82,7 +82,7 @@ def duhamel_pairs():
     """Nonlinear growing-mode runs on the doubled mesh for the remainder
     study, marched as one batch; each remainder compares its run with the
     closed-form linear solution delta e^(rate t) phi0."""
-    cfg = make_config(n_nodes=2048, kind="instability", deltas=(1e-3, 1e-4), pair_linear=True)
+    cfg = make_config(n_nodes=2048, kind="instability", deltas=(1e-3, 1e-4))
     return {res["delta"]: res for res in ps.instability_ladder(cfg)}
 
 

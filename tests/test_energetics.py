@@ -311,7 +311,7 @@ def test_duhamel_closed_form_matches_rk4_linear_reference():
     # the closed form delta e^(rate t) (phi0, rate phi0) stands in for an
     # RK4 linear run on the growing mode; measured gap of the remainder
     # after t = 0 at N = 256: 1.9e-9 (delta 1e-3) and 2.2e-9 (1e-4)
-    cfg = make_config(n_nodes=256, kind="instability", deltas=(1e-3, 1e-4), pair_linear=True)
+    cfg = make_config(n_nodes=256, kind="instability", deltas=(1e-3, 1e-4))
     for out in ps.instability_ladder(cfg):
         record, rem = out["record"], out["remainder"]
         reference = _rk4_linear_remainder(record, out["mode"], out["delta"], cfg.sim)

@@ -42,7 +42,7 @@ def test_config_defaults_roundtrip():
 def test_config_identity_pinned():
     # every output file embeds this hash; it must not move with refactors
     cfg = ExperimentConfig()
-    assert config_hash(cfg) == "32c59e9da0f7669a"
+    assert config_hash(cfg) == "2f4c7a8556645c3d"
     doc = json.loads(canonical_json(cfg))
     assert sorted(doc["sim"]) == [
         "dt_cfl",
@@ -122,6 +122,9 @@ BAD_TYPED_CONFIGS = [
     {"polytrope": {"series_radius": float("nan")}},
     # numpy's generator takes no negative seed
     {"experiment": {"seed": -1}},
+    # K^alpha beyond the float range: c_frak overflows or divides by zero
+    {"mesh": {"n_nodes": 64}, "polytrope": {"gamma": 1.3, "K": 1e300}},
+    {"mesh": {"n_nodes": 64}, "polytrope": {"gamma": 1.3, "K": 1e-300}},
 ]
 
 
@@ -640,8 +643,8 @@ def test_evolve_batch_first_sample_collapse_is_the_members_error(run128, ladder1
 def test_instability_ladder_equals_solo_runs():
     # the batched ladder against one run_instability_experiment per delta:
     # records, fit and remainder
-    cfg = make_config(n_nodes=256, kind="instability", deltas=(1e-3, 1e-4), pair_linear=True)
-    ladder = list(ps.instability_ladder(cfg, cfg.experiment.deltas))
+    cfg = make_config(n_nodes=256, kind="instability", deltas=(1e-3, 1e-4))
+    ladder = list(ps.instability_ladder(cfg))
     assert [out["delta"] for out in ladder] == [1e-3, 1e-4]
     for out in ladder:
         solo = ps.run_instability_experiment(cfg, delta=out["delta"])
@@ -656,7 +659,7 @@ def test_thinner_snapshots_are_every_kth_of_the_denser():
     # snapshot_every 64 keeps every 4th snapshot of snapshot_every 16, bit
     # for bit, and the remainder rows at those times; the series and the
     # fit read every sample and do not move
-    cfg = make_config(n_nodes=256, kind="instability", deltas=(1e-3, 1e-4), pair_linear=True)
+    cfg = make_config(n_nodes=256, kind="instability", deltas=(1e-3, 1e-4))
     assert cfg.sim.snapshot_every == 64
     dense = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, snapshot_every=16))
     for thin, full in zip(ps.instability_ladder(cfg), ps.instability_ladder(dense)):
@@ -733,6 +736,17 @@ def test_delta_with_an_empty_fit_window_keeps_its_exit_code(tmp_path, monkeypatc
     code, _ = _run_cli(["instability", "--nodes", "256", "--delta", "2e-3"], tmp_path, monkeypatch)
     assert code == 3
     assert "WindowTooSmall" in capsys.readouterr().err
+
+
+def test_delta_at_or_above_theta0_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # the linear window is empty: rejected before the profile solve
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "build_profile", None)
+        code, _ = _run_cli(
+            ["instability", "--nodes", "256", "--delta", "2e-2"], tmp_path, monkeypatch
+        )
+    assert code == 2
+    assert "theta0" in capsys.readouterr().err
 
 
 def test_check_battery_passes():
@@ -1060,7 +1074,29 @@ def test_cli_instability_emission(tmp_path, monkeypatch):
     assert len(summary["runs"]) == 1
     tag = delta_tag(1e-3)
     names = ["instability_summary.json", f"{tag}_run.json", f"{tag}_fit.json"]
-    _assert_documents(out, names, make_config(256, delta=1e-3))
+    _assert_documents(out, names, make_config(256, delta=1e-3, deltas=(1e-3,)))
+
+
+def test_cli_instability_delta_flag_is_its_config_document(tmp_path, monkeypatch):
+    # --delta D on instability is the ladder of D alone: the same experiment,
+    # hash and bytes as the document that says so, and not the default ladder
+    code, flag = _run_cli(
+        ["instability", "--nodes", "256", "--delta", "1e-4"], tmp_path, monkeypatch, "flag"
+    )
+    assert code == 0
+    cfgfile = tmp_path / "one.json"
+    cfgfile.write_text(
+        json.dumps({"mesh": {"n_nodes": 256}, "experiment": {"delta": 1e-4, "deltas": [1e-4]}})
+    )
+    code, doc = _run_cli(["instability", "--config", str(cfgfile)], tmp_path, monkeypatch, "doc")
+    assert code == 0
+    names = sorted(os.listdir(flag))
+    assert names == sorted(os.listdir(doc))
+    for name in names:
+        assert (flag / name).read_bytes() == (doc / name).read_bytes(), name
+    chash = json.loads((flag / "instability_summary.json").read_text())["config_hash"]
+    assert chash == config_hash(make_config(256, delta=1e-4, deltas=(1e-4,)))
+    assert chash != config_hash(make_config(256))
 
 
 def _assert_documents(out, names, cfg):
@@ -1082,7 +1118,6 @@ def test_cli_instability_ladder_summary(tmp_path, monkeypatch):
                 "experiment": {
                     "kind": "instability",
                     "deltas": [1e-3, 1e-4],
-                    "pair_linear": False,
                 },
             }
         )

@@ -16,7 +16,7 @@ from scipy.integrate._ivp import dop853_coefficients
 from scipy.optimize import brentq
 
 import polystar as ps
-from polystar import _dop853
+from polystar import _dop853, cli
 from polystar.errors import (
     InsufficientResolution,
     NonMonotone,
@@ -292,9 +292,10 @@ def _run_fresh(code: str):
     src = os.path.dirname(os.path.dirname(ps.__file__))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        [sys.executable, "-c", code], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+    assert out.returncode == 0, out.stderr
     return out
 
 
@@ -371,6 +372,22 @@ def test_grid_structure(profile13):
     assert np.all(np.diff(r) > 0)
     assert np.count_nonzero(profile13.w < 0.1) >= 64
     assert profile13.series_radius < 0.01 * profile13.R
+
+
+def test_grading_one_gives_a_uniform_boundary_layer(tmp_path):
+    # rho = 1 would make the geometric cell width 0/0
+    from polystar.polytrope import _composite_grid
+
+    for n_nodes in (64, 256, 1024):
+        grid = _composite_grid(8.0, n_nodes, 1.0)
+        layer = np.diff(grid[grid >= 0.9 * 8.0])
+        assert layer == pytest.approx(np.full(layer.size, layer[0]), rel=1e-12)
+        assert grid[-1] == 8.0 and np.all(np.diff(grid) > 0)
+    (tmp_path / "uniform.json").write_text('{"mesh": {"n_nodes": 256, "grading": 1.0}}')
+    code = cli.main(
+        ["profile", "--config", str(tmp_path / "uniform.json"), "--out", str(tmp_path / "out")]
+    )
+    assert code == 0
 
 
 def test_potential_coefficient_center_limit(profile13):
