@@ -4,16 +4,16 @@
     PYTHONPATH=src python3 scripts/count_kernel_calls.py --workloads [--seed S]
 
 For B = 1, 2 and 3 rows, it counts the two batched kernels as the
-batched time loop (experiments.evolve_batch) calls them, on its own
-buffers: B rows are a (3, B, N+1) state block [zeta, zeta_t, a(zeta)]
-on the FlatRows of the first B of the gammas 1.25, 1.3 and 1.32, stepped
-with an evolution.Stages of a (B, N+1) dt block, one row included.  The
-nonlinear_accel_rows row is one acceleration of the zeta rows into the
-acceleration rows; the step_rows row is one RK4 step with four
-accelerations: evolution.step_rows into a spare block of the state's
-shape, then the new zeta's acceleration into that block.  The state and
-spare blocks, and the FlatRows scratch and Stages buffers (built while
-counting, and not counted), are wrapped in an ndarray subclass whose
+batched time loop (experiments.evolve_batch) calls them: through the
+loop's own experiments._Batch of B runs, on the profiles of the first B
+of the gammas 1.25, 1.3 and 1.32, each at dt 1e-3, one row included.
+The nonlinear_accel_rows row is one acceleration of the state's zeta
+rows into its acceleration rows (_Batch.accel); the step_rows row is
+one RK4 step with four accelerations (_Batch.step: evolution.step_rows
+into the spare block, then the new zeta's acceleration into that
+block).  The runs' initial data, and so the state and spare blocks, and
+the FlatRows scratch, Stages and chunk buffers (the batch is built while
+counting, and that is not counted), are in an ndarray subclass whose
 __array_ufunc__ and __array_function__ count, and every array the
 kernels derive from them or allocate with np.empty or np.zeros stays in
 that subclass.  It prints, per kernel and B:
@@ -23,10 +23,14 @@ that subclass.  It prints, per kernel and B:
     new      arrays those calls allocate
     strided  operands with more than one row that are not C-contiguous,
              each costing numpy's strided iterator set-up
+    views    arrays the kernels derive from the counted buffers by
+             slicing or reshaping (counted in __array_finalize__; a ufunc
+             result written into out is not one), each a Python object
+             numpy builds on the call
 
-Indexing, item access and assignment into slices are not counted.  The
-perfbench tracer times named Python functions and cannot see inside a
-kernel; this is the layer below it.
+Indexing, item access and assignment into slices are not counted as
+calls.  The perfbench tracer times named Python functions and cannot see
+inside a kernel; this is the layer below it.
 
 --workloads runs the perfbench ladder, sweep and check workloads once
 each at --seed (perfbench/workloads.py: its config, the CLI in-process
@@ -57,6 +61,7 @@ import numpy as np
 
 GAMMAS = (1.25, 1.3, 1.32)
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+KERNEL_COLUMNS = ("calls", "new", "strided", "views")
 WORKLOAD_NAMES = ("ladder", "sweep", "check")
 WORKLOAD_COLUMNS = ("steps", "row_steps", "accel_calls", "accel_rows", "failed")
 
@@ -65,6 +70,12 @@ class Counted(np.ndarray):
     """An ndarray that counts the numpy calls made on it while counting."""
 
     counts = None  # a Counter while counting, else None
+
+    def __array_finalize__(self, obj):
+        # a view derived from a counted array; _wrap's views of plain
+        # results are not
+        if Counted.counts is not None and isinstance(obj, Counted):
+            Counted.counts["views"] += 1
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
         args = [_plain(x) for x in inputs]
@@ -152,37 +163,33 @@ def counting():
 
 
 def measure(n_nodes: int) -> list:
-    """(kernel, B, calls, new, strided) rows."""
-    from polystar import evolution, polytrope
+    """(kernel, B, calls, new, strided, views) rows."""
+    from polystar import evolution, experiments, polytrope
+    from polystar.config import ExperimentConfig
 
+    cfg = ExperimentConfig()
     profiles = [
         polytrope.solve_lane_emden(polytrope.PolytropeConfig(gamma=g), n_nodes) for g in GAMMAS
     ]
+    r = profiles[0].grid / profiles[0].R
     rows = []
     for B in (1, 2, 3):
-        r = profiles[0].grid / profiles[0].R
-        block = np.stack([1e-4 * (b + 1) * (1.0 - r * r) for b in range(B)])
-        state = np.stack([block, 0.5 * block, block]).view(Counted)
-        spare = np.empty_like(state)
+        members = []
+        for b, profile in enumerate(profiles[:B]):
+            z = (1e-4 * (b + 1) * (1.0 - r * r)).view(Counted)
+            initial = evolution.PerturbationState(0.0, z, 0.5 * z)
+            members.append(experiments.Member(profile, initial, 0.0, dt=1e-3))
         with counting():
-            flat = polytrope.FlatRows.build([p.discretization for p in profiles[:B]])
-            stages = evolution.Stages(np.full(block.shape, 1e-3).view(Counted), block.shape)
-
-        def accel(z, out, flat=flat):
-            evolution.nonlinear_accel_rows(z, flat, out)
-
-        def step(state=state, spare=spare, stages=stages, accel=accel):
-            evolution.step_rows(state, stages, accel, spare[:2])
-            accel(spare[0], spare[2])
-
+            runs = [experiments._Run(m, cfg) for m in members]
+            batch = experiments._Batch(runs, [m.initial for m in members], cfg.sim)
         kernels = (
-            ("nonlinear_accel_rows", lambda: accel(state[0], state[2])),
-            ("step_rows", step),
+            ("nonlinear_accel_rows", lambda batch=batch: batch.accel(batch.current.accel)),
+            ("step_rows", batch.step),
         )
         for name, run in kernels:
             with counting() as counts:
                 run()
-            rows.append((name, B, counts["calls"], counts["new"], counts["strided"]))
+            rows.append((name, B, *(counts[c] for c in KERNEL_COLUMNS)))
     return rows
 
 
@@ -247,9 +254,9 @@ def main(argv=None) -> int:
         for name, counts in measure_workloads(args.seed).items():
             print(f"{name:<10}" + "".join(f"{counts[c]:>13}" for c in WORKLOAD_COLUMNS))
         return 0
-    print(f"{'kernel':<22}{'B':>3}{'calls':>7}{'new':>6}{'strided':>9}")
-    for name, B, calls, new, strided in measure(args.nodes):
-        print(f"{name:<22}{B:>3}{calls:>7}{new:>6}{strided:>9}")
+    print(f"{'kernel':<22}{'B':>3}" + "".join(f"{c:>9}" for c in KERNEL_COLUMNS))
+    for name, B, *counts in measure(args.nodes):
+        print(f"{name:<22}{B:>3}" + "".join(f"{c:>9}" for c in counts))
     return 0
 
 

@@ -29,6 +29,7 @@ from .evolution import (
     accel_time_derivative,
     cell_jacobian_minus_one,
     smallness_monitor,
+    x_weighted_squares,
 )
 from .polytrope import _GAUSS_U, _GAUSS_W, Discretization, LaneEmdenProfile, trapezoid_weights
 
@@ -91,12 +92,21 @@ def zero_norm(
     return norm
 
 
-def zero_norm_rows(zeta: np.ndarray, zeta_t: np.ndarray, disc: Discretization) -> list:
+def zero_norm_rows(
+    zeta: np.ndarray,
+    zeta_t: np.ndarray,
+    disc: Discretization,
+    zeta_t_sq: np.ndarray | None = None,
+) -> list:
     """zero_norm over the trailing axis, as a list of Python floats (one
     for a 1-D state).  The norms are squared as Python floats, whose pow
-    can differ from numpy's x * x in the last bit."""
+    can differ from numpy's x * x in the last bit.  zeta_t_sq, when given,
+    is evolution.x_weighted_squares(zeta_t, disc), which energy_rows
+    shares."""
     x = _norm_X_rows(zeta, disc.xweight)
-    xt = _norm_X_rows(zeta_t, disc.xweight)
+    if zeta_t_sq is None:
+        zeta_t_sq = x_weighted_squares(zeta_t, disc)
+    xt = np.sqrt(zeta_t_sq)
     y = _norm_Y_rows(zeta, disc, disc.yweight)
     return [
         math.sqrt(a**2 + b**2 + c**2)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StatePastVacuumCollapse
-from .polytrope import Discretization, FlatRows, LaneEmdenProfile
+from .polytrope import Discretization, FlatRows, FlatViews, LaneEmdenProfile
 
 _EPS_FLOOR = 1e-14  # used only inside the dt formula
 
@@ -126,19 +126,22 @@ def cell_jacobian_minus_one(
     disc: Discretization | FlatRows,
     out: np.ndarray | None = None,
     r3u: np.ndarray | None = None,
+    shifted: tuple | None = None,
 ) -> np.ndarray:
     """Conservative J - 1 = 3 [r^3 u] / [r^3] at half nodes, exact for
     constant zeta; over the trailing axis, so a (K, N+1) block gives K
     rows.  With disc a FlatRows, zeta is a flat block and the result its
     flat cells.  The result goes into out when given; r3u, when given, is
-    an array of zeta's shape that holds r^3 u meanwhile."""
+    an array of zeta's shape that holds r^3 u meanwhile, and shifted, when
+    given, is its pair (r3u[..., 1:], r3u[..., :-1])."""
     # r^3 u = ((r^3/3 zeta + r^3) zeta + r^3) zeta, u = zeta + zeta^2 + zeta^3/3
     p = np.multiply(disc.r3_third, zeta, out=r3u)
     p += disc.r3
     p *= zeta
     p += disc.r3
     p *= zeta
-    out = np.subtract(p[..., 1:], p[..., :-1], out=out)
+    hi, lo = (p[..., 1:], p[..., :-1]) if shifted is None else shifted
+    out = np.subtract(hi, lo, out=out)
     out *= disc.three_over_d3
     return out
 
@@ -149,7 +152,10 @@ def nonlinear_accel(state: PerturbationState, profile: LaneEmdenProfile) -> np.n
 
 
 def nonlinear_accel_rows(
-    zeta: np.ndarray, flat: FlatRows, out: np.ndarray | None = None
+    zeta: np.ndarray,
+    flat: FlatRows,
+    out: np.ndarray | None = None,
+    views: FlatViews | None = None,
 ) -> np.ndarray:
     """nonlinear_accel over the trailing axis: a (B, N+1) block gives B
     rows, each equal to the 1-D value bit for bit.  flat lays out the
@@ -157,8 +163,11 @@ def nonlinear_accel_rows(
 
     The result goes into out, a C-contiguous array of zeta's shape that
     shares no memory with zeta, when given; otherwise into a new array,
-    which no later call writes.  Between the two, the kernel allocates
-    nothing: it works in flat.scratch and in out.
+    which no later call writes.  views, when given, is flat.views(zeta,
+    out), prepared by a caller that evaluates the same C-contiguous pair
+    many times (evolve_batch: once per block layout); the kernel then
+    derives no array from zeta, out or flat.scratch.  Between the two,
+    the kernel allocates nothing: it works in flat.scratch and in out.
 
     The block is one flat vector of B(N+1) nodes, so that each stencil
     operation is one contiguous call whatever B is; the entries across a
@@ -166,59 +175,53 @@ def nonlinear_accel_rows(
     Both collapse checks are one reduction over the whole block; when it
     fires, StatePastVacuumCollapse.rows names the rows that failed the
     first check that fails.  The endpoint values are computed row by row
-    from Python floats; an overflow there falls back to numpy scalars,
-    which give inf as the 1-D form always did."""
+    from Python floats, at the flat nodes that flat.ends lists; an
+    overflow there falls back to numpy scalars, which give inf as the 1-D
+    form always did."""
+    if views is None:
+        views = flat.views(zeta, np.empty(zeta.shape) if out is None else out)
     N = flat.N
-    zf = zeta.reshape(-1)
-    M = zf.size
-    a = np.empty(zeta.shape) if out is None else out
-    if not a.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
-    af = a.reshape(-1)
+    zf, af = views.zeta_flat, views.out_flat
     # [zeta of every node | J - 1 of the M-1 flat cells | one spare slot];
     # af holds r^3 u until the interior overwrites it
-    buf = flat.scratch
-    buf[:M] = zf
-    cells = buf[M : 2 * M - 1]
-    cell_jacobian_minus_one(zf, flat, out=cells, r3u=af)
+    flat.nodes[...] = zf
+    cell_jacobian_minus_one(zf, flat, out=flat.cells, r3u=af, shifted=views.shifted)
     # zeta <= -1 exactly when 1 + zeta <= 0 (the sum is exact on [-2, -1/2]);
     # fmin skips NaN, which fails no check, and the junk cells are NaN
-    if np.fmin.reduce(buf[: 2 * M - 1]) <= -1.0:
-        _raise_collapse(zf, buf[M:].reshape(-1, N + 1)[:, :N], N)
+    if np.fmin.reduce(flat.checked) <= -1.0:
+        _raise_collapse(zf, flat.scratch[zf.size :].reshape(-1, N + 1)[:, :N], N)
     # minus the interior source, -[(1+zeta)^(-4) - 1] Phi, and the pressure
     # flux w^(1+alpha) (J^(-gt) - 1), cancellation-free, in one pass over
     # [zeta at nodes 1..M-1 | J - 1 of the cells]
-    x = buf[1 : 2 * M - 1]
+    x = flat.powered
     np.log1p(x, out=x)
     x *= flat.exponent
     np.expm1(x, out=x)
     x *= flat.weight
-    source, flux = buf[1 : M - 1], cells
     # interior -(1+zeta)^2 (flux difference / (dr w^alpha r) + source),
     # the sign in flux_coef and weight, written into the flat interior of a
-    ai = af[1 : M - 1]
-    np.subtract(flux[1:], flux[:-1], out=ai)
+    ai = views.interior
+    np.subtract(flat.flux_hi, flat.flux_lo, out=ai)
     ai *= flat.flux_coef
-    ai += source
-    xi2 = np.add(zf[1 : M - 1], 1.0, out=source)
+    ai += flat.source
+    xi2 = np.add(views.zeta_interior, 1.0, out=flat.source)
     np.multiply(xi2, xi2, out=xi2)
     ai *= xi2
     collapsed = []
-    k = 0
-    for b, scalars in enumerate(flat.edges):
-        values = (af.item(k + 1), af.item(k + 2), zf.item(k + N - 1), zf.item(k + N), *scalars)
+    for b, (k, kN, origin_coef, gt, h_N, r_N, phi_N) in enumerate(flat.ends):
+        a1, a2, z_prev, z_N = af.item(k + 1), af.item(k + 2), zf.item(kN - 1), zf.item(kN)
         try:
-            ends = _endpoint_values(*values)
+            ends = _endpoint_values(a1, a2, z_prev, z_N, origin_coef, gt, h_N, r_N, phi_N)
         except OverflowError:
+            values = (a1, a2, z_prev, z_N, origin_coef, gt, h_N, r_N, phi_N)
             ends = _endpoint_values(*map(np.float64, values))
         if ends is None:
             collapsed.append(b)
         else:
-            af[k], af[k + N] = ends
-        k += N + 1
+            af[k], af[kN] = ends
     if collapsed:
         raise StatePastVacuumCollapse("boundary Jacobian J(R) <= 0", rows=collapsed)
-    return a
+    return views.out
 
 
 def _endpoint_values(a1, a2, z_prev, z_N, origin_coef, gt, h_N, r_N, phi_N):
@@ -317,12 +320,13 @@ def step(
     accel = linear_accel if config.linear else nonlinear_accel
     dt = config.dt if config.dt is not None else cfl_dt(state, profile, config)
     t, zt = state.t, state.zeta_t
+    stages = Stages(dt, zt.shape)
 
-    def rows(z, out):
-        out[...] = accel(PerturbationState(t, z, zt), profile)
+    def rows(i):
+        stages.accels[i][...] = accel(PerturbationState(t, stages.rows[i], zt), profile)
 
     block = np.stack([state.zeta, zt, accel(state, profile)])
-    step_rows(block, Stages(dt, zt.shape), rows, block[:2])
+    step_rows(block, stages, rows, block[:2])
     return PerturbationState(t=t + dt, zeta=block[0], zeta_t=block[1])
 
 
@@ -333,22 +337,37 @@ class Stages:
     an array of shape that holds each row's step along the row; the
     coefficients are then full (2, *shape) blocks, so that no product
     broadcasts.  A caller that steps one block many times builds one
-    Stages for it (evolve_batch: one per block layout)."""
+    Stages for it (evolve_batch: one per block layout).
+
+    The views of the stage blocks that step_rows and its accelerations
+    read and write are prepared here, once, per stage i: inputs[i] =
+    y[i][:2], the stage input, derivs[i] = y[i][1:], the stage derivative,
+    and rows[i] = y[i][0] and accels[i] = y[i][2], the zeta rows whose
+    acceleration goes into the acceleration rows."""
 
     def __init__(self, dt, shape: tuple):
         if np.ndim(dt):
             dt = np.stack([dt, dt])
         self.half, self.dt, self.sixth = 0.5 * dt, dt, dt / 6.0
         self.y = np.empty((3, 3, *shape))
+        self.inputs = tuple(y[:2] for y in self.y)
+        self.derivs = tuple(y[1:] for y in self.y)
+        self.rows = tuple(y[0] for y in self.y)
+        self.accels = tuple(y[2] for y in self.y)
 
 
-def step_rows(state: np.ndarray, stages: Stages, accel, out: np.ndarray) -> None:
+def step_rows(
+    state: np.ndarray, stages: Stages, accel, out: np.ndarray, views: tuple | None = None
+) -> None:
     """step over the trailing axis: one classical RK4 step of every row of
     state, a C-contiguous (3, ..., N+1) block [zeta, zeta_t, k1] with k1
     the acceleration of zeta.  (zeta, zeta_t) after the step go into out,
     a (2, ..., N+1) block, which may be state[:2].  stages holds the step
-    and the stage buffers; accel(y, a) writes the acceleration of the
-    zeta rows y into a, a stage buffer.
+    and the stage buffers; accel(i) writes the acceleration of the zeta
+    rows stages.rows[i] into stages.accels[i], for the stages i = 0, 1, 2.
+    views, when given, is (state[:2], state[1:]), prepared by a caller
+    that steps the same block many times (evolve_batch: once per block
+    layout); step_rows then derives no array.
 
     step_rows writes into stages.y and, by its last operation, into out,
     and allocates nothing; until that operation it only reads state, so
@@ -361,24 +380,25 @@ def step_rows(state: np.ndarray, stages: Stages, accel, out: np.ndarray) -> None
     S = state[:2], and the sum runs over both components at once, in the
     order of the classical form: (2 K2 + K1) + 2 K3 + K4, times sixth,
     plus S."""
-    S, K1 = state[:2], state[1:]
-    y2, y3, y4 = stages.y
-    np.multiply(stages.half, K1, out=y2[:2])
-    y2[:2] += S
-    accel(y2[0], y2[2])
-    np.multiply(stages.half, y2[1:], out=y3[:2])
-    y3[:2] += S
-    accel(y3[0], y3[2])
-    np.multiply(stages.dt, y3[1:], out=y4[:2])
-    y4[:2] += S
-    accel(y4[0], y4[2])
+    S, K1 = (state[:2], state[1:]) if views is None else views
+    y2, y3, y4 = stages.inputs
+    K2, K3, K4 = stages.derivs
+    np.multiply(stages.half, K1, out=y2)
+    y2 += S
+    accel(0)
+    np.multiply(stages.half, K2, out=y3)
+    y3 += S
+    accel(1)
+    np.multiply(stages.dt, K3, out=y4)
+    y4 += S
+    accel(2)
     # the sum goes into K2's place, 2 K3 into K3's
-    total, twice = y2[1:], y3[1:]
+    total, twice = K2, K3
     total *= 2.0
     total += K1
     twice *= 2.0
     total += twice
-    total += y4[1:]
+    total += K4
     total *= stages.sixth
     np.add(total, S, out=out)
 
@@ -387,28 +407,41 @@ def _pressure_energy_density(x: np.ndarray, alpha: float) -> np.ndarray:
     """alpha ((1+x)^(-1/alpha) - 1) + x, stable for small x.
 
     The direct form cancels catastrophically near x = 0; below 1e-2 the
-    binomial series (error < 1e-9 relative at the cutoff) is used.
+    binomial series (error < 1e-9 relative at the cutoff) is used.  When
+    every entry is below the cutoff, as in a small-amplitude run, the
+    series runs on x itself, without a masked gather and scatter.  The
+    cube is xs * xs * xs: numpy's pow is slow on negative bases.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-2
-    xs = x[small]
     ia = 1.0 / alpha
-    out[small] = (
-        (1.0 + ia)
-        * xs
-        * xs
-        / 2.0
-        * (
-            1.0
-            - (ia + 2.0) * xs / 3.0
-            + (ia + 2.0) * (ia + 3.0) * xs * xs / 12.0
-            - (ia + 2.0) * (ia + 3.0) * (ia + 4.0) * xs**3 / 60.0
+
+    def series(xs):
+        return (
+            (1.0 + ia)
+            * xs
+            * xs
+            / 2.0
+            * (
+                1.0
+                - (ia + 2.0) * xs / 3.0
+                + (ia + 2.0) * (ia + 3.0) * xs * xs / 12.0
+                - (ia + 2.0) * (ia + 3.0) * (ia + 4.0) * (xs * xs * xs) / 60.0
+            )
         )
-    )
+
+    small = np.abs(x) < 1e-2
+    if small.all():
+        return series(x)
+    out = np.empty_like(x)
+    out[small] = series(x[small])
     xl = x[~small]
     out[~small] = alpha * np.expm1(-np.log1p(xl) / alpha) + xl
     return out
+
+
+def x_weighted_squares(f: np.ndarray, disc: Discretization) -> np.ndarray:
+    """The X-weighted sum of f^2 over the trailing axis, |f|_X^2."""
+    return np.sum(disc.xweight * f * f, axis=-1)
 
 
 def _gravity_energy_density(z: np.ndarray) -> np.ndarray:
@@ -434,11 +467,20 @@ def conserved_energy(state: PerturbationState, profile: LaneEmdenProfile) -> flo
     return float(energy_rows(state.zeta, state.zeta_t, profile.discretization))
 
 
-def energy_rows(zeta: np.ndarray, zeta_t: np.ndarray, disc: Discretization) -> np.ndarray:
+def energy_rows(
+    zeta: np.ndarray,
+    zeta_t: np.ndarray,
+    disc: Discretization,
+    zeta_t_sq: np.ndarray | None = None,
+) -> np.ndarray:
     """conserved_energy over the trailing axis: one H per row of a
-    (K, N+1) block, each equal to the 1-D value bit for bit."""
+    (K, N+1) block, each equal to the 1-D value bit for bit.  zeta_t_sq,
+    when given, is x_weighted_squares(zeta_t, disc), which zero_norm_rows
+    shares."""
     jm1 = cell_jacobian_minus_one(zeta, disc)
-    kinetic = 0.5 * np.sum(disc.xweight * zeta_t * zeta_t, axis=-1)
+    if zeta_t_sq is None:
+        zeta_t_sq = x_weighted_squares(zeta_t, disc)
+    kinetic = 0.5 * zeta_t_sq
     internal = np.sum(
         disc.w_half_1a * _pressure_energy_density(jm1, disc.alpha) * disc.d3 / 3.0, axis=-1
     )

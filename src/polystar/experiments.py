@@ -171,8 +171,9 @@ def evolve_batch(members: list, cfg: ExperimentConfig, max_steps: int = 5_000_00
         return []
     runs = [_Run(m, cfg) for m in members]
     batch = _Batch(list(runs), [m.initial for m in members], cfg.sim)
-    batch.take()
-    batch.end_chunk()
+    if batch.runs:
+        batch.take()
+        batch.end_chunk()
     steps = 0
     while batch.runs:
         ended = {
@@ -225,33 +226,43 @@ class _Run:
         sim gives theta1 and snapshot_every."""
         rec = self.rec
         disc = rec.profile.discretization
-        E0 = [n**2 for n in energetics.zero_norm_rows(z, zt, disc)]
-        H = evolution.energy_rows(z, zt, disc).tolist()
+        zt_sq = evolution.x_weighted_squares(zt, disc)
+        E0 = [n**2 for n in energetics.zero_norm_rows(z, zt, disc, zt_sq)]
+        H = evolution.energy_rows(z, zt, disc, zt_sq).tolist()
         sups = evolution.smallness_rows(z, zt, ztt, disc, sim.theta1)
         sup_zeta, sup_zeta_r, _, _, exceeded = (v.tolist() for v in sups)
         radius = ((1.0 + z[:, -1]) * rec.profile.R).tolist()
-        status = None
-        for k, t in enumerate(self.times[: len(z)]):
-            i = len(rec.times)
-            rec.times.append(t)
-            rec.E0.append(E0[k])
-            rec.H.append(H[k])
-            rec.sup_zeta.append(sup_zeta[k])
-            rec.sup_zeta_r.append(sup_zeta_r[k])
-            rec.boundary_radius.append(radius[k])
-            rec.exceeded.append(exceeded[k])
-            if i == 0 or (sim.snapshot_every and i % sim.snapshot_every == 0):
-                rec.snapshot_times.append(t)
-                rec.snapshots.append((z[k].copy(), zt[k].copy()))
+        first = len(rec.times)  # the record index of row 0
+        status, n = None, len(z)
+        for k in range(n):
             if not (math.isfinite(E0[k]) and math.isfinite(H[k])):
                 status = "nonfinite"
-            elif i and exceeded[k]:
+            elif first + k and exceeded[k]:
                 status = "smallness_exceeded"
-            elif i and self.stop_amplitude is not None and math.sqrt(E0[k]) >= self.stop_amplitude:
+            elif (
+                first + k
+                and self.stop_amplitude is not None
+                and math.sqrt(E0[k]) >= self.stop_amplitude
+            ):
                 status = "escaped"
             if status:
-                self.end(status, t, z[k], zt[k])
+                n = k + 1
                 break
+        times = self.times[:n]
+        rec.times += times
+        rec.E0 += E0[:n]
+        rec.H += H[:n]
+        rec.sup_zeta += sup_zeta[:n]
+        rec.sup_zeta_r += sup_zeta_r[:n]
+        rec.boundary_radius += radius[:n]
+        rec.exceeded += exceeded[:n]
+        every = sim.snapshot_every
+        # record indices 0 and every multiple of snapshot_every
+        for k in range(-first % every, n, every) if every else range(first == 0):
+            rec.snapshot_times.append(times[k])
+            rec.snapshots.append((z[k].copy(), zt[k].copy()))
+        if status:
+            self.end(status, times[-1], z[n - 1], zt[n - 1])
         self.times.clear()
         return status is not None
 
@@ -270,44 +281,56 @@ class _Batch:
     evaluates it for the first sample, where a collapse becomes that
     run's result, and each step for the state it reaches.  The time loop
     allocates no array until the block shrinks and its layout is
-    rebuilt."""
+    rebuilt, and derives no view either: _layout prepares the views
+    that the kernels and take read and write, once per layout.  They are
+    current and spare, the _Views of the state and spare blocks, which a
+    step swaps; stage_views, the FlatViews of the Stages blocks; and
+    slots, the chunk buffers' sample slots."""
 
     def __init__(self, runs: list, initial: list, sim: evolution.SimConfig):
         self.runs = runs
         self.sim = sim
         zeta = np.stack([state.zeta for state in initial])
-        # the acceleration rows are filled below
-        self.state = np.stack([zeta, np.stack([state.zeta_t for state in initial]), zeta])
         self.buffers = np.empty((3, len(runs), RECORD_CHUNK, zeta.shape[1]))
         self.n = 0  # samples buffered per run
-        self._layout()
+        # the acceleration rows are filled below
+        self._layout(np.stack([zeta, np.stack([state.zeta_t for state in initial]), zeta]))
         while self.runs:
             try:
-                self.accel(self.state[0], self.state[2])
+                self.accel(self.current.accel)
                 break
             except StatePastVacuumCollapse as exc:
                 for b in exc.rows:
                     self.runs[b].result = exc
                 self.remove(exc.rows)
 
-    def accel(self, zeta: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The runs' acceleration of a block of zeta rows, into out."""
-        return evolution.nonlinear_accel_rows(zeta, self.flat, out)
+    @property
+    def state(self) -> np.ndarray:
+        """The state block."""
+        return self.current.block
+
+    def accel(self, views: polytrope.FlatViews) -> None:
+        """The runs' acceleration of the zeta rows of views, into its out."""
+        evolution.nonlinear_accel_rows(views.zeta, self.flat, views.out, views)
+
+    def stage_accel(self, i: int) -> None:
+        """step_rows' acceleration of stage i."""
+        self.accel(self.stage_views[i])
 
     def step(self) -> None:
         """One RK4 step of every run: step_rows and the new zeta's
         acceleration go into the spare block, which then becomes the
         state.  A collapse in either leaves the state as it was."""
-        new = self.spare
-        evolution.step_rows(self.state, self.stages, self.accel, new[:2])
-        self.accel(new[0], new[2])
-        self.state, self.spare = new, self.state
+        current, new = self.current, self.spare
+        evolution.step_rows(current.block, self.stages, self.stage_accel, new.out, current.split)
+        self.accel(new.accel)
+        self.current, self.spare = new, current
         for run in self.runs:
             run.t += run.dt
 
     def take(self) -> None:
         """Buffer the current sample of every run."""
-        self.buffers[:, :, self.n] = self.state
+        self.slots[self.n][...] = self.current.block
         for run in self.runs:
             run.times.append(run.t)
         self.n += 1
@@ -339,17 +362,41 @@ class _Batch:
             return
         self.runs = [self.runs[b] for b in keep]
         self.buffers = self.buffers[:, keep]
-        self.state = self.state.take(keep, axis=1)  # C-contiguous, unlike [:, keep]
         if keep:
-            self._layout()
+            self._layout(self.state.take(keep, axis=1))  # C-contiguous, unlike [:, keep]
 
-    def _layout(self) -> None:
-        """The runs' FlatRows and Stages, and the spare block."""
-        B, n = self.state.shape[1:]
+    def _layout(self, state: np.ndarray) -> None:
+        """Lay out the state block state: the runs' FlatRows and Stages, a
+        spare block, and the views the time loop reads and writes."""
+        B, n = state.shape[1:]
         dt = np.repeat([run.dt for run in self.runs], n).reshape(B, n)
         self.stages = evolution.Stages(dt, (B, n))
         self.flat = polytrope.FlatRows.build([run.rec.profile.discretization for run in self.runs])
-        self.spare = np.empty_like(self.state)
+        self.current = _Views.of(state, self.flat)
+        self.spare = _Views.of(np.empty_like(state), self.flat)
+        self.stage_views = [
+            self.flat.views(y, a) for y, a in zip(self.stages.rows, self.stages.accels)
+        ]
+        self.slots = [self.buffers[:, :, i] for i in range(RECORD_CHUNK)]
+
+
+@dataclass(frozen=True, eq=False)
+class _Views:
+    """The views of one (3, B, N+1) block [zeta, zeta_t, a(zeta)] that
+    the time loop reads and writes: split = (block[:2], block[1:]), which
+    step_rows reads as S and K1; out = block[:2], which a step into the
+    block writes; and accel, the FlatViews of the acceleration of
+    block[0] into block[2]."""
+
+    block: np.ndarray
+    split: tuple
+    out: np.ndarray
+    accel: polytrope.FlatViews
+
+    @classmethod
+    def of(cls, block: np.ndarray, flat: polytrope.FlatRows) -> _Views:
+        S = block[:2]
+        return cls(block, (S, block[1:]), S, flat.views(block[0], block[2]))
 
 
 # Samples a growing-mode run aims to put in growth_fit's window, 25 % over

@@ -49,6 +49,13 @@ MIN_NODES = 64
 # smallest relative ODE tolerance: scipy's DOP853 raised smaller ones to it
 MIN_REL_TOL = 100 * np.finfo(float).eps
 
+# The absolute radius at which solve_lane_emden's rough pass leaves the
+# origin series, and the smallest Lane-Emden length c^(-1/2) accepted, a
+# thousand times it.  R is at least pi such lengths (gamma 2), so the
+# start lies deep inside every star accepted.
+ROUGH_START = 1e-6
+MIN_LENGTH = 1e3 * ROUGH_START
+
 # Gauss-Legendre rule on [0, 1], placed on every integrator step: exact to
 # degree 15, and the DOP853 dense output is a degree-7 polynomial per step
 _GAUSS_U, _GAUSS_W = np.polynomial.legendre.leggauss(8)
@@ -88,6 +95,14 @@ class PolytropeConfig:
         if not (math.isfinite(c) and c > 0):
             raise ConfigError(
                 f"K={self.K} at gamma={self.gamma}: K^alpha leaves the float range"
+            )
+        if c > MIN_LENGTH**-2:
+            # K at which c = MIN_LENGTH^(-2)
+            k_min = (4.0 * math.pi * MIN_LENGTH**2 / (1.0 + self.alpha)) ** (self.gamma - 1.0)
+            raise ConfigError(
+                f"K={self.K} at gamma={self.gamma}: the star's Lane-Emden length "
+                f"c^(-1/2) = {c**-0.5:.3g} is below {MIN_LENGTH:g}, where the profile "
+                f"solve starts at r = {ROUGH_START:g}; K must be at least {k_min:.6g}"
             )
         if not (math.isfinite(self.ode_rel_tol) and self.ode_rel_tol >= MIN_REL_TOL):
             raise ConfigError(f"ode_rel_tol must be finite and >= 100 eps = {MIN_REL_TOL:.3g}")
@@ -332,8 +347,11 @@ class FlatRows:
     without a floating-point warning; the weights and flux_coef are 0 at
     the row ends and joins.
 
-    scratch is the kernel's working vector, allocated once here: the
-    kernel reads nothing from it that the same call did not write.
+    scratch is the kernel's working vector, allocated once here, and the
+    regions the kernel reads and writes are views of it prepared here
+    too, so that a call derives no array from it: the kernel reads
+    nothing from scratch that the same call did not write.  views(zeta,
+    out) prepares the views of one pair of zeta and acceleration blocks.
     """
 
     N: int
@@ -343,8 +361,16 @@ class FlatRows:
     exponent: np.ndarray     # (2M-2,) [-4 at nodes 1..M-1 | -gt at the cells]
     weight: np.ndarray       # (2M-2,) [-Phi at nodes 1..M-1 | w_half^(1+alpha) at the cells]
     flux_coef: np.ndarray    # (M-2,) -1 / (dr w^alpha r) at flat nodes 1..M-2
-    edges: list              # per row [origin_coef, gt, h_N, r_N, phi_N] as Python floats
+    ends: list               # per row (k, k + N, origin_coef, gt, h_N, r_N, phi_N):
+                             # its flat origin and vacuum nodes, and Python floats
     scratch: np.ndarray      # (2M,) [zeta | J - 1 of the M-1 cells | one spare slot]
+    nodes: np.ndarray        # scratch[:M], zeta
+    cells: np.ndarray        # scratch[M:2M-1], J - 1, then the pressure flux
+    checked: np.ndarray      # scratch[:2M-1], what the collapse checks read
+    powered: np.ndarray      # scratch[1:2M-1], [nodes 1..M-1 | cells], raised in one pass
+    source: np.ndarray       # scratch[1:M-1], the interior source, then (1+zeta)^2
+    flux_hi: np.ndarray      # cells[1:]
+    flux_lo: np.ndarray      # cells[:-1]
 
     @classmethod
     def build(cls, discs: list) -> FlatRows:
@@ -362,6 +388,7 @@ class FlatRows:
             return out.reshape(-1)
 
         cells = lay(lambda d: d.w_half_1a, 0, N, 0.0)[: M - 1]
+        scratch = np.empty(2 * M)
         return cls(
             N=N,
             r3=lay(lambda d: d.r3, 0, N + 1, 0.0),
@@ -372,12 +399,44 @@ class FlatRows:
             ),
             weight=np.concatenate([lay(lambda d: -d.phi[1:N], 1, N - 1, 0.0)[1:], cells]),
             flux_coef=lay(lambda d: -d.inv_dr_wr, 1, N - 1, 0.0)[1 : M - 1],
-            edges=[
-                [float(x) for x in (d.origin_coef, d.gt, d.h[-1], d.r[-1], d.phi[-1])]
-                for d in discs
+            ends=[
+                (k, k + N, *map(float, (d.origin_coef, d.gt, d.h[-1], d.r[-1], d.phi[-1])))
+                for k, d in zip(range(0, M, N + 1), discs)
             ],
-            scratch=np.empty(2 * M),
+            scratch=scratch,
+            nodes=scratch[:M],
+            cells=scratch[M : 2 * M - 1],
+            checked=scratch[: 2 * M - 1],
+            powered=scratch[1 : 2 * M - 1],
+            source=scratch[1 : M - 1],
+            flux_hi=scratch[M + 1 : 2 * M - 1],
+            flux_lo=scratch[M : 2 * M - 2],
         )
+
+    def views(self, zeta: np.ndarray, out: np.ndarray) -> FlatViews:
+        """The views the kernel reads and writes of zeta rows and of out,
+        a C-contiguous array of zeta's shape that receives their
+        acceleration."""
+        if not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        zf, af = zeta.reshape(-1), out.reshape(-1)
+        M = zf.size
+        return FlatViews(zeta, out, zf, af, (af[1:], af[:-1]), af[1 : M - 1], zf[1 : M - 1])
+
+
+@dataclass(frozen=True, eq=False)
+class FlatViews:
+    """FlatRows.views: one pair of zeta and acceleration blocks, their
+    flat vectors, and the slices of those that the kernel reads and
+    writes, built once for a pair that is evaluated many times."""
+
+    zeta: np.ndarray
+    out: np.ndarray
+    zeta_flat: np.ndarray    # zeta.reshape(-1)
+    out_flat: np.ndarray     # out.reshape(-1), which holds r^3 u until the interior overwrites it
+    shifted: tuple           # (out_flat[1:], out_flat[:-1])
+    interior: np.ndarray     # out_flat[1:M-1]
+    zeta_interior: np.ndarray  # zeta_flat[1:M-1]
 
 
 def _composite_grid(R: float, n_nodes: int, grading: float) -> np.ndarray:
@@ -474,7 +533,7 @@ def solve_lane_emden(
     alpha, c = config.alpha, config.c_frak
     series = coef, dcoef = _origin_series_pair(config)
 
-    R_est = _integrate(config, series, 1e-6, 1e-8, 1e-10, dense=False).root
+    R_est = _integrate(config, series, ROUGH_START, 1e-8, 1e-10, dense=False).root
     series_radius = 1e-3 * R_est if config.series_radius is None else config.series_radius
     if not 0 < series_radius < 0.1 * R_est:
         raise ValueError("series_radius must be small relative to R")

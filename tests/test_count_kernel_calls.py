@@ -24,15 +24,21 @@ def test_flat_kernels_make_the_same_contiguous_calls_at_every_batch_size(capsys)
         assert counts[3][2] == 0
     # on the batch path's own buffers neither an acceleration nor a step
     # with four of them allocates an array
-    calls, new, _ = next(values for kernel, B, *values in rows if kernel == "nonlinear_accel_rows")
+    calls, new, _, _ = next(
+        values for kernel, B, *values in rows if kernel == "nonlinear_accel_rows"
+    )
     assert calls <= 20 and new == 0
-    calls, new, _ = next(values for kernel, B, *values in rows if kernel == "step_rows")
+    calls, new, _, _ = next(values for kernel, B, *values in rows if kernel == "step_rows")
     assert calls <= 92 and new == 0
-    # the counter sees a strided operand, and leaves numpy as it found it
+    # nor derives a view: the time loop prepares them once per block layout
+    assert {B: values[3] for kernel, B, *values in rows} == {1: 0, 2: 0, 3: 0}
+    # the counter sees a strided operand and a derived view, and leaves
+    # numpy as it found it
     with count_kernel_calls.counting() as counts:
         block = count_kernel_calls.np.zeros((2, 5))
-        block[:, 1:] *= 2.0
-    assert counts == {"calls": 2, "new": 1, "strided": 2}
+        tail = block[:, 1:]
+        tail *= 2.0
+    assert counts == {"calls": 2, "new": 1, "strided": 2, "views": 1}
     assert not isinstance(count_kernel_calls.np.zeros(3), count_kernel_calls.Counted)
     assert count_kernel_calls.main(["--nodes", "64"]) == 0
     assert "nonlinear_accel_rows" in capsys.readouterr().out

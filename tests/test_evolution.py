@@ -11,6 +11,7 @@ import polystar as ps
 from polystar.errors import StatePastVacuumCollapse
 from polystar.evolution import (
     _endpoint_values,
+    _pressure_energy_density,
     _radial_derivative,
     Stages,
     cell_jacobian_minus_one,
@@ -42,6 +43,37 @@ def test_cell_jacobian_cube_by_multiplication(profile13):
         u = cell_jacobian_minus_one(z, disc)
         pow_form = disc.conservative_derivative(z + z * z + z**3 / 3.0)
         assert np.abs(u - pow_form).max() <= 4.0 * eps * np.abs(u).max()
+
+
+def test_pressure_energy_series_cube_by_multiplication():
+    # H's internal-energy series cubes by multiplication too: on random-sign
+    # data inside the series range xs * xs * xs and numpy's pow differ by
+    # at most 2 ulps, and the densities of the two forms by rounding only.
+    # A block that takes the series everywhere skips the masked gather and
+    # scatter, and gives each entry the bits it has in a block that mixes
+    # the series and the direct form
+    alpha = 1.0 / 0.3
+    ia = 1.0 / alpha
+    eps = np.finfo(float).eps
+    for seed in range(4):
+        x = np.random.default_rng(seed).uniform(-1e-2, 1e-2, (4, 1024))
+        assert np.abs(x).max() < 1e-2 and (x < 0).any()
+        cube = x**3
+        assert np.all(np.abs(x * x * x - cube) <= 2.0 * np.spacing(np.abs(cube)))
+        got = _pressure_energy_density(x, alpha)
+        pow_form = (
+            (1.0 + ia) * x * x / 2.0
+            * (
+                1.0
+                - (ia + 2.0) * x / 3.0
+                + (ia + 2.0) * (ia + 3.0) * x * x / 12.0
+                - (ia + 2.0) * (ia + 3.0) * (ia + 4.0) * cube / 60.0
+            )
+        )
+        assert np.abs(got - pow_form).max() <= 4.0 * eps * np.abs(got).max()
+        mixed = x.copy()
+        mixed[:, 0] = 0.5
+        assert np.array_equal(_pressure_energy_density(mixed, alpha)[:, 1:], got[:, 1:])
 
 
 def test_equilibrium_preserved_ten_thousand_steps():
@@ -459,6 +491,15 @@ def _growing_rows(profiles):
     return np.stack([st.zeta for st in states]), np.stack([st.zeta_t for st in states]), dts
 
 
+def _stage_accel(stages, flat):
+    """step_rows' accel: stage i's acceleration on flat."""
+
+    def accel(i):
+        nonlinear_accel_rows(stages.rows[i], flat, stages.accels[i])
+
+    return accel
+
+
 def test_step_rows_match_the_allocating_form(profiles_256):
     # 30 steps of the unstable gammas stacked, with dt as (B, N+1) rows
     # and, in the allocating form, as the (B, 1) column it broadcast; and
@@ -477,11 +518,11 @@ def test_step_rows_match_the_allocating_form(profiles_256):
     old1 = (z[1], zt[1])
     for _ in range(30):
         nonlinear_accel_rows(new[0], disc, new[2])
-        step_rows(new, stages, lambda y, a: nonlinear_accel_rows(y, disc, a), new[:2])
+        step_rows(new, stages, _stage_accel(stages, disc), new[:2])
         old = _allocating_step_rows(*old, column, lambda y: nonlinear_accel_rows(y, disc))
         assert all(np.array_equal(a, b) for a, b in zip(new[:2], old))
         k1 = nonlinear_accel_rows(new1[0], one, new1[2]).copy()
-        step_rows(new1, stages1, lambda y, a: nonlinear_accel_rows(y, one, a), new1[:2])
+        step_rows(new1, stages1, _stage_accel(stages1, one), new1[:2])
         old1 = _allocating_step_rows(*old1, dts[1], lambda y: nonlinear_accel_rows(y, one), k1)
         assert all(np.array_equal(a, b) for a, b in zip(new1[:2], old1))
         assert all(np.array_equal(a, b[1]) for a, b in zip(new1[:2], new[:2]))
@@ -502,7 +543,8 @@ def test_step_rows_writes_only_its_own_buffers(profiles_256, batched):
     before = [np.copy(a) for a in (state, stages.half, stages.dt, stages.sixth)]
     buffers = []
 
-    def accel(y, a):
+    def accel(i):
+        y, a = stages.rows[i], stages.accels[i]
         assert np.shares_memory(a, stages.y) and not np.shares_memory(a, y)
         buffers.append(a)
         nonlinear_accel_rows(y, disc, a)

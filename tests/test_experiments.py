@@ -478,11 +478,11 @@ def _collapsing_rows(hit, accel=evolution.nonlinear_accel_rows):
     """nonlinear_accel_rows, raising a collapse of every row for which
     hit(row) holds."""
 
-    def collapsing(zeta, disc, out=None):
+    def collapsing(zeta, disc, out=None, views=None):
         rows = [b for b, row in enumerate(zeta.reshape(-1, zeta.shape[-1])) if hit(row)]
         if rows:
             raise StatePastVacuumCollapse("forced", rows=rows)
-        return accel(zeta, disc, out)
+        return accel(zeta, disc, out, views)
 
     return collapsing
 
@@ -626,6 +626,75 @@ def test_batched_stop_on_chunk_boundary_while_another_is_mid_chunk(run128, ladde
     assert [len(rec.times) for rec in records[::2]] == [boundary + 1, middle + 1]
     assert len(records[1].times) % RECORD_CHUNK not in (0, 1)
     _check_members(members, records, cfg)
+
+
+def _with_sim(cfg, **fields):
+    return dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, **fields))
+
+
+def _nonfinite_H_at(monkeypatch, zeta):
+    """Make every recorded H of a sample whose zeta equals zeta NaN."""
+    energy_rows = evolution.energy_rows
+
+    def poisoned(z, *args, **kwargs):
+        H = energy_rows(z, *args, **kwargs)
+        H[[np.array_equal(row, zeta) for row in z]] = np.nan
+        return H
+
+    monkeypatch.setattr(evolution, "energy_rows", poisoned)
+
+
+@pytest.mark.parametrize(
+    "stops",
+    [
+        ("nonfinite", "smallness_exceeded"),
+        ("nonfinite", "escaped"),
+        ("smallness_exceeded", "escaped"),
+        ("nonfinite", "smallness_exceeded", "escaped"),
+    ],
+)
+def test_batched_sample_meeting_several_stops_reports_the_first(run128, monkeypatch, stops):
+    # sample K + 5, in the run's second chunk, is the first to meet each
+    # stop of stops: H made NaN there, theta1 just below its largest sup
+    # and the stop amplitude at its sqrt(E0).  The run ends on it with
+    # the first of them in the order nonfinite, smallness_exceeded, escaped
+    cfg, profile, mode = run128
+    index = RECORD_CHUNK + 5
+    initial = ps.mode_initial_state(mode, 1e-3)
+    free_cfg = _with_sim(cfg, theta1=math.inf, snapshot_every=1)
+    (free,) = ps.evolve_batch([ps.Member(profile, initial, mode.mu0, t_end=6.0)], free_cfg)
+    assert free.status == "completed" and len(free.times) > index + 1
+    sups = []
+    for t, (z, zt) in zip(free.times[: index + 1], free.snapshots):
+        report = ps.smallness_monitor(ps.PerturbationState(t, z, zt), profile, cfg.sim)
+        sups.append(max(dataclasses.astuple(report)[:4]))
+    amplitude = np.sqrt(free.E0[: index + 1])
+    # both grow, so sample K + 5 is the first past a bound just below it
+    assert np.all(np.diff(sups) > 0) and np.all(np.diff(amplitude) > 0)
+    theta1 = sups[index - 1] if "smallness_exceeded" in stops else math.inf
+    stop_amplitude = float(amplitude[index]) if "escaped" in stops else None
+    if "nonfinite" in stops:
+        _nonfinite_H_at(monkeypatch, free.snapshots[index][0])
+    member = ps.Member(profile, initial, mode.mu0, stop_amplitude, t_end=6.0)
+    (rec,) = ps.evolve_batch([member], _with_sim(cfg, theta1=theta1))
+    assert rec.status == stops[0]
+    assert len(rec.times) == index + 1
+    assert rec.final.t == free.times[index]
+    assert np.array_equal(rec.final.zeta, free.snapshots[index][0])
+
+
+def test_batched_first_sample_stops_only_when_nonfinite(run128, monkeypatch):
+    # every sample is past theta1 and the stop amplitude: the first sample
+    # stops the run only once its H is NaN too
+    cfg, profile, mode = run128
+    initial = ps.mode_initial_state(mode, 1e-3)
+    member = ps.Member(profile, initial, mode.mu0, 1e-300, t_end=6.0)
+    tiny = _with_sim(cfg, theta1=1e-300)
+    (rec,) = ps.evolve_batch([member], tiny)
+    assert rec.status == "smallness_exceeded" and len(rec.times) == 2
+    _nonfinite_H_at(monkeypatch, initial.zeta)
+    (rec,) = ps.evolve_batch([member], tiny)
+    assert rec.status == "nonfinite" and rec.times == [0.0]
 
 
 def test_evolve_batch_first_sample_collapse_is_the_members_error(run128, ladder128):
@@ -1219,8 +1288,8 @@ def test_cli_evolve_nonfinite_run_exits_3_after_its_series(tmp_path, monkeypatch
     accel = evolution.nonlinear_accel_rows
     calls = []
 
-    def poisoned(zeta, flat, out=None):
-        out = accel(zeta, flat, out)
+    def poisoned(zeta, flat, out=None, views=None):
+        out = accel(zeta, flat, out, views)
         if calls:
             out[...] = np.nan
         calls.append(zeta.shape)

@@ -3,6 +3,7 @@ behavior, energy identity, and structural invariants."""
 
 import dataclasses
 import functools
+import json
 import math
 import os
 import subprocess
@@ -18,13 +19,14 @@ from scipy.optimize import brentq
 import polystar as ps
 from polystar import _dop853, cli
 from polystar.errors import (
+    ConfigError,
     InsufficientResolution,
     NonMonotone,
     NoVacuumRadius,
     OutOfDomain,
     UnsupportedOrder,
 )
-from polystar.polytrope import validate_profile
+from polystar.polytrope import MIN_LENGTH, validate_profile
 
 
 def test_closed_form_n1_polytrope(profile2):
@@ -297,6 +299,42 @@ def _run_fresh(code: str):
     )
     assert out.returncode == 0, out.stderr
     return out
+
+
+@pytest.mark.parametrize("K", [1e-30, 1e-5])
+def test_small_K_is_a_config_error_that_names_it(tmp_path, K):
+    # at gamma 1.3 these stars lie inside the rough pass's start r = 1e-6
+    # (c^(-1/2) = 5.9e-51 and 2.7e-9): K = 1e-30 hung the solve and 1e-5
+    # ended NoVacuumRadius after overflow warnings.  Both documents are
+    # refused with exit 2, in a child process that must end in time
+    doc = tmp_path / "config.json"
+    doc.write_text(json.dumps({"polytrope": {"gamma": 1.3, "K": K}}))
+    src = os.path.dirname(os.path.dirname(ps.__file__))
+    argv = ["profile", "--nodes", "64", "--config", str(doc), "--out", str(tmp_path / "out")]
+    out = subprocess.run(
+        [sys.executable, "-m", "polystar.cli", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+        timeout=60,
+    )
+    assert out.returncode == 2, out.stderr
+    assert f"config error: K={K} at gamma=1.3" in out.stderr
+    assert "Lane-Emden length" in out.stderr and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("gamma", [1.22, 1.3, 2.0])
+def test_smallest_K_accepted_solves_the_scaled_star(gamma):
+    # just above the bound, c = MIN_LENGTH^(-2): the star is the default
+    # one shrunk by its Lane-Emden length c^(-1/2), to solver accuracy
+    alpha = 1.0 / (gamma - 1.0)
+    k_min = (4.0 * math.pi * MIN_LENGTH**2 / (1.0 + alpha)) ** (gamma - 1.0)
+    with pytest.raises(ConfigError, match="Lane-Emden length"):
+        ps.PolytropeConfig(gamma=gamma, K=k_min * (1.0 - 1e-9))
+    config = ps.PolytropeConfig(gamma=gamma, K=k_min * (1.0 + 1e-9))
+    assert config.c_frak == pytest.approx(MIN_LENGTH**-2, rel=1e-8)
+    unit = ps.solve_lane_emden(ps.PolytropeConfig(gamma=gamma), 64).R
+    assert ps.solve_lane_emden(config, 64).R * math.sqrt(config.c_frak) == pytest.approx(
+        unit, rel=1e-10
+    )
 
 
 _PRINT_SCIPY = "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
